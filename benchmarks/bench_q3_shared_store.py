@@ -14,13 +14,16 @@ on the paper-scale 500-trajectory dataset:
   executor would let the first worker up absorb the probe tasks and
   quietly skip the other N-1 initializer payloads);
 * **frame latency** — ``render_viewport_parallel`` serial vs pooled
-  over the store, with the bit-identity acceptance check;
+  (pickle ship-back of tile pixels) over the store, with the
+  bit-identity acceptance check;
 * **sessions** — the same brushing script run by 1 vs 8 concurrent
   :class:`SessionView` threads over one :class:`DatasetService`
   (one resident copy of the packed arrays, one stage cache).
 
 Emits human-readable ``out/Q3.txt`` and machine-readable
-``out/BENCH_Q3.json`` (CI artifact).
+``out/BENCH_Q3.json`` (CI artifact), with a ``host`` block (usable
+CPUs, Python and NumPy versions) so runs on different machines are not
+compared blind.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import multiprocessing as mp
 import os
 import pickle
+import platform
 import statistics
 import threading
 import time
@@ -131,11 +135,10 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
         # --- parallel frame render over the store -----------------------
         # Wall-size brushed frames: a 4x2-panel wall at 256x144 px per
         # panel, an 8x4 small-multiple grid, and a 6-stamp 3-color brush
-        # with its highlights evaluated once in the parent.  This is the
-        # workload the batched shared-framebuffer transport is built
-        # for: batches amortize the per-(cell size, color) footprint
-        # raster across each worker's tile list, and slot writes replace
-        # the per-tile pixel ship-back.
+        # with its highlights evaluated once in the parent.  Batches
+        # amortize the per-(cell geometry, color) footprint raster
+        # across each worker's tile list; tile pixels ship back through
+        # the result queue.
         from repro.core.engine import CoordinatedBrushingEngine
         from repro.display.bezel import BezelSpec
         from repro.display.viewport import Viewport
@@ -181,15 +184,13 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
             return best
 
         serial = _best_of(3, max_workers=0)
-        shipback = _best_of(3, max_workers=4, store=store, shared_fb=False)
-        pooled = _best_of(3, max_workers=4, store=store, shared_fb=True)
-        for run in (shipback, pooled):
-            assert not run.degraded, run.degradation.summary()
-            for eye in (Eye.LEFT, Eye.RIGHT):  # acceptance: bit-identical
-                for key in serial.frames[eye]:
-                    np.testing.assert_array_equal(
-                        serial.frames[eye][key].data, run.frames[eye][key].data
-                    )
+        pooled = _best_of(3, max_workers=4, store=store)
+        assert not pooled.degraded, pooled.degradation.summary()
+        for eye in (Eye.LEFT, Eye.RIGHT):  # acceptance: bit-identical
+            for key in serial.frames[eye]:
+                np.testing.assert_array_equal(
+                    serial.frames[eye][key].data, pooled.frames[eye][key].data
+                )
 
         def _stages(report):
             s = report.stage_seconds
@@ -202,19 +203,16 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
 
         frame = {
             "serial_s": round(serial.elapsed_s, 4),
-            "pooled_shipback_s": round(shipback.elapsed_s, 4),
-            "pooled_sharedfb_s": round(pooled.elapsed_s, 4),
+            "pooled_shipback_s": round(pooled.elapsed_s, 4),
             "workers": pooled.workers,
             "n_jobs": pooled.n_jobs,
             "n_batches": pooled.n_batches,
             "bit_identical": True,
-            # the CI render-bench gate: the default pooled transport
-            # (batched + shared framebuffer) must not lose to serial on
-            # a wall-size brushed frame
+            # the CI render-bench gate: the batched pooled render must
+            # not lose to serial on a wall-size brushed frame
             "pooled_beats_serial": bool(pooled.elapsed_s <= serial.elapsed_s),
             "speedup": round(serial.elapsed_s / pooled.elapsed_s, 2),
-            "shipback_stages": _stages(shipback),
-            "sharedfb_stages": _stages(pooled),
+            "shipback_stages": _stages(pooled),
             "serial_render_s": round(
                 serial.stage_seconds.get("render", serial.elapsed_s), 4
             ),
@@ -260,6 +258,11 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
     payload = {
         "bench": "Q3",
         "title": "zero-copy shared-memory data plane",
+        "host": {
+            "n_cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "dataset": {
             "n_trajectories": len(full_dataset),
             "n_segments": int(full_dataset.packed().n_segments),
@@ -277,7 +280,10 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_Q3.json").write_text(json.dumps(payload, indent=2))
 
+    host = payload["host"]
     lines = [
+        f"host: {host['n_cpus']} usable CPUs, Python {host['python']}, "
+        f"NumPy {host['numpy']}",
         f"ship dataset: {len(ship_dataset)} trajectories "
         f"(sessions/frames: {len(full_dataset)})",
         f"init payload: pickle-ship {pickle_bytes / 1e6:.1f} MB vs "
@@ -294,16 +300,15 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
         f"parallel frame render ({frame['workers']} workers, "
         f"{frame['n_jobs']} jobs in {frame['n_batches']} batches, "
         f"best of 3): serial {frame['serial_s'] * 1e3:.1f} ms vs "
-        f"ship-back {frame['pooled_shipback_s'] * 1e3:.1f} ms vs "
-        f"shared-fb {frame['pooled_sharedfb_s'] * 1e3:.1f} ms "
+        f"pooled {frame['pooled_shipback_s'] * 1e3:.1f} ms "
         f"({frame['speedup']:.2f}x, bit-identical, "
         f"pooled_beats_serial={frame['pooled_beats_serial']})",
-        f"  shared-fb stages: dispatch "
-        f"{frame['sharedfb_stages']['dispatch_s'] * 1e3:.1f} ms | "
+        f"  pooled stages: dispatch "
+        f"{frame['shipback_stages']['dispatch_s'] * 1e3:.1f} ms | "
         f"render (worker total) "
-        f"{frame['sharedfb_stages']['render_worker_total_s'] * 1e3:.1f} ms | "
-        f"ship-back {frame['sharedfb_stages']['shipback_s'] * 1e3:.1f} ms | "
-        f"assemble {frame['sharedfb_stages']['assemble_s'] * 1e3:.1f} ms",
+        f"{frame['shipback_stages']['render_worker_total_s'] * 1e3:.1f} ms | "
+        f"ship-back {frame['shipback_stages']['shipback_s'] * 1e3:.1f} ms | "
+        f"assemble {frame['shipback_stages']['assemble_s'] * 1e3:.1f} ms",
         f"sessions: solo median query "
         f"{sessions['solo']['median_query_s'] * 1e3:.2f} ms vs 8 concurrent "
         f"{sessions['concurrent_8']['median_query_s'] * 1e3:.2f} ms "

@@ -7,30 +7,20 @@ worker* through the pool initializer rather than once per job, which is
 what makes the speedup survive Python's pickling costs (the dataset is
 megabytes; a job description is kilobytes).
 
-Three transports stack on top of that, each removing a copy:
-
-* **pickle ship-back** — workers return each tile's pixels through the
-  executor result queue (the baseline transport; kept as a fallback
-  and as the parity suite's second witness);
-* **store handle** (pass ``store=``) — the per-worker *input* payload
-  drops from O(dataset bytes) to O(handle bytes): workers attach
-  zero-copy views onto the one resident copy of the packed arrays via
-  :class:`repro.store.StoreHandle`.  An unattachable handle degrades to
-  the pickle-ship initializer with a ``shm-attach-failure`` event;
-* **shared framebuffer** (default on the pooled path) — the *output*
-  payload drops to zero: the parent creates one
-  :class:`repro.store.SharedFrameBuffer` sized to the frame, workers
-  write their tile slots in place, and nothing but per-job timing rides
-  the result queue.  If the frame block cannot be created the render
-  degrades to ship-back with a ``framebuf-create-failure`` event —
-  never a failed frame.
+With ``store=`` the per-worker *input* payload drops further, from
+O(dataset bytes) to O(handle bytes): workers attach zero-copy views
+onto the one resident copy of the packed arrays via
+:class:`repro.store.StoreHandle`.  An unattachable handle degrades to
+the pickle-ship initializer with a ``shm-attach-failure`` event.
+Output has one transport: workers return each tile's pixels through
+the executor result queue (pickle ship-back).
 
 Jobs are **batched per worker** (one submit per worker carrying its
 tile list) instead of dispatched per tile: a batch amortizes dispatch
 and lets the worker hoist the brush-footprint coverage cache across its
 whole tile list — the dominant per-tile cost on brushed frames is
-rasterizing the same (cell size, color) footprint over and over, and a
-batch pays it once.  Batch size is informed by the
+rasterizing the same (cell geometry, color) footprint over and over,
+and a batch pays it once.  Batch size is informed by the
 ``render.frame.stage_seconds{stage}`` / ``render.tile.seconds``
 telemetry: when per-tile history says a one-batch-per-worker deal would
 outlive the supervisor's attempt timeout, batches are split further so
@@ -43,9 +33,8 @@ The pooled path runs under a :class:`repro.resilience.SupervisedPool`:
 a crashed, hung or misbehaving worker never costs the frame.  Failed
 batches are retried on respawned workers and, as a last resort,
 re-rendered serially in the parent — rendering is deterministic, so a
-retried batch overwrites its framebuffer slots with identical bytes
-(no torn tiles) and the frame always completes.  What failed and what
-it took to recover is attached as
+retried batch returns identical bytes and the frame always completes.
+What failed and what it took to recover is attached as
 ``ParallelRenderReport.degradation``.  Fault injection for tests and
 benchmarks comes in through ``fault_plan`` or the ``REPRO_FAULTS``
 environment hook; fault job indices address *batches* on this path.
@@ -70,7 +59,7 @@ from repro.layout.cells import CellAssignment
 from repro.parallel.pool import round_robin_batches
 from repro.render.framebuffer import Framebuffer
 from repro.render.pipeline import RenderJob, WallRenderer
-from repro.render.raster import CellStyle
+from repro.render.raster import CellStyle, FootprintGeometry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.health import DegradationReport
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
@@ -78,12 +67,6 @@ from repro.resilience.supervisor import SupervisedPool
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.store.arena import SharedArenaStore, StoreHandle, attach
-from repro.store.framebuf import (
-    FramebufferHandle,
-    SharedFrameBuffer,
-    attach_framebuffer,
-    create_framebuffer,
-)
 from repro.store.shm import StoreAttachError
 from repro.synth.arena import Arena
 
@@ -94,10 +77,9 @@ __all__ = ["render_viewport_parallel", "ParallelRenderReport", "TileBatch"]
 # explicit Any beats casting at every read site.
 _WORKER_STATE: dict[str, Any] = {}
 
-#: One shipped result per render job: (col, row, eye, pixels-or-None,
-#: in-worker render seconds).  ``pixels`` is None when the job wrote
-#: its shared framebuffer slot instead of shipping data back.
-_JobResult = tuple[int, int, int, "np.ndarray | None", float]
+#: One shipped result per render job: (col, row, eye, pixels,
+#: in-worker render seconds).
+_JobResult = tuple[int, int, int, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -114,33 +96,18 @@ class TileBatch:
     jobs: tuple[RenderJob, ...]
 
 
-def _attach_framebuffer_state(fb_handle: FramebufferHandle | None) -> None:
-    """Attach the shared output framebuffer (if any) for this worker's
-    lifetime.  An attach failure raises, killing the worker — the
-    supervised pool's retry/serial-fallback ladder still completes the
-    frame (the parent created the block, so this is a race with
-    teardown, not the expected path)."""
-    if fb_handle is None:
-        _WORKER_STATE["fb"] = None
-    else:
-        _WORKER_STATE["fb"] = attach_framebuffer(fb_handle)
-
-
 def _init_worker(renderer: WallRenderer, canvas: BrushCanvas | None,
-                 results: dict[str, QueryResult] | None,
-                 fb_handle: FramebufferHandle | None = None) -> None:
+                 results: dict[str, QueryResult] | None) -> None:
     _WORKER_STATE["renderer"] = renderer
     _WORKER_STATE["canvas"] = canvas
     _WORKER_STATE["results"] = results
-    _attach_framebuffer_state(fb_handle)
 
 
 def _init_worker_shm(handle: StoreHandle, arena: Arena, viewport: Viewport,
                      projection: SpaceTimeProjection | None,
                      style: CellStyle | None,
                      canvas: BrushCanvas | None,
-                     results: dict[str, QueryResult] | None,
-                     fb_handle: FramebufferHandle | None = None) -> None:
+                     results: dict[str, QueryResult] | None) -> None:
     """Zero-copy pool initializer: attach the shared store and rebuild
     the renderer around view-backed trajectories.
 
@@ -155,48 +122,43 @@ def _init_worker_shm(handle: StoreHandle, arena: Arena, viewport: Viewport,
     )
     _WORKER_STATE["canvas"] = canvas
     _WORKER_STATE["results"] = results
-    _attach_framebuffer_state(fb_handle)
 
 
-def _render_batch(batch: TileBatch) -> list[_JobResult]:
-    """Render one batch in a worker.
+def _render_jobs(
+    renderer: WallRenderer,
+    jobs: tuple[RenderJob, ...],
+    canvas: BrushCanvas | None,
+    results: dict[str, QueryResult] | None,
+) -> list[_JobResult]:
+    """Render a job list with one footprint cache hoisted across it.
 
-    With a shared framebuffer attached, each job's pixels go straight
-    into its slot and only ``(col, row, eye, None, seconds)`` rides the
-    result queue; otherwise the pixels ship back.  The per-job seconds
+    Footprint coverage is a pure function of (cell footprint geometry,
+    color) within one frame, so the list pays each footprint
+    rasterization once instead of once per job.  The per-job seconds
     let the parent split frame wall time into dispatch / render /
     transport (worker processes cannot emit into the parent's
     telemetry registry directly).
-
-    The footprint cache is hoisted across the batch: coverage depends
-    only on (cell pixel size, color) within one frame, so the batch
-    pays each footprint rasterization once instead of once per job.
     """
-    renderer: WallRenderer = _WORKER_STATE["renderer"]
-    fb_client = _WORKER_STATE.get("fb")
-    footprint_cache: dict[tuple[int, int, str], np.ndarray] = {}
+    footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] = {}
     out: list[_JobResult] = []
-    for job in batch.jobs:
+    for job in jobs:
         t0 = time.perf_counter()
         fb = renderer.render_job(
-            job,
-            canvas=_WORKER_STATE["canvas"],
-            results=_WORKER_STATE["results"],
-            footprint_cache=footprint_cache,
+            job, canvas=canvas, results=results, footprint_cache=footprint_cache
         )
-        payload: np.ndarray | None = fb.data
-        if fb_client is not None:
-            slot = fb_client.slot(
-                job.tile.col, job.tile.row, int(job.eye), writable=True
-            )
-            slot[...] = fb.data
-            del slot
-            payload = None
         out.append(
-            (job.tile.col, job.tile.row, int(job.eye), payload,
+            (job.tile.col, job.tile.row, int(job.eye), fb.data,
              time.perf_counter() - t0)
         )
     return out
+
+
+def _render_batch(batch: TileBatch) -> list[_JobResult]:
+    """Render one batch in a worker, against its initializer state."""
+    return _render_jobs(
+        _WORKER_STATE["renderer"], batch.jobs,
+        _WORKER_STATE["canvas"], _WORKER_STATE["results"],
+    )
 
 
 def _plan_batches(
@@ -231,13 +193,11 @@ class ParallelRenderReport:
     """Frames plus timing and health of a parallel render pass.
 
     ``stage_seconds`` splits ``elapsed_s`` for the pooled path:
-    ``dispatch`` (pool bring-up, initializer shipping, and shared-frame
-    creation), ``render`` (summed in-worker render time across all
-    jobs), ``shipback`` (result transport and queueing — everything in
-    the map wall not accounted to rendering; near zero on the
-    shared-framebuffer transport, where only timing tuples ride the
-    queue) and ``assemble`` (parent-side frame assembly: one slot copy
-    per tile, or adopting shipped arrays).  The serial path reports
+    ``dispatch`` (pool bring-up and initializer shipping), ``render``
+    (summed in-worker render time across all jobs), ``shipback``
+    (result transport and queueing — everything in the map wall not
+    accounted to rendering) and ``assemble`` (parent-side frame
+    assembly: adopting the shipped arrays).  The serial path reports
     only ``render``.
     """
 
@@ -248,7 +208,6 @@ class ParallelRenderReport:
     degradation: DegradationReport = field(default_factory=DegradationReport)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     n_batches: int = 0
-    shared_fb: bool = False
 
     @property
     def degraded(self) -> bool:
@@ -269,7 +228,6 @@ def render_viewport_parallel(
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
     store: "SharedArenaStore | StoreHandle | None" = None,
-    shared_fb: bool | None = None,
 ) -> ParallelRenderReport:
     """Render all viewport tiles, optionally over a supervised pool.
 
@@ -303,13 +261,6 @@ def render_viewport_parallel(
         a pickled dataset; an unattachable handle degrades to the
         pickle-ship initializer with a ``shm-attach-failure`` event on
         the report.
-    shared_fb:
-        Output transport for the pooled path.  ``None`` (default) and
-        ``True`` render into a shared framebuffer (workers write tile
-        slots in place; nothing ships back); ``False`` forces the
-        classic pickle ship-back (the parity suite's second witness).
-        A frame-block creation failure degrades to ship-back with a
-        ``framebuf-create-failure`` event.  Ignored on the serial path.
     """
     if results is None and engine is not None and canvas is not None:
         if not canvas.is_empty():
@@ -324,7 +275,6 @@ def render_viewport_parallel(
     frames: dict[Eye, dict[tuple[int, int], Framebuffer]] = {eye: {} for eye in eyes}
     stage_seconds: dict[str, float] = {}
     n_batches = 0
-    use_shared_fb = False
     if max_workers <= 1:
         for job in jobs:
             t_tile = time.perf_counter()
@@ -338,44 +288,9 @@ def render_viewport_parallel(
         batches = _plan_batches(jobs, max_workers, policy)
         n_batches = len(batches)
 
-        frame_store: SharedFrameBuffer | None = None
-        if shared_fb is None or shared_fb:
-            try:
-                frame_store = create_framebuffer(
-                    (job.tile.col, job.tile.row, int(job.eye),
-                     job.tile.px_height, job.tile.px_width)
-                    for job in jobs
-                )
-            except (StoreAttachError, ValueError) as exc:
-                degradation.record(
-                    "framebuf-create-failure", scope="pool",
-                    action="shipback-fallback", detail=repr(exc),
-                )
-                obs.counter_add("render.transport.fallbacks", 1)
-        use_shared_fb = frame_store is not None
-        fb_handle = None if frame_store is None else frame_store.handle
-
-        def _render_batch_local(batch: TileBatch) -> list[_JobResult]:
-            """Bottom-rung serial fallback, run in the parent.  Ships
-            pixels through the return value even under a shared
-            framebuffer — the parent must not write slots while other
-            batches may still be in flight."""
-            cache: dict[tuple[int, int, str], np.ndarray] = {}
-            out: list[_JobResult] = []
-            for job in batch.jobs:
-                t_job = time.perf_counter()
-                fb = renderer.render_job(
-                    job, canvas=canvas, results=results, footprint_cache=cache
-                )
-                out.append(
-                    (job.tile.col, job.tile.row, int(job.eye), fb.data,
-                     time.perf_counter() - t_job)
-                )
-            return out
-
         # default transport: pickle the whole renderer into each worker
         initializer: Any = _init_worker
-        initargs: tuple[Any, ...] = (renderer, canvas, results, fb_handle)
+        initargs: tuple[Any, ...] = (renderer, canvas, results)
         if store is not None:
             handle = store.handle if isinstance(store, SharedArenaStore) else store
             try:
@@ -391,46 +306,35 @@ def render_viewport_parallel(
                 initargs = (
                     handle, renderer.arena, renderer.viewport,
                     renderer.projection, renderer.style, canvas, results,
-                    fb_handle,
                 )
 
-        try:
-            with SupervisedPool(
-                max_workers,
-                policy=retry_policy,
-                fault_plan=fault_plan,
-                initializer=initializer,
-                initargs=initargs,
-                report=degradation,
-            ) as pool:
-                dispatch_s = time.perf_counter() - t0
-                t_map = time.perf_counter()
-                outputs = pool.map(
-                    _render_batch, batches, serial_fn=_render_batch_local
-                )
-                map_s = time.perf_counter() - t_map
-            # assembly runs strictly after the map: every slot has been
-            # fully (re)written by exactly one surviving attempt, so a
-            # plain copy-out per tile cannot observe a torn write
-            t_assemble = time.perf_counter()
-            render_s = 0.0
-            for batch_out in outputs:
-                for col, row, eye_val, data, job_s in batch_out:
-                    render_s += job_s
-                    obs.observe("render.tile.seconds", job_s)
-                    if data is None:
-                        assert frame_store is not None
-                        data = frame_store.slot(col, row, eye_val).copy()
-                    frames[Eye(eye_val)][(col, row)] = Framebuffer.from_array(data)
-            assemble_s = time.perf_counter() - t_assemble
-        finally:
-            if frame_store is not None:
-                frame_store.unlink()
-                frame_store.close()
+        with SupervisedPool(
+            max_workers,
+            policy=retry_policy,
+            fault_plan=fault_plan,
+            initializer=initializer,
+            initargs=initargs,
+            report=degradation,
+        ) as pool:
+            dispatch_s = time.perf_counter() - t0
+            t_map = time.perf_counter()
+            outputs = pool.map(
+                _render_batch, batches,
+                serial_fn=lambda b: _render_jobs(renderer, b.jobs, canvas, results),
+            )
+            map_s = time.perf_counter() - t_map
+        t_assemble = time.perf_counter()
+        render_s = 0.0
+        for batch_out in outputs:
+            for col, row, eye_val, data, job_s in batch_out:
+                render_s += job_s
+                obs.observe("render.tile.seconds", job_s)
+                frames[Eye(eye_val)][(col, row)] = Framebuffer.from_array(data)
+        assemble_s = time.perf_counter() - t_assemble
         workers = max_workers
         # everything in the map wall not spent rendering (even spread
         # perfectly across workers) is transport: batch pickling and
-        # result queues — near zero when only timing tuples ship back
+        # result queues
         shipback_s = max(map_s - render_s / max_workers, 0.0)
         stage_seconds = {
             "dispatch": dispatch_s,
@@ -439,8 +343,6 @@ def render_viewport_parallel(
             "assemble": assemble_s,
         }
         obs.counter_add("render.batches", n_batches, workers=workers)
-        if use_shared_fb:
-            obs.counter_add("render.sharedfb.frames", 1)
     elapsed = time.perf_counter() - t0
     for stage, seconds in stage_seconds.items():
         obs.observe("render.frame.stage_seconds", seconds, stage=stage)
@@ -454,5 +356,4 @@ def render_viewport_parallel(
         degradation=degradation,
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
         n_batches=n_batches,
-        shared_fb=use_shared_fb,
     )

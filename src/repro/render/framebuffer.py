@@ -39,10 +39,10 @@ class Framebuffer:
     def from_array(cls, data: np.ndarray) -> "Framebuffer":
         """Adopt existing (H, W, 3) pixel storage without clearing.
 
-        The assembly path for shared-framebuffer renders: the parent
-        wraps a slot copy that workers already filled, so re-clearing
-        (or re-allocating) would discard the rendered pixels.  The
-        array is taken as-is when it is already contiguous float32.
+        The assembly path for pooled renders: the parent wraps the
+        pixels a worker shipped back, so re-clearing (or
+        re-allocating) would discard the rendered pixels.  The array is
+        taken as-is when it is already contiguous float32.
         """
         data = np.asarray(data)
         if data.ndim != 3 or data.shape[2] != 3:

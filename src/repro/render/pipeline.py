@@ -24,7 +24,7 @@ from repro.display.tile import Tile
 from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
 from repro.render.framebuffer import Framebuffer
-from repro.render.raster import CellRenderer, CellStyle
+from repro.render.raster import CellRenderer, CellStyle, FootprintGeometry
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.synth.arena import Arena
@@ -122,23 +122,23 @@ class WallRenderer:
         *,
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
-        footprint_cache: dict[tuple[int, int, str], np.ndarray] | None = None,
+        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] | None = None,
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
 
         ``footprint_cache`` may be shared across the jobs of one frame:
-        brush-footprint coverage depends only on the cell's pixel size
-        and the stroke set of a color, both constant within a frame, so
-        a batch worker passes one dict for its whole job list and pays
-        the footprint rasterization once per (size, color) instead of
-        once per job.  Never reuse a cache across canvas changes.
+        brush-footprint coverage is a pure function of the cell's
+        :class:`~repro.render.raster.FootprintGeometry` (pixel size and
+        sub-pixel phase) and the stroke set of a color, so a batch
+        worker passes one dict for its whole job list and pays the
+        footprint rasterization once per (geometry, color) instead of
+        once per job — with bytes identical to any other cache scope.
+        Never reuse a cache across canvas changes.
         """
         tile = job.tile
         fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
         renderer = CellRenderer(tile, self.projection, self.style)
         packed = self.dataset.packed() if results else None
-        # brush-footprint coverage is identical across same-sized cells;
-        # cache it per (cell pixel size, color)
         if footprint_cache is None:
             footprint_cache = {}
         labels = job.cell_labels or ("",) * len(job.cell_rects)
@@ -162,12 +162,12 @@ class WallRenderer:
             traj = self.dataset[int(traj_idx)]
             renderer.draw_trajectory(fb, traj, mapper, job.eye, rect_t)
             if canvas is not None:
-                x0, y0, x1, y1 = renderer._cell_px_rect(rect_t)
+                _, geometry = renderer.footprint_geometry(mapper, rect_t)
                 for color_name in canvas.colors():
                     centers, radii = canvas.stamps_of(color_name)
                     if not len(centers):
                         continue
-                    key = (x1 - x0, y1 - y0, color_name)
+                    key = (geometry, color_name)
                     cov = renderer.draw_brush_footprint(
                         fb, mapper, centers, radii, color_name, rect_t,
                         precomputed=footprint_cache.get(key),

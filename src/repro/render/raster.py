@@ -16,6 +16,7 @@ of cells and tile-sized temporaries would dominate the frame time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.trajectory.model import Trajectory
 
-__all__ = ["CellStyle", "CellRenderer"]
+__all__ = ["CellStyle", "CellRenderer", "FootprintGeometry"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,27 @@ class CellStyle:
     #: Pixels of slack around a cell for content that overhangs it
     #: (stereo shear pushes near-depth samples sideways).
     overdraw_px: int = 8
+
+
+class FootprintGeometry(NamedTuple):
+    """A cell's placement on the pixel grid, in cell-local terms.
+
+    A cell whose edges fall between pixels covers an integer pixel box
+    wider than itself, and which side the extra pixel sits on depends
+    on the sub-pixel phase of the cell's origin — two cells of the same
+    box size can carry it on opposite sides.  Brush-footprint coverage
+    is a function of these fields and the color's stamps only, so it is
+    the footprint cache key (with the color).
+    """
+
+    width: int               # pixel box the cell covers
+    height: int
+    phase_x: float           # cell origin minus box origin, in pixels
+    phase_y: float
+    cell_width: float        # cell extent in pixels
+    cell_height: float
+    px_per_arena_x: float    # pixels per arena meter
+    px_per_arena_y: float
 
 
 class CellRenderer:
@@ -183,6 +205,31 @@ class CellRenderer:
             fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), named_color(color_name)
         )
 
+    def footprint_geometry(
+        self,
+        mapper: CoordinateMapper,
+        cell_rect: tuple[float, float, float, float],
+    ) -> tuple[tuple[int, int], FootprintGeometry]:
+        """The cell's pixel-box origin on this tile (unclipped) and its
+        :class:`FootprintGeometry`, the cache key of its footprint."""
+        corners = np.array(
+            [[cell_rect[0], cell_rect[1]], [cell_rect[2], cell_rect[3]]], dtype=np.float64
+        )
+        px = self.tile.wall_to_pixel(corners)
+        x0, y0 = int(np.floor(px[0, 0])), int(np.floor(px[0, 1]))
+        sx, sy = self.tile.pixels_per_meter
+        geometry = FootprintGeometry(
+            width=int(np.ceil(px[1, 0])) - x0,
+            height=int(np.ceil(px[1, 1])) - y0,
+            phase_x=float(px[0, 0] - x0),
+            phase_y=float(px[0, 1] - y0),
+            cell_width=float(px[1, 0] - px[0, 0]),
+            cell_height=float(px[1, 1] - px[0, 1]),
+            px_per_arena_x=mapper.scale * sx,
+            px_per_arena_y=mapper.scale * sy,
+        )
+        return (x0, y0), geometry
+
     def brush_footprint_coverage(
         self,
         mapper: CoordinateMapper,
@@ -192,7 +239,7 @@ class CellRenderer:
         *,
         stamp_chunk: int = 64,
     ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-        """Coverage map of the brushed region over one cell.
+        """Coverage map of the brushed region over one cell's pixel box.
 
         Computed as a signed distance field on the cell's pixel grid:
         for each pixel, the minimum of (distance-to-stamp - radius)
@@ -200,34 +247,32 @@ class CellRenderer:
         edge.  Stamps are processed in chunks to bound the
         (pixels x stamps) temporary.
 
-        The map depends only on the cell's pixel size (cells share the
-        arena mapping up to translation), so callers cache it per
-        (width, height) — see :meth:`WallRenderer.render_job
-        <repro.render.pipeline.WallRenderer.render_job>`.
+        Pixel centers are placed in cell-local coordinates from the
+        cell's :class:`FootprintGeometry` alone, so the map is a pure
+        function of (geometry, stamps): callers cache it per
+        (geometry, color) at any scope — see
+        :meth:`WallRenderer.render_job
+        <repro.render.pipeline.WallRenderer.render_job>`.  Returns the
+        map and the cell's unclipped tile pixel box.
         """
-        x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
-        if x1 <= x0 or y1 <= y0:
-            return np.zeros((0, 0)), (x0, y0, x1, y1)
-        # arena coordinates of every pixel center in the cell
-        xs = np.arange(x0, x1, dtype=np.float64) + 0.5
-        ys = np.arange(y0, y1, dtype=np.float64) + 0.5
-        gx, gy = np.meshgrid(xs, ys)
-        px = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        arena_pts = mapper.wall_to_arena(self.tile.pixel_to_wall(px))
+        (x0, y0), g = self.footprint_geometry(mapper, cell_rect)
+        # arena coordinates of every pixel center: its pixel offset from
+        # the cell center (the arena origin) over pixels per arena meter
+        ax = (np.arange(g.width) + 0.5 - (g.phase_x + 0.5 * g.cell_width)) / g.px_per_arena_x
+        ay = ((g.phase_y + 0.5 * g.cell_height) - (np.arange(g.height) + 0.5)) / g.px_per_arena_y
+        gx, gy = np.meshgrid(ax, ay)
+        px, py = gx.ravel(), gy.ravel()
         centers = np.asarray(centers_arena, dtype=np.float64)
         radii = np.asarray(radii_arena, dtype=np.float64)
-        signed = np.full(len(arena_pts), np.inf)
+        signed = np.full(len(px), np.inf)
         for lo in range(0, len(centers), stamp_chunk):
             c = centers[lo : lo + stamp_chunk]
             r = radii[lo : lo + stamp_chunk]
-            d = np.sqrt(
-                (arena_pts[:, None, 0] - c[None, :, 0]) ** 2
-                + (arena_pts[:, None, 1] - c[None, :, 1]) ** 2
-            )
+            d = np.sqrt((px[:, None] - c[None, :, 0]) ** 2 + (py[:, None] - c[None, :, 1]) ** 2)
             np.minimum(signed, (d - r[None, :]).min(axis=1), out=signed)
-        soft = 1.0 / (mapper.scale * self.tile.pixels_per_meter[0])  # 1 px in arena m
+        soft = 1.0 / g.px_per_arena_x  # 1 px in arena m
         coverage = np.clip(0.5 - signed / soft, 0.0, 1.0)
-        return coverage.reshape(y1 - y0, x1 - x0), (x0, y0, x1, y1)
+        return coverage.reshape(g.height, g.width), (x0, y0, x0 + g.width, y0 + g.height)
 
     def draw_brush_footprint(
         self,
@@ -242,30 +287,27 @@ class CellRenderer:
     ) -> np.ndarray | None:
         """Translucent discs showing where the brush was painted.
 
-        Returns the coverage map so the pipeline can reuse it for the
-        other cells of the same pixel size (``precomputed``).
+        Returns the coverage map of the cell's whole pixel box so the
+        pipeline can reuse it (``precomputed``) for every cell with the
+        same :meth:`footprint_geometry`; the part off the tile is
+        clipped here, at composite time.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
             return None
-        if precomputed is not None:
-            x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
-            coverage = precomputed
-            ch, cw = coverage.shape
-            x1, y1 = x0 + cw, y0 + ch
-            if x1 > self.tile.px_width or y1 > self.tile.px_height:
-                coverage = coverage[: self.tile.px_height - y0, : self.tile.px_width - x0]
-                y1 = min(y1, self.tile.px_height)
-                x1 = min(x1, self.tile.px_width)
-        else:
-            coverage, (x0, y0, x1, y1) = self.brush_footprint_coverage(
+        if precomputed is None:
+            precomputed, (x0, y0, _, _) = self.brush_footprint_coverage(
                 mapper, cell_rect, centers_arena, radii_arena
             )
-        if coverage.size == 0:
-            return coverage
-        self._composite_local(
-            fb.data[y0:y1, x0:x1],
-            coverage * self.style.brush_alpha,
-            named_color(color_name),
-        )
-        return coverage
+        else:
+            (x0, y0), _ = self.footprint_geometry(mapper, cell_rect)
+        ch, cw = precomputed.shape
+        cx0, cy0 = max(x0, 0), max(y0, 0)
+        cx1, cy1 = min(x0 + cw, self.tile.px_width), min(y0 + ch, self.tile.px_height)
+        if cx1 > cx0 and cy1 > cy0:
+            self._composite_local(
+                fb.data[cy0:cy1, cx0:cx1],
+                precomputed[cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0] * self.style.brush_alpha,
+                named_color(color_name),
+            )
+        return precomputed

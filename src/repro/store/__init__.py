@@ -13,11 +13,6 @@ per-consumer state** on top of it.
   :class:`StoreHandle` (the small picklable address workers receive
   instead of a pickled dataset), :func:`attach` → :class:`StoreClient`
   (zero-copy dataset / index / engine rebuilds).
-* :mod:`repro.store.framebuf` — the *output* plane's counterpart:
-  :func:`create_framebuffer` publishes one shared block sized to a
-  whole wall frame, pooled render workers attach via
-  :func:`attach_framebuffer` and write their tile slots in place, and
-  the parent assembles the frame with no result ship-back.
 * :mod:`repro.store.snapshot` — :class:`EpochSnapshot` (one immutable
   published epoch: dataset + engine + index + store) and the GIL-atomic
   pin/retire refcounts under it.
@@ -39,13 +34,6 @@ from repro.store.arena import (
     StoreClient,
     StoreHandle,
     attach,
-)
-from repro.store.framebuf import (
-    FrameBufferClient,
-    FramebufferHandle,
-    SharedFrameBuffer,
-    attach_framebuffer,
-    create_framebuffer,
 )
 from repro.store.ingest import (
     IngestBatch,
@@ -71,11 +59,6 @@ __all__ = [
     "StoreClient",
     "StoreHandle",
     "attach",
-    "FrameBufferClient",
-    "FramebufferHandle",
-    "SharedFrameBuffer",
-    "attach_framebuffer",
-    "create_framebuffer",
     "IngestBatch",
     "IngestBuffer",
     "RolloverCoordinator",

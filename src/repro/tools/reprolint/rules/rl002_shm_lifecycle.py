@@ -27,12 +27,9 @@ from repro.tools.reprolint.config import module_name_for
 
 __all__ = ["ShmLifecycleChecker"]
 
-# create_framebuffer/attach_framebuffer (repro.store.framebuf) wrap a
-# block in a shared output framebuffer; the wrapper owns the block, so
-# the same pairing discipline applies to it
-_CREATE_SUFFIXES = ("create_block", "create_framebuffer")
+_CREATE_SUFFIXES = ("create_block",)
 _CTOR_SUFFIXES = ("SharedBlock", "SharedMemory")
-_ATTACH_SUFFIXES = ("attach_block", "attach_framebuffer")
+_ATTACH_SUFFIXES = ("attach_block",)
 
 
 def _kw_true(call: ast.Call, name: str) -> bool:

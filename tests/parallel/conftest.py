@@ -1,10 +1,10 @@
 """Parallel-render fixtures: no test may leak shared memory.
 
-The pooled render path creates a shared framebuffer block per frame
-(and may attach a shared arena store); the autouse fixture snapshots
-the in-process block registry and ``/dev/shm`` around each test and
-fails on any leftover — the same enforcement the store suite applies,
-now covering the render transport too.
+The pooled render and batch-query paths may publish or attach a shared
+arena store; the autouse fixture snapshots the in-process block
+registry and ``/dev/shm`` around each test and fails on any leftover —
+the same enforcement the store suite applies, covering the parallel
+transports too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _shm_files() -> set[str]:
 @pytest.fixture(autouse=True)
 def no_leaked_blocks():
     """Fail any parallel test that leaks an open handle or an unlinked
-    /dev/shm segment (frame blocks must die with their frame)."""
+    /dev/shm segment (store blocks must die with their owner)."""
     handles_before = set(live_blocks())
     files_before = _shm_files()
     yield

@@ -1,17 +1,17 @@
 """Randomized render-transport parity harness.
 
-One frame, three transports — serial in-process, pooled with pickle
-ship-back, pooled with the shared output framebuffer — must agree to
-the byte on every (tile, eye) framebuffer.  Each spec seeds its own
-layout, brush set, time window and eye selection, so the suite sweeps
-wall shapes (including degenerate 1-pixel tiles and chunky
-bezel-clipped mullions), brushed and unbrushed frames, and worker
-counts 1, 2 and 8.
+One frame, three transports — serial in-process, pooled with the
+renderer pickled into each worker, pooled over a published shared
+store — must agree to the byte on every (tile, eye) framebuffer.  Each
+spec seeds its own layout, brush set, time window and eye selection,
+so the suite sweeps wall shapes (including degenerate 1-pixel tiles,
+chunky bezel-clipped mullions, and a 4-column wall whose cells round
+to 129 px with the extra pixel on different sides on different tile
+columns), brushed and unbrushed frames, and worker counts 1, 2 and 8.
 
-Shared-framebuffer slots start zero-filled, which is *not* the
-renderer's background color — byte equality with the serial frame
-therefore also proves every slot pixel was actually written by a
-worker (no blank or partially-written tiles).
+A pooled batch shares one brush-footprint cache across its tiles while
+the serial path keeps one per tile, so byte equality also proves the
+footprint cache is keyed on everything the coverage depends on.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.layout.grid import BezelAwareGrid
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.pipeline import WallRenderer
 from repro.stereo.camera import Eye
+from repro.store import SharedArenaStore
 from repro.synth.arena import Arena
 
 BOTH = (Eye.LEFT, Eye.RIGHT)
@@ -80,6 +81,14 @@ SPECS = [
         "unbrushed-frame", 7,
         dict(cols=2, rows=1, panel_px_width=48, panel_px_height=30),
         (4, 2), 0, None, BOTH, 2,
+    ),
+    (
+        # BENCH_Q3's wall: float rounding makes some cells 129 px wide
+        # with the extra pixel on the left on tile columns 1 and 3 and
+        # on the right on column 2
+        "q3-wall-four-columns", 8,
+        dict(cols=4, rows=2, panel_px_width=256, panel_px_height=144),
+        (8, 4), 2, None, BOTH, 2,
     ),
 ]
 
@@ -138,7 +147,7 @@ def test_three_transports_bit_identical(
     window = None if window_frac is None else TimeWindow.end(window_frac)
 
     # highlights evaluated once, shared by all three paths: any frame
-    # difference is then attributable to the transport alone
+    # difference is then attributable to the render path alone
     results = None
     if canvas is not None:
         engine = CoordinatedBrushingEngine(study_dataset)
@@ -150,32 +159,19 @@ def test_three_transports_bit_identical(
     serial = render_viewport_parallel(
         renderer, assignment, max_workers=0, **common
     )
-    shipback = render_viewport_parallel(
-        renderer, assignment, max_workers=workers, shared_fb=False, **common
+    pickled = render_viewport_parallel(
+        renderer, assignment, max_workers=workers, **common
     )
-    sharedfb = render_viewport_parallel(
-        renderer, assignment, max_workers=workers, shared_fb=True, **common
-    )
+    with SharedArenaStore.publish(study_dataset) as store:
+        stored = render_viewport_parallel(
+            renderer, assignment, max_workers=workers, store=store, **common
+        )
 
-    _assert_frames_equal(serial, shipback, eyes)
-    _assert_frames_equal(serial, sharedfb, eyes)
-    assert not shipback.degraded and not sharedfb.degraded
+    _assert_frames_equal(serial, pickled, eyes)
+    _assert_frames_equal(serial, stored, eyes)
+    assert not pickled.degraded and not stored.degraded
     if workers > 1:
-        assert not shipback.shared_fb
-        assert sharedfb.shared_fb
-        assert sharedfb.n_batches == min(workers, sharedfb.n_jobs)
-        assert set(sharedfb.stage_seconds) == {
+        assert stored.n_batches == min(workers, stored.n_jobs)
+        assert set(stored.stage_seconds) == {
             "dispatch", "render", "shipback", "assemble",
         }
-
-
-def test_shared_fb_is_the_pooled_default(study_dataset):
-    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=40,
-                                   panel_px_height=24))
-    grid = BezelAwareGrid(viewport, 2, 2)
-    renderer = WallRenderer(study_dataset, Arena(), viewport)
-    assignment = assign_sequential(study_dataset, grid)
-    report = render_viewport_parallel(renderer, assignment, max_workers=2)
-    assert report.shared_fb
-    serial = render_viewport_parallel(renderer, assignment, max_workers=0)
-    _assert_frames_equal(serial, report, BOTH)

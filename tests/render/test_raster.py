@@ -122,6 +122,48 @@ class TestBrushFootprint:
         )
         assert out is None
 
+    def test_same_geometry_same_bytes_on_any_tile(self, arena):
+        """Coverage is a pure function of the footprint geometry: the
+        same cell placed on another tile, where its absolute pixel
+        coordinates differ, yields the identical key and bytes."""
+        centers, radii = np.array([[0.1, -0.1]]), np.array([0.08])
+        coverages, keys = [], []
+        for tile in (Tile(0, 0, 0.0, 0.0, 0.25, 0.25, 256, 256),
+                     Tile(3, 1, 0.75, 0.25, 0.25, 0.25, 256, 256)):
+            rect = (tile.x + 0.0625, tile.y + 0.125, tile.x + 0.1875, tile.y + 0.1875)
+            r = CellRenderer(tile, SpaceTimeProjection())
+            m = CoordinateMapper(arena, rect)
+            keys.append(r.footprint_geometry(m, rect)[1])
+            coverages.append(r.brush_footprint_coverage(m, rect, centers, radii)[0])
+        assert keys[0] == keys[1]
+        np.testing.assert_array_equal(coverages[0], coverages[1])
+
+    def test_phase_is_part_of_the_key(self, renderer, arena):
+        """Two cells of the same width whose edges fall at different
+        sub-pixel phases cover different pixel boxes and get different
+        keys."""
+        a = (0.10, 0.0, 0.2002, 0.15)   # 100.2 px wide, phase ~0
+        b = (0.1005, 0.0, 0.2007, 0.15)  # same width, phase ~0.5
+        ga = renderer.footprint_geometry(CoordinateMapper(arena, a), a)[1]
+        gb = renderer.footprint_geometry(CoordinateMapper(arena, b), b)[1]
+        assert ga.width == gb.width == 101
+        assert ga.phase_x != gb.phase_x
+        assert ga != gb
+
+    def test_precomputed_clips_at_tile_edge(self, renderer, arena, tile):
+        """A cell straddling the tile's left edge composites only its
+        on-tile part, from the cached map of its whole pixel box."""
+        rect = (-0.05, 0.0, 0.15, 0.15)
+        m = CoordinateMapper(arena, rect)
+        centers, radii = np.array([[0.0, 0.0]]), np.array([2 * arena.radius])
+        fb1 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
+        cov = renderer.draw_brush_footprint(fb1, m, centers, radii, "red", rect)
+        assert cov.shape == (150, 200)
+        fb2 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
+        renderer.draw_brush_footprint(fb2, m, centers, radii, "red", rect, precomputed=cov)
+        np.testing.assert_array_equal(fb1.data, fb2.data)
+        assert fb1.data[75, 0, 0] > 0 and fb1.data[75, 151:, 0].max() == 0
+
     def test_coverage_localized_to_brush(self, renderer, mapper, cell_rect):
         centers = np.array([[-0.4, 0.0]])  # west edge
         radii = np.array([0.05])

@@ -14,17 +14,3 @@ def destroy(attach_block, name):
     client = attach_block(name)
     client.unlink()  # seeded: RL002 attach-side unlink
     client.close()
-
-
-def leak_frame(create_framebuffer, slots):
-    """Creates a shared framebuffer with no teardown on any path."""
-    fb = create_framebuffer(slots)  # seeded: RL002 unpaired creation
-    n_slots = len(fb.handle.slots)
-    return n_slots
-
-
-def destroy_frame(attach_framebuffer, handle):
-    """Unlinks a framebuffer it merely attached to."""
-    client = attach_framebuffer(handle)
-    client.unlink()  # seeded: RL002 attach-side unlink
-    client.close()

@@ -28,21 +28,3 @@ def consume(attach_block, name):
     """Attach-side close (never unlink) is fine."""
     client = attach_block(name)
     client.close()
-
-
-def managed_frame(create_framebuffer, slots):
-    """Context-managed framebuffer creation."""
-    with create_framebuffer(slots) as fb:
-        return fb.handle
-
-
-def transfer_frame(create_framebuffer, slots):
-    """Ownership transfer: the caller receives the framebuffer."""
-    fb = create_framebuffer(slots)
-    return fb
-
-
-def consume_frame(attach_framebuffer, handle):
-    """Attach-side close (never unlink) is fine."""
-    client = attach_framebuffer(handle)
-    client.close()

@@ -26,8 +26,10 @@ telemetry: when per-tile history says a one-batch-per-worker deal would
 outlive the supervisor's attempt timeout, batches are split further so
 a healthy batch is never mistaken for a hang.
 
-``max_workers<=1`` runs serially in-process and is bit-identical to
-:meth:`WallRenderer.render_viewport`.
+Every path renders its job list through
+:meth:`WallRenderer.render_jobs`, one footprint cache per list:
+``max_workers<=1`` renders the whole frame in-process as one list and
+is bit-identical to :meth:`WallRenderer.render_viewport`.
 
 The pooled path runs under a :class:`repro.resilience.SupervisedPool`:
 a crashed, hung or misbehaving worker never costs the frame.  Failed
@@ -47,8 +49,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro import obs
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -59,7 +59,7 @@ from repro.layout.cells import CellAssignment
 from repro.parallel.pool import round_robin_batches
 from repro.render.framebuffer import Framebuffer
 from repro.render.pipeline import RenderJob, WallRenderer
-from repro.render.raster import CellStyle, FootprintGeometry
+from repro.render.raster import CellStyle
 from repro.resilience.faults import FaultPlan
 from repro.resilience.health import DegradationReport
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
@@ -77,10 +77,6 @@ __all__ = ["render_viewport_parallel", "ParallelRenderReport", "TileBatch"]
 # explicit Any beats casting at every read site.
 _WORKER_STATE: dict[str, Any] = {}
 
-#: One shipped result per render job: (col, row, eye, pixels,
-#: in-worker render seconds).
-_JobResult = tuple[int, int, int, np.ndarray, float]
-
 
 @dataclass(frozen=True)
 class TileBatch:
@@ -88,7 +84,7 @@ class TileBatch:
 
     Batching is what lets the worker share a brush-footprint coverage
     cache across its whole job list (see
-    :meth:`~repro.render.pipeline.WallRenderer.render_job`), and what
+    :meth:`~repro.render.pipeline.WallRenderer.render_jobs`), and what
     collapses per-tile dispatch overhead into one pickle round-trip
     per worker.
     """
@@ -124,40 +120,16 @@ def _init_worker_shm(handle: StoreHandle, arena: Arena, viewport: Viewport,
     _WORKER_STATE["results"] = results
 
 
-def _render_jobs(
-    renderer: WallRenderer,
-    jobs: tuple[RenderJob, ...],
-    canvas: BrushCanvas | None,
-    results: dict[str, QueryResult] | None,
-) -> list[_JobResult]:
-    """Render a job list with one footprint cache hoisted across it.
+def _render_batch(batch: TileBatch) -> list[tuple[Framebuffer, float]]:
+    """Render one batch in a worker, against its initializer state.
 
-    Footprint coverage is a pure function of (cell footprint geometry,
-    color) within one frame, so the list pays each footprint
-    rasterization once instead of once per job.  The per-job seconds
-    let the parent split frame wall time into dispatch / render /
-    transport (worker processes cannot emit into the parent's
-    telemetry registry directly).
+    The per-job seconds let the parent split frame wall time into
+    dispatch / render / transport (worker processes cannot emit into
+    the parent's telemetry registry directly).
     """
-    footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] = {}
-    out: list[_JobResult] = []
-    for job in jobs:
-        t0 = time.perf_counter()
-        fb = renderer.render_job(
-            job, canvas=canvas, results=results, footprint_cache=footprint_cache
-        )
-        out.append(
-            (job.tile.col, job.tile.row, int(job.eye), fb.data,
-             time.perf_counter() - t0)
-        )
-    return out
-
-
-def _render_batch(batch: TileBatch) -> list[_JobResult]:
-    """Render one batch in a worker, against its initializer state."""
-    return _render_jobs(
-        _WORKER_STATE["renderer"], batch.jobs,
-        _WORKER_STATE["canvas"], _WORKER_STATE["results"],
+    renderer: WallRenderer = _WORKER_STATE["renderer"]
+    return renderer.render_jobs(
+        batch.jobs, canvas=_WORKER_STATE["canvas"], results=_WORKER_STATE["results"]
     )
 
 
@@ -197,7 +169,7 @@ class ParallelRenderReport:
     (summed in-worker render time across all jobs), ``shipback``
     (result transport and queueing — everything in the map wall not
     accounted to rendering) and ``assemble`` (parent-side frame
-    assembly: adopting the shipped arrays).  The serial path reports
+    assembly: filing the shipped framebuffers).  The serial path reports
     only ``render``.
     """
 
@@ -276,10 +248,10 @@ def render_viewport_parallel(
     stage_seconds: dict[str, float] = {}
     n_batches = 0
     if max_workers <= 1:
-        for job in jobs:
-            t_tile = time.perf_counter()
-            fb = renderer.render_job(job, canvas=canvas, results=results)
-            obs.observe("render.tile.seconds", time.perf_counter() - t_tile)
+        for job, (fb, job_s) in zip(
+            jobs, renderer.render_jobs(jobs, canvas=canvas, results=results), strict=True
+        ):
+            obs.observe("render.tile.seconds", job_s)
             frames[job.eye][(job.tile.col, job.tile.row)] = fb
         workers = 1
         stage_seconds["render"] = time.perf_counter() - t0
@@ -320,16 +292,18 @@ def render_viewport_parallel(
             t_map = time.perf_counter()
             outputs = pool.map(
                 _render_batch, batches,
-                serial_fn=lambda b: _render_jobs(renderer, b.jobs, canvas, results),
+                serial_fn=lambda b: renderer.render_jobs(
+                    b.jobs, canvas=canvas, results=results
+                ),
             )
             map_s = time.perf_counter() - t_map
         t_assemble = time.perf_counter()
         render_s = 0.0
-        for batch_out in outputs:
-            for col, row, eye_val, data, job_s in batch_out:
+        for batch, batch_out in zip(batches, outputs, strict=True):
+            for job, (fb, job_s) in zip(batch.jobs, batch_out, strict=True):
                 render_s += job_s
                 obs.observe("render.tile.seconds", job_s)
-                frames[Eye(eye_val)][(col, row)] = Framebuffer.from_array(data)
+                frames[job.eye][(job.tile.col, job.tile.row)] = fb
         assemble_s = time.perf_counter() - t_assemble
         workers = max_workers
         # everything in the map wall not spent rendering (even spread

@@ -8,10 +8,13 @@ on a real cluster-driven wall and in :mod:`repro.parallel`), group
 background colors, brush-highlight overlays, and stereo-pair/anaglyph
 composition.
 
-Rendering uses arc-length point splatting with bilinear coverage:
-polylines are resampled at sub-pixel spacing and accumulated into the
-framebuffer with ``np.add.at`` — one vectorized pass over all segments
-of all cells on a tile, no per-segment Python loop (HPC-guide idiom).
+Rendering uses arc-length point splatting with bilinear coverage: a
+cell's polyline is resampled at sub-pixel spacing and every (kernel
+offset, bilinear tap, sample) contribution is accumulated with one
+``np.bincount`` per channel — one vectorized pass per polyline, no
+per-segment Python loop.  Each coverage layer is alpha-composited only
+over the bounding box of its nonzero pixels, and a frame's job list
+shares one brush-footprint cache.
 """
 
 from repro.render.color import Color, HIGHLIGHT_COLORS, named_color, time_gradient

@@ -1,8 +1,8 @@
 """Framebuffers.
 
 A :class:`Framebuffer` is an (H, W, 3) float32 RGB image with the
-blending operations the renderer needs: rect fills, additive /
-alpha-composited splat accumulation, and circle outlines.  Buffers are
+blending operations the renderer needs: rect fills, one alpha
+composite for every coverage layer, and circle outlines.  Buffers are
 preallocated once per tile per eye and reused across frames (guide
 idiom: allocate outside the loop, write in place).
 """
@@ -35,26 +35,6 @@ class Framebuffer:
         self.data = np.empty((self.height, self.width, 3), dtype=np.float32)
         self.clear(background)
 
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "Framebuffer":
-        """Adopt existing (H, W, 3) pixel storage without clearing.
-
-        The assembly path for pooled renders: the parent wraps the
-        pixels a worker shipped back, so re-clearing (or
-        re-allocating) would discard the rendered pixels.  The array is
-        taken as-is when it is already contiguous float32.
-        """
-        data = np.asarray(data)
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError(f"pixel array must be (H, W, 3), got {data.shape}")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"framebuffer size must be positive, got {data.shape}")
-        fb = cls.__new__(cls)
-        fb.height = int(data.shape[0])
-        fb.width = int(data.shape[1])
-        fb.data = np.ascontiguousarray(data, dtype=np.float32)
-        return fb
-
     def clear(self, color: Color = (0.0, 0.0, 0.0)) -> None:
         """Fill the whole buffer with one color (in place)."""
         self.data[...] = np.asarray(color, dtype=np.float32)
@@ -68,34 +48,36 @@ class Framebuffer:
         if x1 > x0 and y1 > y0:
             self.data[y0:y1, x0:x1] = np.asarray(color, dtype=np.float32)
 
-    def composite_coverage(self, coverage: np.ndarray, color: Color) -> None:
-        """Alpha-composite a coverage map (H, W) in [0, 1] of one color.
+    def composite(
+        self, coverage: np.ndarray, color: Color | np.ndarray, x0: int = 0, y0: int = 0
+    ) -> None:
+        """Alpha-composite a coverage map whose top-left pixel sits at (x0, y0).
 
-        ``out = (1 - a) * out + a * color`` with a = clipped coverage.
-        In-place; no temporaries beyond the broadcast products.
+        ``out = (1 - a) * out + a * color`` in place, with ``a`` the
+        coverage clipped to [0, 1] in float32 and ``color`` one RGB
+        triple or an (h, w, 3) per-pixel array the shape of
+        ``coverage``.  The map is clipped to the buffer.  A zero-alpha
+        pixel is left unchanged (``x * 1 + 0 == x``), so only the
+        bounding box of the positive coverage is blended.
         """
-        if coverage.shape != (self.height, self.width):
-            raise ValueError(
-                f"coverage shape {coverage.shape} != buffer {self.height, self.width}"
-            )
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        c = np.asarray(color, dtype=np.float32)
-        self.data *= 1.0 - a
-        self.data += a * c
-
-    def composite_rgb(self, coverage: np.ndarray, rgb: np.ndarray) -> None:
-        """Alpha-composite a per-pixel colored layer.
-
-        ``coverage`` is (H, W) in [0, 1]; ``rgb`` is (H, W, 3) premult-
-        free color (already averaged per pixel).
-        """
-        if coverage.shape != (self.height, self.width):
-            raise ValueError("coverage shape mismatch")
-        if rgb.shape != (self.height, self.width, 3):
-            raise ValueError("rgb shape mismatch")
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        self.data *= 1.0 - a
-        self.data += a * rgb.astype(np.float32)
+        color = np.asarray(color, dtype=np.float32)
+        if color.ndim == 3 and color.shape[:2] != coverage.shape:
+            raise ValueError(f"color shape {color.shape} != coverage {coverage.shape}")
+        positive = coverage > 0
+        rows = np.flatnonzero(positive.any(axis=1))
+        cols = np.flatnonzero(positive.any(axis=0))
+        if not len(rows):
+            return
+        r0, r1 = max(int(rows[0]), -y0), min(int(rows[-1]) + 1, self.height - y0)
+        c0, c1 = max(int(cols[0]), -x0), min(int(cols[-1]) + 1, self.width - x0)
+        if r1 <= r0 or c1 <= c0:
+            return
+        a = np.clip(coverage[r0:r1, c0:c1], 0.0, 1.0).astype(np.float32)[..., None]
+        if color.ndim == 3:
+            color = color[r0:r1, c0:c1]
+        region = self.data[y0 + r0 : y0 + r1, x0 + c0 : x0 + c1]
+        region *= 1.0 - a
+        region += a * color
 
     def draw_circle_outline(
         self, cx: float, cy: float, radius: float, color: Color, thickness: float = 1.0
@@ -116,12 +98,7 @@ class Framebuffer:
             return
         ys, xs = np.mgrid[y0:y1, x0:x1]
         d = np.abs(np.hypot(xs - cx, ys - cy) - radius)
-        cov = np.clip(1.0 + thickness / 2.0 - d, 0.0, 1.0)
-        a = cov.astype(np.float32)[..., None]
-        c = np.asarray(color, dtype=np.float32)
-        region = self.data[y0:y1, x0:x1]
-        region *= 1.0 - a
-        region += a * c
+        self.composite(1.0 + thickness / 2.0 - d, color, x0, y0)
 
     def to_uint8(self) -> np.ndarray:
         """uint8 copy for image output."""

@@ -4,14 +4,15 @@ Rendering hundreds of trajectory cells means rasterizing hundreds of
 thousands of short segments per frame.  A per-segment scanline loop in
 Python is hopeless; instead we *splat*: every polyline is resampled
 along its arc length at sub-pixel spacing, and the resulting point
-cloud is accumulated into a coverage map with bilinear weights via
-``np.add.at`` — a single unsorted scatter-add over flat arrays.  Line
+cloud is accumulated into a coverage map with bilinear weights.  Line
 width is achieved by stamping a small disc kernel of offsets around
-each sample (a tiny constant-size loop, vectorized over all points).
+each sample.  All (offset, tap, sample) contributions of one call go
+through a single ``np.bincount`` per channel, in an order that makes
+the float64 sums bit-identical to scattering them one at a time.
 
 This trades exact analytic anti-aliasing for an approximation that is
-visually equivalent at sub-pixel step sizes, and it turns the frame
-into a handful of NumPy passes regardless of trajectory count.
+visually equivalent at sub-pixel step sizes, and it turns a polyline
+into a handful of NumPy passes regardless of its length.
 """
 
 from __future__ import annotations
@@ -71,6 +72,54 @@ def disc_kernel(width: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights_full[keep]
 
 
+#: Width of the ring of bins around the box that catches off-box
+#: bilinear taps.  A sample's integer corner is clamped to [-2, size]
+#: on each axis, so every tap off the box lands in the ring.
+_PAD = 2
+
+
+def _splat(
+    coverage: np.ndarray,
+    stamps: np.ndarray,
+    weights: np.ndarray,
+    rgb_accum: np.ndarray | None = None,
+    colors: np.ndarray | None = None,
+) -> None:
+    """Scatter the bilinear contributions of stamped samples in one pass.
+
+    ``stamps`` is (K, P, 2): P sample points under each of K kernel
+    offsets.  ``weights`` broadcasts to (K, P).  The four bilinear taps
+    of every sample, flattened in (offset, tap, point) order, go
+    through one ``np.bincount`` per channel.  ``bincount`` adds each
+    bin's weights in input order starting from zero, so on a
+    zero-initialized ``coverage`` the float64 sums are bit-identical to
+    scattering the contributions one by one in that order.  Taps off
+    the box land in a ring of pad bins that is dropped.
+    """
+    h, w = coverage.shape
+    x, y = stamps[..., 0], stamps[..., 1]
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
+    fx, fy = x - x0, y - y0
+    gx, gy = 1 - fx, 1 - fy
+    # taps (0, 0), (1, 0), (0, 1), (1, 1)
+    contrib = np.stack(
+        [gx * gy * weights, fx * gy * weights, gx * fy * weights, fx * fy * weights], axis=1
+    )
+    pw, ph = w + 2 * _PAD, h + 2 * _PAD
+    base = (np.clip(y0, -_PAD, h) + _PAD) * pw + np.clip(x0, -_PAD, w) + _PAD
+    bins = (base[:, None, :] + np.array([0, 1, pw, pw + 1])[:, None]).ravel()
+
+    def binned(values: np.ndarray) -> np.ndarray:
+        flat = np.bincount(bins, values.ravel(), minlength=ph * pw)
+        return flat.reshape(ph, pw)[_PAD:-_PAD, _PAD:-_PAD]
+
+    coverage += binned(contrib)
+    if rgb_accum is not None and colors is not None:
+        for c in range(3):
+            rgb_accum[..., c] += binned(contrib * colors[:, c])
+
+
 def splat_points(
     coverage: np.ndarray,
     points: np.ndarray,
@@ -80,6 +129,8 @@ def splat_points(
     colors: np.ndarray | None = None,
 ) -> None:
     """Accumulate points into a coverage map with bilinear weights.
+
+    The single-offset case of :func:`splat_polylines`'s kernel.
 
     Parameters
     ----------
@@ -94,34 +145,10 @@ def splat_points(
         colors; enables per-pixel color averaging
         (``rgb = rgb_accum / coverage``) for gradient-colored lines.
     """
-    h, w = coverage.shape
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         return
-    wts = np.broadcast_to(np.asarray(weights, dtype=np.float64), (len(points),))
-
-    x = points[:, 0]
-    y = points[:, 1]
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    fx = x - x0
-    fy = y - y0
-
-    for dx, dy, bw in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        if not ok.any():
-            continue
-        contrib = bw[ok] * wts[ok]
-        np.add.at(coverage, (yi[ok], xi[ok]), contrib)
-        if rgb_accum is not None and colors is not None:
-            np.add.at(rgb_accum, (yi[ok], xi[ok]), contrib[:, None] * colors[ok])
+    _splat(coverage, points[None], np.asarray(weights, dtype=np.float64), rgb_accum, colors)
 
 
 def splat_polylines(
@@ -155,12 +182,7 @@ def splat_polylines(
     colors = None
     if vals is not None and value_to_rgb is not None and rgb_accum is not None:
         colors = np.asarray(value_to_rgb(vals), dtype=np.float64)
-    for (dx, dy), kw in zip(offsets, kweights):
-        shifted = points + (dx, dy)
-        splat_points(
-            coverage,
-            shifted,
-            weights=kw * norm,
-            rgb_accum=rgb_accum if colors is not None else None,
-            colors=colors,
-        )
+    # per-offset shift before flooring: floor(x + dx) is not always
+    # floor(x) + dx in floating point
+    stamps = points[None, :, :] + offsets[:, None, :]
+    _splat(coverage, stamps, (kweights * norm)[:, None], rgb_accum, colors)

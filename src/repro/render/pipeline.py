@@ -13,6 +13,8 @@ needs (everything resolved to plain arrays before shipping).
 
 from __future__ import annotations
 
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +81,8 @@ class WallRenderer:
     # Job construction -----------------------------------------------------
     def _cells_on_tile(
         self, tile: Tile, assignment: CellAssignment
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rects, traj_indices, colors) of cells intersecting one tile.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+        """(rects, traj_indices, colors, labels) of cells intersecting one tile.
 
         Bezel-aware grids place each cell wholly inside a panel, so the
         intersection test is a containment test of cell centers.
@@ -126,14 +128,14 @@ class WallRenderer:
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
 
-        ``footprint_cache`` may be shared across the jobs of one frame:
-        brush-footprint coverage is a pure function of the cell's
-        :class:`~repro.render.raster.FootprintGeometry` (pixel size and
-        sub-pixel phase) and the stroke set of a color, so a batch
-        worker passes one dict for its whole job list and pays the
-        footprint rasterization once per (geometry, color) instead of
-        once per job — with bytes identical to any other cache scope.
-        Never reuse a cache across canvas changes.
+        ``footprint_cache`` maps (cell
+        :class:`~repro.render.raster.FootprintGeometry`, color) to the
+        footprint coverage of the cell's pixel box.  Coverage is a pure
+        function of that key and the color's strokes, so one dict may
+        serve any set of jobs drawn with the same canvas, with bytes
+        identical to any other cache scope; :meth:`render_jobs` shares
+        one across its whole job list.  Without a dict the job builds
+        its own.  Never reuse a cache across canvas changes.
         """
         tile = job.tile
         fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
@@ -184,6 +186,32 @@ class WallRenderer:
                         )
         return fb
 
+    def render_jobs(
+        self,
+        jobs: Sequence[RenderJob],
+        *,
+        canvas: BrushCanvas | None = None,
+        results: dict[str, QueryResult] | None = None,
+    ) -> list[tuple[Framebuffer, float]]:
+        """Render a job list with one footprint cache across it.
+
+        Returns each job's framebuffer and in-process render seconds, in
+        job order.  Every render path goes through here: the serial
+        frame, each pool worker's batch and the parent's last-resort
+        re-render of a failed batch.  The list pays each footprint
+        rasterization once per (geometry, color) instead of once per
+        job.
+        """
+        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] = {}
+        out: list[tuple[Framebuffer, float]] = []
+        for job in jobs:
+            t0 = time.perf_counter()
+            fb = self.render_job(
+                job, canvas=canvas, results=results, footprint_cache=footprint_cache
+            )
+            out.append((fb, time.perf_counter() - t0))
+        return out
+
     def render_viewport(
         self,
         assignment: CellAssignment,
@@ -197,8 +225,9 @@ class WallRenderer:
         The process-parallel equivalent lives in
         :func:`repro.parallel.tilerender.render_viewport_parallel`.
         """
+        jobs = self.make_jobs(assignment, eyes)
         out: dict[Eye, dict[tuple[int, int], Framebuffer]] = {eye: {} for eye in eyes}
-        for job in self.make_jobs(assignment, eyes):
-            fb = self.render_job(job, canvas=canvas, results=results)
+        rendered = self.render_jobs(jobs, canvas=canvas, results=results)
+        for job, (fb, _) in zip(jobs, rendered, strict=True):
             out[job.eye][(job.tile.col, job.tile.row)] = fb
         return out

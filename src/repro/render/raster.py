@@ -101,15 +101,6 @@ class CellRenderer:
         k = self.style.background_dim
         return (color[0] * k, color[1] * k, color[2] * k)
 
-    @staticmethod
-    def _composite_local(
-        region: np.ndarray, coverage: np.ndarray, color: Color | np.ndarray
-    ) -> None:
-        """Alpha-composite a local coverage map onto a framebuffer view."""
-        a = np.clip(coverage, 0.0, 1.0).astype(np.float32)[..., None]
-        region *= 1.0 - a
-        region += a * np.asarray(color, dtype=np.float32)
-
     # Drawing ------------------------------------------------------------------
     def draw_background(
         self,
@@ -165,11 +156,9 @@ class CellRenderer:
             value_to_rgb=time_gradient,
         )
         hit = coverage > 1e-9
-        mean_rgb = np.zeros_like(rgb)
+        mean_rgb = np.zeros((ch, cw, 3), dtype=np.float32)
         mean_rgb[hit] = rgb[hit] / coverage[hit][:, None]
-        self._composite_local(
-            fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), mean_rgb.astype(np.float32)
-        )
+        fb.composite(coverage, mean_rgb, x0, y0)
 
     def draw_highlights(
         self,
@@ -201,9 +190,7 @@ class CellRenderer:
         splat_polylines(
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
         )
-        self._composite_local(
-            fb.data[y0:y1, x0:x1], np.minimum(coverage, 1.0), named_color(color_name)
-        )
+        fb.composite(coverage, named_color(color_name), x0, y0)
 
     def footprint_geometry(
         self,
@@ -290,7 +277,7 @@ class CellRenderer:
         Returns the coverage map of the cell's whole pixel box so the
         pipeline can reuse it (``precomputed``) for every cell with the
         same :meth:`footprint_geometry`; the part off the tile is
-        clipped here, at composite time.
+        clipped at composite time.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
@@ -301,13 +288,5 @@ class CellRenderer:
             )
         else:
             (x0, y0), _ = self.footprint_geometry(mapper, cell_rect)
-        ch, cw = precomputed.shape
-        cx0, cy0 = max(x0, 0), max(y0, 0)
-        cx1, cy1 = min(x0 + cw, self.tile.px_width), min(y0 + ch, self.tile.px_height)
-        if cx1 > cx0 and cy1 > cy0:
-            self._composite_local(
-                fb.data[cy0:cy1, cx0:cx1],
-                precomputed[cy0 - y0 : cy1 - y0, cx0 - x0 : cx1 - x0] * self.style.brush_alpha,
-                named_color(color_name),
-            )
+        fb.composite(precomputed * self.style.brush_alpha, named_color(color_name), x0, y0)
         return precomputed

@@ -44,23 +44,23 @@ class TestBasics:
 class TestCompositing:
     def test_full_coverage_replaces(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.ones((2, 2)), (1.0, 0.0, 0.0))
+        fb.composite(np.ones((2, 2)), (1.0, 0.0, 0.0))
         np.testing.assert_allclose(fb.data[..., 0], 1.0)
 
     def test_half_coverage_blends(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.full((2, 2), 0.5), (1.0, 1.0, 1.0))
+        fb.composite(np.full((2, 2), 0.5), (1.0, 1.0, 1.0))
         np.testing.assert_allclose(fb.data, 0.5)
 
     def test_coverage_clipped_to_one(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
-        fb.composite_coverage(np.full((2, 2), 7.0), (1.0, 0.0, 0.0))
+        fb.composite(np.full((2, 2), 7.0), (1.0, 0.0, 0.0))
         assert fb.data.max() == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
         fb = Framebuffer(3, 2)
         with pytest.raises(ValueError):
-            fb.composite_coverage(np.ones((3, 3)), (1, 1, 1))
+            fb.composite(np.ones((2, 3)), np.ones((3, 3, 3)))
 
     def test_composite_rgb(self):
         fb = Framebuffer(2, 2, background=(0, 0, 0))
@@ -68,7 +68,7 @@ class TestCompositing:
         rgb[0, 0] = [0.0, 1.0, 0.0]
         cov = np.zeros((2, 2))
         cov[0, 0] = 1.0
-        fb.composite_rgb(cov, rgb)
+        fb.composite(cov, rgb)
         np.testing.assert_allclose(fb.data[0, 0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(fb.data[1, 1], [0.0, 0.0, 0.0])
 

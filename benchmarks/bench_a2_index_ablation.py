@@ -1,20 +1,24 @@
 """A2 — ablation: spatial index on/off.
 
-Quantifies what the uniform-grid segment index buys the coordinated-
-brushing engine at growing dataset sizes: query latency with and
-without the index for a localized brush (the Fig. 5 west-edge stroke),
-plus the index's candidate selectivity.  Expected shape: identical
-results, with the indexed query ~constant-factor faster and the gap
-widening with N.
+The engine's one spatial index is the summary pyramid.  This ablation
+quantifies what it buys the coordinated-brushing engine at growing
+dataset sizes: cold query latency of the aggregate route (pyramid on)
+against brute force (pyramid off, ``use_index=False``) for a localized
+brush (the Fig. 5 west-edge stroke), plus the pyramid's selectivity —
+the fraction of segments the drill-down still hit-tests exactly.
+Expected shape: identical results, with the aggregate query a large
+constant factor faster and the gap widening with N.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
-from repro.core.spatial_index import UniformGridIndex
 from repro.synth import generate_scaled_dataset
 
 SERIES = (500, 2_000, 8_000)
@@ -27,6 +31,18 @@ def west_canvas(arena):
     return c
 
 
+def cold_query(engine, canvas):
+    engine.invalidate_cache()
+    return engine.query(canvas, "red")
+
+
+def drilled_fraction(result, n_segments):
+    """Segments the cold ``agg_brush`` stage hit-tested exactly, as a
+    fraction of the dataset."""
+    refined = re.search(r"refined (\d+)", result.trace["agg_brush"].detail)
+    return int(refined.group(1)) / n_segments
+
+
 @pytest.fixture(scope="module")
 def datasets():
     return {n: generate_scaled_dataset(n, seed=29, max_duration_s=40.0) for n in SERIES}
@@ -34,52 +50,54 @@ def datasets():
 
 def test_a2_index_ablation(datasets, arena, report_sink, benchmark):
     canvas = west_canvas(arena)
-    centers, radii = canvas.stamps_of("red")
 
-    # register the headline indexed query with pytest-benchmark
-    fast_large = CoordinatedBrushingEngine(datasets[SERIES[-1]], use_index=True)
-    benchmark(fast_large.query, canvas, "red")
+    # register the headline cold aggregate query with pytest-benchmark
+    fast_large = CoordinatedBrushingEngine(datasets[SERIES[-1]])
+    benchmark(cold_query, fast_large, canvas)
 
     rows = []
     for n in SERIES:
         ds = datasets[n]
-        fast = CoordinatedBrushingEngine(ds, use_index=True)
+        fast = CoordinatedBrushingEngine(ds)
         slow = CoordinatedBrushingEngine(ds, use_index=False)
-        # median of 3 runs to de-noise
-        fast_t = np.median([fast.query(canvas, "red").elapsed_s for _ in range(3)])
-        slow_t = np.median([slow.query(canvas, "red").elapsed_s for _ in range(3)])
-        r_fast = fast.query(canvas, "red")
-        r_slow = slow.query(canvas, "red")
+        # median of 3 cold runs to de-noise
+        fast_t = np.median([cold_query(fast, canvas).elapsed_s for _ in range(3)])
+        slow_t = np.median([cold_query(slow, canvas).elapsed_s for _ in range(3)])
+        r_fast = cold_query(fast, canvas)
+        r_slow = cold_query(slow, canvas)
+        assert r_fast.trace.strategy == "aggregate"
+        np.testing.assert_array_equal(r_fast.segment_mask, r_slow.segment_mask)
         np.testing.assert_array_equal(r_fast.traj_mask, r_slow.traj_mask)
-        selectivity = fast.index.candidate_fraction(centers, radii)
+        n_seg = ds.packed().n_segments
         rows.append(
             {
                 "n": n,
-                "segments": ds.packed().n_segments,
+                "segments": n_seg,
                 "with_s": fast_t,
                 "without_s": slow_t,
                 "speedup": slow_t / max(fast_t, 1e-9),
-                "selectivity": selectivity,
+                "selectivity": drilled_fraction(r_fast, n_seg),
             }
         )
 
     lines = [
-        f"{'N':>6} {'segments':>9} {'indexed (s)':>12} {'linear (s)':>11} "
-        f"{'speedup':>8} {'candidates':>11}",
+        f"{'N':>6} {'segments':>9} {'pyramid (s)':>12} {'brute (s)':>10} "
+        f"{'speedup':>8} {'drilled':>8}",
     ]
     for r in rows:
         lines.append(
             f"{r['n']:>6} {r['segments']:>9} {r['with_s']:>12.4f} "
-            f"{r['without_s']:>11.4f} {r['speedup']:>7.1f}x "
-            f"{r['selectivity']:>10.1%}"
+            f"{r['without_s']:>10.4f} {r['speedup']:>7.1f}x "
+            f"{r['selectivity']:>7.1%}"
         )
     lines += [
-        "(identical query results asserted; the index tests only the",
-        " segments in grid cells the brush touches)",
+        "(cold queries; identical query results asserted; the pyramid",
+        " hit-tests exactly only the segments of cells the brush rim",
+        " leaves inconclusive)",
     ]
-    report_sink("A2", "spatial index on/off (ablation)", lines)
+    report_sink("A2", "spatial index (summary pyramid) on/off (ablation)", lines)
 
-    # expected shape: index helps, more at larger N, results identical
+    # expected shape: the pyramid helps, results identical
     assert rows[-1]["speedup"] > 1.5
     assert rows[-1]["selectivity"] < 0.5
 
@@ -87,5 +105,5 @@ def test_a2_index_ablation(datasets, arena, report_sink, benchmark):
 def test_a2_index_build_bench(datasets, benchmark):
     ds = datasets[SERIES[-1]]
     packed = ds.packed()
-    index = benchmark(UniformGridIndex, packed, 64)
-    assert index.n_entries >= packed.n_segments
+    pyramid = benchmark(SummaryPyramid.build, packed, ds)
+    assert int(pyramid.node_counts.sum()) == packed.n_segments

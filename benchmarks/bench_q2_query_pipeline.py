@@ -3,8 +3,8 @@
 The paper's headline interaction claim is that a brush or time-slider
 tweak answers "in a matter of few seconds" across ~500 trajectories.
 The staged pipeline makes the *warm* path structurally cheaper: a
-slider-only change re-executes just ``temporal_mask → combine →
-aggregate`` and an unchanged query is pure cache lookups.  This bench
+slider-only change re-executes just ``agg_temporal → classify →
+drilldown → aggregate`` and an unchanged query is pure cache lookups.  This bench
 quantifies it on the S1 synthetic ensemble (the paper-scale
 500-trajectory dataset):
 

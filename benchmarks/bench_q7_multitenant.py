@@ -210,7 +210,7 @@ def test_q7_multitenant(full_dataset, viewport, arena, report_sink):
         if name == "query.seconds":
             q_hist = hist if q_hist is None else q_hist  # first strategy bucket
     # merged across strategies via counter totals; quantiles from the
-    # dominant (indexed) histogram — the operator's-eye view
+    # dominant (aggregate) histogram — the operator's-eye view
     obs_quantiles = (
         {
             "p50_ms": round(q_hist.quantile(0.50) * 1e3, 3),

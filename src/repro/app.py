@@ -10,7 +10,7 @@ performed.  Examples and the analyst simulator build on it.
 
 Since the shared-data-plane refactor the explorer no longer owns the
 heavy state itself: it sits on a :class:`repro.store.DatasetService`
-(one resident dataset + spatial index + stage cache) and holds a
+(one resident dataset + summary pyramid + stage cache) and holds a
 per-user :class:`repro.store.SessionView`.  Constructing an explorer
 from a dataset transparently creates a private service; passing
 ``service=`` lets any number of explorers — one per user at the wall —
@@ -60,7 +60,7 @@ class TrajectoryExplorer:
     service:
         An existing :class:`~repro.store.DatasetService` to share —
         this explorer becomes one more session over its resident
-        dataset, index, and stage cache.  When omitted, a private
+        dataset, pyramid, and stage cache.  When omitted, a private
         service is created around ``dataset``.
     arena:
         The shared experimental arena (defaults to the study's).
@@ -101,7 +101,7 @@ class TrajectoryExplorer:
         # the §IV-C.2 temporal range slider, in per-trajectory fractions;
         # dragging a thumb immediately updates the session's window AND
         # incrementally re-queries every painted color — only the
-        # temporal/combine/aggregate stages re-execute (the brush
+        # temporal stages and what depends on them re-execute (the brush
         # hit-test is served from the engine's stage cache), which is
         # what keeps slider scrubbing at interactive rates
         self.temporal_slider = RangeSlider(0.0, 1.0, min_gap=0.01)

@@ -18,10 +18,13 @@ This subpackage implements the query machinery headlessly and exactly:
 * :mod:`temporal` — the time-window range slider, in absolute seconds
   or per-trajectory fractional form ("the last few seconds of the
   experiment");
-* :mod:`spatial_index` — a uniform-grid segment index that keeps brush
-  hit-testing sublinear in the segment count (ablation A2);
 * :mod:`engine` — the vectorized coordinated-brushing engine over a
-  whole dataset;
+  whole dataset; its one spatial index is the summary pyramid of
+  :mod:`aggregate`, which keeps a brush query's cold cost proportional
+  to the brushed region rather than the segment count (ablation A2);
+* :mod:`spatial_index` — a standalone uniform-grid segment index that
+  no query route uses; it remains only while the interaction
+  benchmark's tracer still wraps its constructor;
 * :mod:`plan` — the staged query-plan pipeline behind the engine:
   planner, executor, keyed stage cache, and per-stage traces;
 * :mod:`result` — per-segment/per-trajectory highlight masks, group

@@ -1,6 +1,6 @@
 """Aggregate-first query planning (§VI-C scalability, Dataopsy direction).
 
-The per-segment query plan scans every packed segment on a cold stage.
+The brute-force query plan scans every packed segment on a cold stage.
 This package answers the same queries from a precomputed **summary
 pyramid** instead: per grid-cell × time-bucket *supernodes* carrying
 sufficient statistics (segment counts, bounding boxes, temporal
@@ -9,7 +9,7 @@ query tri-states each supernode as all-in / all-out / inconclusive and
 drills down to raw segments only where the aggregate cannot decide —
 the classification is deliberately conservative (epsilon margins route
 every boundary case to the exact per-segment kernels), which is what
-makes aggregate-first results **bit-identical** to the legacy plan.
+makes aggregate-first results **bit-identical** to the brute-force plan.
 
 Layout:
 
@@ -24,8 +24,6 @@ from repro.core.aggregate.kernels import (
     MAYBE,
     OUT,
     brush_hit_cells,
-    brush_hit_rows,
-    brush_hit_rows_scalar,
     classify_spatial,
     classify_temporal,
     refine_temporal_rows,
@@ -40,7 +38,5 @@ __all__ = [
     "classify_temporal",
     "classify_spatial",
     "brush_hit_cells",
-    "brush_hit_rows",
-    "brush_hit_rows_scalar",
     "refine_temporal_rows",
 ]

@@ -6,9 +6,9 @@ The aggregate-first stages call these against a
 * :func:`classify_temporal` / :func:`classify_spatial` tri-state
   supernodes / spatial cells as :data:`OUT` / :data:`MAYBE` /
   :data:`IN` from the summary statistics alone;
-* :func:`brush_hit_rows` and :func:`refine_temporal_rows` are the
-  drill-down kernels — **exact**, elementwise-identical to the legacy
-  per-segment stages, run only over the rows of inconclusive cells.
+* :func:`brush_hit_cells` and :func:`refine_temporal_rows` are the
+  drill-down kernels — **exact**, elementwise-identical to the
+  brute-force stages, run only over the rows of inconclusive cells.
 
 Parity argument (the whole point).  All-in/all-out is only ever
 claimed with a margin:
@@ -16,8 +16,8 @@ claimed with a margin:
 * spatially, a cell is OUT only when every stamp's distance to the
   cell's bbox exceeds ``radius + eps``, and IN only when some stamp
   covers the entire bbox with ``radius - eps`` to spare.  Member
-  segments lie inside the bbox, and the legacy capsule test's rounding
-  is orders of magnitude below ``eps``, so the legacy kernel provably
+  segments lie inside the bbox, and the capsule test's rounding is
+  orders of magnitude below ``eps``, so the brute-force kernel provably
   agrees on every member segment;
 * temporally, absolute windows classify on exact min/max statistics
   (pure comparisons, no arithmetic — no margin needed), while
@@ -25,9 +25,9 @@ claimed with a margin:
   dur`` statistics and leave every boundary node inconclusive.
 
 Inconclusive work is then decided by the exact kernels below, which
-evaluate the very same float expressions the legacy stages evaluate —
-so the final segment mask is bit-identical to the legacy plan's, by
-construction, for every query.
+evaluate the very same float expressions the brute-force stages
+evaluate — so the final segment mask is bit-identical to the
+brute-force plan's, by construction, for every query.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = [
     "classify_temporal",
     "classify_spatial",
     "brush_hit_cells",
-    "brush_hit_mask",
-    "brush_hit_rows",
-    "brush_hit_rows_scalar",
     "refine_temporal_rows",
 ]
 
@@ -58,7 +55,7 @@ __all__ = [
 OUT, MAYBE, IN = 0, 1, 2
 
 #: Margin on fractional temporal statistics.  The rounding error of
-#: ``(t - start) / dur`` versus the legacy ``t >= start + f * dur`` form
+#: ``(t - start) / dur`` versus the brute-force ``t >= start + f * dur`` form
 #: is ~1e-15 at study-like time scales; 1e-9 dwarfs it while leaving a
 #: vanishingly thin inconclusive band for the exact refinement to decide.
 TEMPORAL_EPS = 1e-9
@@ -72,7 +69,7 @@ def classify_temporal(
     Empty supernodes classify OUT (they contribute no segments either
     way).  NaN fractional statistics (non-positive durations) compare
     False on every test and land on MAYBE — the exact refinement then
-    evaluates whatever the legacy predicate evaluates.
+    evaluates whatever the brute-force predicate evaluates.
     """
     n = pyramid.n_nodes
     if window.is_everything:
@@ -179,75 +176,6 @@ def _disc_covers_bbox(
     return ok.any(axis=0)
 
 
-# reprolint: exempt=RL011 — boundary-atomic stage kernel: the loop is
-# bounded by the brush stamp count (not dataset size) and deadline
-# checks sit at the enclosing stage boundary (RL008 bans mid-stage
-# checks)
-def brush_hit_rows(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    packed: PackedSegments,
-    rows: np.ndarray,
-    *,
-    chunk: int = 262_144,
-) -> np.ndarray:
-    """Exact capsule hit-test over a row subset, fully vectorized.
-
-    Elementwise-identical to
-    :meth:`~repro.core.canvas.BrushCanvas.segment_hit_mask` — the same
-    ``point_segment_distance`` kernel, the same ``d <= radius``
-    comparison — restricted to ``rows``, so drill-down refinement over
-    inconclusive cells reproduces the legacy stage bit for bit without
-    rescanning the dataset (and without any per-segment Python loop).
-
-    Stamps are processed one at a time behind a conservative bbox
-    lower-bound prefilter: the point-to-segment-bbox distance never
-    exceeds the true capsule distance, so any (row, stamp) pair whose
-    bound clears ``radius`` by more than an epsilon margin cannot hit
-    and is skipped without running the exact kernel.  Pairs inside the
-    margin — where float rounding could matter — always fall through
-    to the exact test, and rows already hit by an earlier stamp drop
-    out of later passes; the result is decided by the identical float
-    expression in every case.  On drill-down workloads (rows clustered
-    in a stamp's boundary cells, most stamps far away) this cuts the
-    exact-kernel evaluations by one to two orders of magnitude.
-    """
-    del chunk  # kept for API stability; pruning replaced the chunking
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros(len(rows), dtype=bool)
-    if len(centers) == 0 or len(rows) == 0:
-        return out
-    a = packed.a[rows]
-    b = packed.b[rows]
-    seg_lo = np.minimum(a, b)
-    seg_hi = np.maximum(a, b)
-    scale = max(
-        float(np.abs(seg_lo).max(initial=0.0)),
-        float(np.abs(seg_hi).max(initial=0.0)),
-        float(np.abs(centers).max(initial=0.0)),
-        float(radii.max(initial=0.0)),
-    )
-    margin = 1e-9 * scale
-    for j in range(len(centers)):
-        pending = np.flatnonzero(~out)
-        if not len(pending):
-            break
-        cx, cy = centers[j]
-        reach = radii[j] + margin
-        dx = np.maximum(
-            np.maximum(seg_lo[pending, 0] - cx, cx - seg_hi[pending, 0]), 0.0
-        )
-        dy = np.maximum(
-            np.maximum(seg_lo[pending, 1] - cy, cy - seg_hi[pending, 1]), 0.0
-        )
-        near = pending[dx * dx + dy * dy <= reach * reach]
-        if not len(near):
-            continue
-        d = point_segment_distance(centers[j], a[near], b[near])
-        out[near] = d <= radii[j]
-    return out
-
-
 # reprolint: exempt=RL011 — boundary-atomic stage kernel: deadline checks
 # happen between stages (RL008 bans mid-stage checks), and the per-cell
 # loop is bounded by the drill-down cell budget upstream
@@ -262,15 +190,22 @@ def brush_hit_cells(
 
     Returns ``(rows, hits)``: the member rows (as
     :meth:`SummaryPyramid.rows_in_cells` orders them) and their exact
-    hit mask — elementwise-identical to :func:`brush_hit_rows` over the
-    same rows, with one more pruning tier in front: a stamp whose
-    distance lower bound to a cell's member bbox clears ``radius +
-    spatial_eps`` skips that cell's rows wholesale (member segments lie
-    inside the bbox, so none can hit).  Surviving rows still pass the
-    per-row bbox bound before the exact kernel decides.  This is the
-    drill-down workhorse: inconclusive cells hug each stamp's boundary,
-    so per stamp the candidate set shrinks from "all inconclusive rows"
-    to "rows of the few cells on *this* stamp's rim".
+    hit mask — elementwise-identical to
+    :meth:`~repro.core.canvas.BrushCanvas.segment_hit_mask` over the
+    same rows: the same ``point_segment_distance`` kernel, the same
+    ``d <= radius`` comparison.
+
+    Stamps are processed one at a time behind two conservative lower
+    bounds.  A stamp whose distance to a cell's member bbox clears
+    ``radius + spatial_eps`` skips that cell's rows wholesale (member
+    segments lie inside the bbox, so none can hit); surviving rows must
+    then pass the point-to-segment-bbox bound, which never exceeds the
+    true capsule distance.  Pairs inside the margin — where float
+    rounding could matter — always fall through to the exact test, and
+    rows already hit by an earlier stamp drop out of later passes.  This
+    is the drill-down workhorse: inconclusive cells hug each stamp's
+    boundary, so per stamp the candidate set shrinks from "all
+    inconclusive rows" to "rows of the few cells on *this* stamp's rim".
     """
     from repro.core.aggregate.pyramid import _multi_range_indices
 
@@ -317,57 +252,6 @@ def brush_hit_cells(
     return rows, out
 
 
-def brush_hit_mask(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    packed: PackedSegments,
-    candidates: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full-length exact hit mask over packed segments.
-
-    The index-backed ``brush_hit`` stage kernel: with ``candidates``
-    (rows from :meth:`UniformGridIndex.candidates_for_discs`) only
-    those rows run the exact capsule test via :func:`brush_hit_rows`;
-    all other rows are False by the index's conservativeness.  Without
-    candidates every row is tested.  Either way the verdict per row is
-    the same float expression the legacy
-    :meth:`~repro.core.canvas.BrushCanvas.segment_hit_mask` evaluates,
-    so the stage output stays bit-identical to the scalar oracle.
-    """
-    out = np.zeros(packed.n_segments, dtype=bool)
-    if len(centers) == 0:
-        return out
-    if candidates is None:
-        rows = np.arange(packed.n_segments, dtype=np.int64)
-        out[:] = brush_hit_rows(centers, radii, packed, rows)
-        return out
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if len(candidates):
-        out[candidates] = brush_hit_rows(centers, radii, packed, candidates)
-    return out
-
-
-def brush_hit_rows_scalar(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    packed: PackedSegments,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Scalar reference for :func:`brush_hit_rows` (tests only).
-
-    One segment × one stamp at a time through the same distance kernel
-    — the micro-parity oracle for the vectorized path.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros(len(rows), dtype=bool)
-    for i, r in enumerate(rows):
-        for c, rad in zip(centers, radii):
-            if float(point_segment_distance(c, packed.a[r], packed.b[r])) <= rad:
-                out[i] = True
-                break
-    return out
-
-
 def refine_temporal_rows(
     pyramid: SummaryPyramid,
     packed: PackedSegments,
@@ -381,8 +265,8 @@ def refine_temporal_rows(
     per-trajectory bounds as ``start + f * dur`` over the pyramid's
     exact ``traj_start``/``traj_dur`` tables, then the overlap
     comparison — gathered down to ``rows``, so inconclusive supernodes
-    resolve bit-identically to the legacy temporal stage (without the
-    legacy stage's per-trajectory Python iteration).
+    resolve bit-identically to the brute-force temporal stage (without
+    that stage's per-trajectory Python iteration).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if window.is_everything:

@@ -29,12 +29,12 @@ adopts those (read-only, zero-copy) views on attach without rebuilding.
 Exactness contract: the pyramid itself never decides a boundary case.
 Classification (see :mod:`~repro.core.aggregate.kernels`) claims
 all-in/all-out only with an epsilon margin; everything else drills
-down to the *exact* legacy kernels over the member segments.  The
+down to the *exact* brute-force kernels over the member segments.  The
 fractional temporal statistics are therefore advisory (their rounding
-differs from the legacy ``start + f * duration`` form), while
+differs from the brute-force ``start + f * duration`` form), while
 ``traj_start``/``traj_dur`` are computed with the exact expressions
 :meth:`TimeWindow.segment_mask` uses, so drill-down refinement is
-bit-identical to the legacy temporal stage.
+bit-identical to the brute-force temporal stage.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.trajectory.dataset import PackedSegments, TrajectoryDataset
 
 __all__ = ["SummaryPyramid"]
 
-#: Default spatial resolution of the leaf grid (matches the spatial index).
+#: Default spatial resolution of the leaf grid.
 DEFAULT_RES = 64
 #: Default number of fractional time buckets per cell.
 DEFAULT_TBUCKETS = 8
@@ -63,7 +63,7 @@ class SummaryPyramid:
     shared-arena tables with :meth:`from_tables`.  All arrays are
     read-only after construction — a pyramid is published into epoch
     snapshots and read lock-free by concurrent sessions, exactly like
-    the packed view and spatial index it summarizes.
+    the packed view it summarizes.
 
     Attributes
     ----------
@@ -96,9 +96,9 @@ class SummaryPyramid:
         level is the leaf grid itself.
     traj_start / traj_dur:
         (T,) per-trajectory start time and duration, computed with the
-        exact expressions the legacy temporal stage uses.
+        exact expressions the brute-force temporal stage uses.
     lo / cell_size:
-        Grid geometry (like the spatial index's).
+        Grid geometry of the leaf grid.
     """
 
     __slots__ = (
@@ -148,8 +148,8 @@ class SummaryPyramid:
         self.n_tbuckets = int(n_tbuckets)
         self.levels = tuple(int(v) for v in levels)
 
-        # grid geometry over segment endpoint extents (same padding as
-        # the spatial index, so boundary points land strictly inside)
+        # grid geometry over segment endpoint extents, padded so
+        # boundary points land strictly inside
         seg_lo = np.minimum(packed.a, packed.b)
         seg_hi = np.maximum(packed.a, packed.b)
         lo_pt = seg_lo.min(axis=0)
@@ -161,7 +161,7 @@ class SummaryPyramid:
 
         # exact per-trajectory start/duration — the same expressions
         # TimeWindow.segment_mask evaluates, so drill-down refinement
-        # reproduces the legacy temporal predicate bit for bit
+        # reproduces the brute-force temporal predicate bit for bit
         n_traj = len(dataset)
         self.traj_start = np.fromiter(
             (float(t.times[0]) for t in dataset), dtype=np.float64, count=n_traj
@@ -410,7 +410,7 @@ class SummaryPyramid:
     def cache_token(self) -> tuple[str, int, int, int, int]:
         """Identity of this pyramid build for query-plan cache keys — a
         rebuilt (or differently parameterized) pyramid must invalidate
-        cached aggregate stages, exactly like the index token."""
+        cached aggregate stages."""
         return (
             "pyr",
             id(self),

@@ -148,20 +148,10 @@ class BrushCanvas:
             out[lo:hi] = (d <= radii[None, :]).any(axis=1)
         return out
 
-    def packed_hit_mask(self, color: str, packed: PackedSegments, *, candidates: np.ndarray | None = None) -> np.ndarray:
-        """Hit mask over a dataset's packed segments.
-
-        With ``candidates`` (int row indices from a spatial index) only
-        those rows are tested; the returned mask is still full-length.
-        """
-        if candidates is None:
-            return self.segment_hit_mask(color, packed.a, packed.b)
-        out = np.zeros(packed.n_segments, dtype=bool)
-        if len(candidates) == 0:
-            return out
-        sub = self.segment_hit_mask(color, packed.a[candidates], packed.b[candidates])
-        out[candidates] = sub
-        return out
+    def packed_hit_mask(self, color: str, packed: PackedSegments) -> np.ndarray:
+        """Hit mask over every one of a dataset's packed segments — the
+        brute-force ``brush_hit`` stage."""
+        return self.segment_hit_mask(color, packed.a, packed.b)
 
     def bounding_box(self, color: str | None = None) -> tuple[np.ndarray, np.ndarray] | None:
         """(lo, hi) bounds of the brushed region (one color or all)."""

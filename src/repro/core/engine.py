@@ -1,44 +1,38 @@
 """The coordinated-brushing query engine.
 
 One engine instance binds a dataset (through its packed segment view)
-and optionally a spatial index; :meth:`query` evaluates a brush canvas
-color under a time window across *every* trajectory at once.
+and optionally its :class:`~repro.core.aggregate.SummaryPyramid`, the
+one spatial index; :meth:`query` evaluates a brush canvas color under a
+time window across *every* trajectory at once.
 
-Since the staged-pipeline refactor the engine is a thin façade over
-the :mod:`repro.core.plan` machinery: a :class:`QueryPlanner` builds a
-DAG of named stages
+The engine is a thin façade over the :mod:`repro.core.plan` machinery:
+a :class:`QueryPlanner` builds a DAG of named stages and a
+:class:`QueryExecutor` runs them through a keyed :class:`StageCache`.
+An engine holding a pyramid (the default, ``use_index=True``) plans the
+aggregate-first route: supernodes are tri-stated from summary
+statistics (``agg_temporal → agg_spatial → agg_brush → classify``) and
+only inconclusive cells drill down to the exact per-segment kernels
+(``drilldown``), so cold cost is proportional to the brushed region
+rather than the dataset.  An engine without one (``use_index=False``,
+or a failed pyramid build) plans brute force:
 
 1. ``temporal_mask`` — which segments fall in the window (vectorized
    over the packed arrays, fractional windows resolved per owner);
-2. ``spatial_candidates`` — the index narrows the segment set to those
-   near the brushed region (skipped without an index);
-3. ``brush_hit`` — exact capsule hit-testing against the stamps;
-4. ``combine`` — spatial ∧ temporal segment mask;
-5. ``aggregate`` — per-trajectory any-highlight flags and highlighted
-   time via ``np.bitwise_or.reduceat`` / ``np.add.reduceat`` over the
-   packed ownership ranges (no Python loop over trajectories);
-6. ``group_support`` — counts per group for the displayed subset;
+2. ``brush_hit`` — exact capsule hit-testing of every segment against
+   the stamps;
+3. ``combine`` — spatial ∧ temporal segment mask.
 
-and a :class:`QueryExecutor` runs them through a keyed
-:class:`StageCache`.  A slider-only change re-executes just
-``temporal_mask → combine → aggregate``; a color-only change reuses
-the temporal mask outright; :meth:`query_all_colors` computes the
-temporal mask once for N colors.  Every query carries a
-:class:`QueryTrace` (per-stage wall time, cardinality, cache
-hit/miss) on its result.
+Both routes end in ``aggregate`` — per-trajectory any-highlight flags
+and highlighted time via ``np.bitwise_or.reduceat`` /
+``np.add.reduceat`` over the packed ownership ranges — and, with a
+layout, ``group_support``.  They are bit-identical; brute force is the
+oracle the aggregate route is pinned to.
 
-An engine carrying a :class:`~repro.core.aggregate.SummaryPyramid`
-(``use_aggregate=True``, or a prebuilt/attached pyramid) routes
-through the aggregate-first plan instead: supernodes are tri-stated
-from summary statistics (``agg_temporal → agg_spatial → agg_brush →
-classify``) and only inconclusive cells drill down to the exact
-per-segment kernels (``drilldown``) — bit-identical results, cold cost
-proportional to the brushed region rather than the dataset.
-
-This is the "scalable" in scalable visual queries: the cold path is a
-few vectorized passes over flat arrays (or over supernode summaries),
-and the warm path touches only the stages whose inputs actually
-changed.
+A slider-only change re-executes just the temporal stages and what
+depends on them; a color-only change reuses the temporal stage
+outright; :meth:`query_all_colors` computes it once for N colors.
+Every query carries a :class:`QueryTrace` (per-stage wall time,
+cardinality, cache hit/miss) on its result.
 """
 
 from __future__ import annotations
@@ -48,20 +42,14 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.core.aggregate.pyramid import (
-    DEFAULT_LEVELS,
-    DEFAULT_RES,
-    DEFAULT_TBUCKETS,
-    SummaryPyramid,
-)
+from repro.core.aggregate.pyramid import SummaryPyramid
 from repro.core.canvas import BrushCanvas
-from repro.core.plan.cache import ShardedStageCache, StageCache
+from repro.core.plan.cache import StageCache
 from repro.core.plan.executor import Deadline, QueryExecutor
 from repro.core.plan.planner import QueryPlan, QueryPlanner
 from repro.core.plan.spec import QuerySpec
 from repro.core.plan.trace import QueryTrace
 from repro.core.result import QueryResult
-from repro.core.spatial_index import UniformGridIndex
 from repro.core.temporal import TimeWindow
 from repro.layout.cells import CellAssignment
 from repro.resilience.health import DegradationReport
@@ -78,48 +66,32 @@ class CoordinatedBrushingEngine:
     dataset:
         The trajectory collection to query.
     use_index:
-        Build a :class:`UniformGridIndex` for sublinear brush testing.
-        On by default; ablation A2 turns it off.
-    index_res:
-        Grid resolution of the index.
+        Build a :class:`SummaryPyramid` and route queries through the
+        aggregate-first plan.  On by default; ``False`` gives the
+        brute-force oracle.  The pyramid is an acceleration: a failed
+        build leaves the engine on brute force, with every query
+        recording an ``index-build-failure`` event, instead of failing
+        construction.
     cache_capacity:
         Stage-cache size (number of retained stage outputs).
-    index:
-        A prebuilt :class:`UniformGridIndex` over this dataset's packed
-        view to adopt instead of building one — the shared-memory
-        attach path (:mod:`repro.store`) passes the index rebuilt from
-        shared cell tables here, skipping the counting sort entirely.
     cache:
-        An existing :class:`StageCache` (or thread-safe
-        :class:`ShardedStageCache`) to adopt instead of building a
+        An existing :class:`StageCache` to adopt instead of building a
         private one.  The rollover path (:mod:`repro.store.ingest`)
         hands each successor-epoch engine the *same* cache: keys embed
         the dataset epoch and store token, so old-epoch entries are
         unreachable by new-epoch queries (and age out via LRU) while
         still serving any session pinned to the old epoch.
-    use_aggregate:
-        Build a :class:`SummaryPyramid` and route queries through the
-        aggregate-first plan.  Off by default on the base engine (the
-        legacy per-segment route); the multi-tenant
-        :class:`~repro.store.service.SharedQueryEngine` turns it on.
-        Like the index, the pyramid is an acceleration: a failed build
-        degrades to the legacy route instead of failing construction.
     pyramid:
         A prebuilt :class:`SummaryPyramid` over this dataset's packed
         view to adopt instead of building one — the shared-memory
         attach path passes the pyramid rebuilt from shared arena tables
-        here.  Passing one implies ``use_aggregate=True``.
-    aggregate_res, aggregate_tbuckets, aggregate_levels:
-        Pyramid geometry when building one (leaf grid resolution, time
-        buckets per cell, coarsening ladder).
+        here.
 
-    Thread safety: an engine whose ``cache`` is a
-    :class:`ShardedStageCache` is safe for concurrent ``query`` calls —
-    the dataset, packed view, and index are immutable after
-    construction and queries keep all per-call state on the stack.
-    This is the multi-tenant service's lock-free read path; the plain
-    single-user default (private :class:`StageCache`) stays
-    single-threaded.
+    Thread safety: the dataset, packed view, and pyramid are immutable
+    after construction and queries keep all per-call state on the
+    stack, so concurrent ``query`` calls are safe — the stage cache's
+    per-shard locks are the only critical sections.  This is the
+    multi-tenant service's lock-free read path.
     """
 
     def __init__(
@@ -127,45 +99,16 @@ class CoordinatedBrushingEngine:
         dataset: TrajectoryDataset,
         *,
         use_index: bool = True,
-        index_res: int = 64,
         cache_capacity: int = 128,
-        index: UniformGridIndex | None = None,
-        cache: StageCache | ShardedStageCache | None = None,
-        use_aggregate: bool = False,
+        cache: StageCache | None = None,
         pyramid: SummaryPyramid | None = None,
-        aggregate_res: int = DEFAULT_RES,
-        aggregate_tbuckets: int = DEFAULT_TBUCKETS,
-        aggregate_levels: tuple[int, ...] = DEFAULT_LEVELS,
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
         self.dataset = dataset
         self.packed = dataset.packed()
-        # Index construction is an acceleration, not a correctness
-        # requirement: a failed build degrades the engine to the
-        # brute-force path (recorded per query) instead of taking the
-        # session down.
-        self.index: UniformGridIndex | None = None
-        self._index_error: str | None = None
-        self._use_index = use_index
-        if index is not None:
-            if index.packed is not self.packed:
-                raise ValueError(
-                    "prebuilt index was not built over this dataset's packed view"
-                )
-            self.index = index
-            self._use_index = True
-        elif use_index:
-            try:
-                self.index = UniformGridIndex(self.packed, index_res)
-            except Exception as exc:
-                self._index_error = repr(exc)
-        # The summary pyramid follows the same contract as the index:
-        # an acceleration whose build failure degrades the engine to the
-        # legacy per-segment route rather than failing construction.
         self.pyramid: SummaryPyramid | None = None
         self._pyramid_error: str | None = None
-        self._use_aggregate = use_aggregate or pyramid is not None
         if pyramid is not None:
             if pyramid.packed is not self.packed:
                 raise ValueError(
@@ -173,41 +116,20 @@ class CoordinatedBrushingEngine:
                     "packed view"
                 )
             self.pyramid = pyramid
-        elif use_aggregate:
+        elif use_index:
             try:
-                self.pyramid = SummaryPyramid.build(
-                    self.packed,
-                    dataset,
-                    res=aggregate_res,
-                    n_tbuckets=aggregate_tbuckets,
-                    levels=aggregate_levels,
-                )
+                self.pyramid = SummaryPyramid.build(self.packed, dataset)
             except Exception as exc:
                 self._pyramid_error = repr(exc)
         self.cache = cache if cache is not None else StageCache(cache_capacity)
         self.planner = QueryPlanner()
         self.executor = QueryExecutor(
-            dataset, self.packed, self.index, self.cache,
-            index_error=self._index_error,
+            dataset, self.packed, self.cache,
             pyramid=self.pyramid,
+            build_error=self._pyramid_error,
         )
 
-    # Aggregation helpers (kept as public-ish API; executor owns the
-    # kernels) -----------------------------------------------------------
-    def _per_traj_any(self, segment_mask: np.ndarray) -> np.ndarray:
-        """(T,) any-highlight flag via logical reduceat over owner ranges."""
-        return self.executor._per_traj_any(segment_mask)
-
-    def _per_traj_time(self, segment_mask: np.ndarray) -> np.ndarray:
-        """(T,) highlighted seconds via add.reduceat of segment dts."""
-        return self.executor._per_traj_time(segment_mask)
-
     # Planning -----------------------------------------------------------
-    def _index_token(self) -> tuple | None:
-        if self.index is None:
-            return None
-        return getattr(self.index, "cache_token", ("anon-index", id(self.index)))
-
     def _pyramid_token(self) -> tuple | None:
         if self.pyramid is None:
             return None
@@ -224,16 +146,8 @@ class CoordinatedBrushingEngine:
         """Build (without executing) the stage plan for a query —
         introspection for tests, tools, and benchmarks."""
         window = window or TimeWindow.all()
-        spec = QuerySpec.capture(
-            self.dataset, canvas, color, window, assignment,
-            use_index=self._use_index,
-            use_aggregate=self._use_aggregate,
-        )
-        return self.planner.plan(
-            spec,
-            index_token=self._index_token(),
-            pyramid_token=self._pyramid_token(),
-        )
+        spec = QuerySpec.capture(self.dataset, canvas, color, window, assignment)
+        return self.planner.plan(spec, pyramid_token=self._pyramid_token())
 
     # Query ------------------------------------------------------------------
     def query(
@@ -273,29 +187,17 @@ class CoordinatedBrushingEngine:
         window = window or TimeWindow.all()
         spec = QuerySpec.capture(
             self.dataset, canvas, color, window, assignment,
-            use_index=self._use_index,
             deadline_s=deadline_s,
-            use_aggregate=self._use_aggregate,
         )
-        plan = self.planner.plan(
-            spec,
-            index_token=self._index_token(),
-            pyramid_token=self._pyramid_token(),
-        )
+        plan = self.planner.plan(spec, pyramid_token=self._pyramid_token())
         trace = QueryTrace(strategy=plan.strategy)
         trace.plan_s = time.perf_counter() - t_plan
 
         t_exec = time.perf_counter()
         degradation = DegradationReport()
-        # index/index_error travel as per-run arguments (tests and the
-        # degradation ladder may swap self.index between queries, and
-        # concurrent lock-free queries must never mutate the shared
-        # executor to communicate it)
         outputs = self.executor.run(
             plan, canvas, window, assignment, trace, degradation,
             deadline=deadline,
-            index=self.index, index_error=self._index_error,
-            pyramid=self.pyramid,
         )
         traj_mask, traj_time = outputs["aggregate"]
 

@@ -35,7 +35,7 @@ class MultiscaleExplorer:
     model:
         A fitted cluster model.
     use_index:
-        Whether the per-level engines build spatial indices.
+        Whether the per-level engines build summary pyramids.
     """
 
     def __init__(self, model: ClusterModel, *, use_index: bool = True) -> None:

@@ -1,28 +1,24 @@
-"""The keyed stage cache, plain and shard-striped.
+"""The keyed stage cache.
 
 An LRU mapping stage cache keys to stage outputs.  Invalidation is
-epoch-based and *explicit*: every key embeds the epochs its value
+epoch-based and *structural*: every key embeds the epochs its value
 depends on (dataset epoch, canvas stroke epoch, window key), so a
-bumped epoch makes stale entries unreachable immediately — they are
-then either evicted lazily by the LRU or eagerly via
-:meth:`StageCache.invalidate`.
+bumped epoch makes stale entries unreachable immediately — they then
+age out of the LRU.  :meth:`StageCache.clear` is the only eager drop,
+and correctness never depends on calling it.
 
 Stage outputs are numpy arrays marked read-only by the executor before
 insertion, so serving the same array to multiple queries is safe.
 
-Two implementations share one interface:
-
-* :class:`StageCache` — the single-user building block.  Not thread
-  safe (an LRU lookup is a read-*modify* operation: ``move_to_end``).
-* :class:`ShardedStageCache` — N independent :class:`StageCache`
-  shards, each behind its own micro-mutex, selected by key hash.  This
-  is what the multi-tenant service hands its shared engines: concurrent
-  sessions' stage lookups stripe across shards instead of contending on
-  one lock (and *never* touch the service lock — the critical section
-  is a handful of dict operations, bounded and allocation-light).  A
-  given key always maps to the same shard, so hit/miss/eviction
-  semantics per key are identical to a single cache of the same total
-  capacity.
+One class serves both tenancies.  The cache is striped over ``shards``
+independent LRU tables, each behind its own micro-mutex and selected by
+key hash: concurrent sessions' stage lookups stripe across shards
+instead of contending on one lock, and *never* touch the service lock
+(the critical section is a handful of dict operations, bounded and
+allocation-light).  A given key always maps to the same shard, so
+hit/miss/eviction semantics per key match a single table; with the
+default ``shards=1`` the cache *is* a single LRU table.  The single-user
+engine keeps the default; the multi-tenant service passes ``shards=8``.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["StageCache", "ShardedStageCache", "CacheStats"]
+__all__ = ["StageCache", "CacheStats"]
 
 _MISSING = object()
 
@@ -53,213 +49,115 @@ class CacheStats:
 
 
 class StageCache:
-    """LRU cache of stage outputs keyed on epoch-embedding tuples.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum number of retained stage outputs; least recently used
-        entries are evicted beyond it.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def get(self, key: tuple) -> Any:
-        """Look up a stage output; counts a hit/miss and refreshes
-        recency.  Returns the sentinel-free value or ``None``-safe
-        :data:`MISS` via :meth:`lookup` semantics — callers should use
-        :meth:`lookup` when ``None`` is a legal cached value."""
-        value, found = self.lookup(key)
-        return value if found else None
-
-    def lookup(self, key: tuple) -> tuple[Any, bool]:
-        """(value, found) lookup that distinguishes a cached ``None``."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return None, False
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value, True
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert (or refresh) a stage output, evicting LRU overflow."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    # Invalidation -------------------------------------------------------
-    def invalidate(
-        self,
-        *,
-        dataset_epoch: int | None = None,
-        canvas_epoch: int | None = None,
-        window_key: tuple | None = None,
-    ) -> int:
-        """Eagerly drop entries whose key embeds a *different* epoch.
-
-        Keys are tuples of the form ``(stage, dataset_epoch, ...)``
-        built by the planner; each criterion drops every entry whose
-        embedded value for that dimension differs from the one given
-        (i.e. "keep only the current epoch").  Returns the number of
-        entries dropped.  Purely an eager complement to the lazy
-        epoch-in-key scheme — correctness never depends on calling it.
-        """
-        drop: list[tuple] = []
-        for key in self._entries:
-            meta = _key_meta(key)
-            if dataset_epoch is not None and meta.get("dataset_epoch") != dataset_epoch:
-                drop.append(key)
-            elif canvas_epoch is not None and meta.get("canvas_epoch", canvas_epoch) != canvas_epoch:
-                drop.append(key)
-            elif window_key is not None and meta.get("window_key", window_key) != window_key:
-                drop.append(key)
-        for key in drop:
-            del self._entries[key]
-        self.stats.invalidations += len(drop)
-        return len(drop)
-
-    def clear(self) -> None:
-        """Drop everything (counts as invalidations)."""
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
-
-    def keys(self) -> list[tuple]:
-        """Current keys, LRU-first (introspection/tests)."""
-        return list(self._entries)
-
-
-class ShardedStageCache:
-    """A thread-safe stage cache striped over N locked shards.
+    """Thread-safe LRU cache of stage outputs keyed on epoch-embedding
+    tuples, striped over ``shards`` locked LRU tables.
 
     Parameters
     ----------
     capacity:
         Total retained stage outputs across all shards (each shard gets
         ``ceil(capacity / shards)``, so the aggregate capacity is at
-        least ``capacity``).
+        least ``capacity``); least recently used entries of a shard are
+        evicted beyond its share.
     shards:
         Number of independent shards.  More shards, less lock
         contention; 8 covers the 64-session target comfortably because
         the critical section is a few dict operations.
 
-    The interface is a superset drop-in for :class:`StageCache`
-    (``lookup``/``put``/``get``/``invalidate``/``clear``/``keys``/
-    ``stats``/``len``/``in``); the executor and engine never know which
-    one they hold.  Shard selection is ``hash(key) % shards`` — stage
-    keys are hashable planner tuples — so one key always lands on one
-    shard and per-key LRU/hit/miss behavior matches the single cache.
-    Per-shard :class:`CacheStats` are merged on read; counters are
-    mutated under the owning shard's lock, so totals are exact.
+    Shard selection is ``hash(key) % shards`` — stage keys are hashable
+    planner tuples — so one key always lands on one shard.  Per-shard
+    :class:`CacheStats` are merged on read; counters are mutated under
+    the owning shard's lock, so totals are exact.
     """
 
-    def __init__(self, capacity: int = 128, *, shards: int = 8) -> None:
+    def __init__(self, capacity: int = 128, *, shards: int = 1) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.capacity = int(capacity)
-        per_shard = -(-int(capacity) // int(shards))  # ceil division
-        self._shards = tuple(StageCache(per_shard) for _ in range(shards))
+        self.shard_capacity = -(-int(capacity) // int(shards))  # ceil division
+        self._entries: tuple[OrderedDict[tuple, Any], ...] = tuple(
+            OrderedDict() for _ in range(shards)
+        )
+        self._stats = tuple(CacheStats() for _ in range(shards))
         self._locks = tuple(threading.Lock() for _ in range(shards))
 
     @property
     def n_shards(self) -> int:
         """Number of stripe shards."""
-        return len(self._shards)
+        return len(self._entries)
 
     def _shard_of(self, key: tuple) -> int:
-        return hash(key) % len(self._shards)
+        return hash(key) % len(self._entries)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return sum(len(e) for e in self._entries)
 
     def __contains__(self, key: tuple) -> bool:
         i = self._shard_of(key)
         with self._locks[i]:
-            return key in self._shards[i]
+            return key in self._entries[i]
 
     def get(self, key: tuple) -> Any:
-        """:meth:`StageCache.get` against the owning shard."""
+        """Look up a stage output; counts a hit/miss and refreshes
+        recency.  Returns ``None`` on a miss — callers should use
+        :meth:`lookup` when ``None`` is a legal cached value."""
         value, found = self.lookup(key)
         return value if found else None
 
     def lookup(self, key: tuple) -> tuple[Any, bool]:
-        """(value, found) lookup under the owning shard's lock only."""
+        """(value, found) lookup under the owning shard's lock only;
+        distinguishes a cached ``None`` from a miss."""
         i = self._shard_of(key)
         with self._locks[i]:
-            return self._shards[i].lookup(key)
+            entries, stats = self._entries[i], self._stats[i]
+            value = entries.get(key, _MISSING)
+            if value is _MISSING:
+                stats.misses += 1
+                return None, False
+            entries.move_to_end(key)
+            stats.hits += 1
+            return value, True
 
     def put(self, key: tuple, value: Any) -> None:
-        """Insert under the owning shard's lock; LRU-evicts per shard."""
+        """Insert (or refresh) a stage output under the owning shard's
+        lock, evicting that shard's LRU overflow."""
         i = self._shard_of(key)
         with self._locks[i]:
-            self._shards[i].put(key, value)
-
-    # Invalidation -------------------------------------------------------
-    def invalidate(self, **criteria: Any) -> int:
-        """Eagerly drop mismatching-epoch entries across every shard."""
-        return sum(
-            self._locked_shard_call(i, "invalidate", **criteria)
-            for i in range(len(self._shards))
-        )
+            entries = self._entries[i]
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = value
+            while len(entries) > self.shard_capacity:
+                entries.popitem(last=False)
+                self._stats[i].evictions += 1
 
     def clear(self) -> None:
-        """Drop everything in every shard."""
-        for i in range(len(self._shards)):
-            self._locked_shard_call(i, "clear")
+        """Drop everything in every shard (counts as invalidations)."""
+        for i, entries in enumerate(self._entries):
+            with self._locks[i]:
+                self._stats[i].invalidations += len(entries)
+                entries.clear()
 
     def keys(self) -> list[tuple]:
-        """All current keys, shard-major then LRU-first within a shard."""
+        """All current keys, shard-major then LRU-first within a shard
+        (introspection/tests)."""
         out: list[tuple] = []
-        for i in range(len(self._shards)):
+        for i, entries in enumerate(self._entries):
             with self._locks[i]:
-                out.extend(self._shards[i].keys())
+                out.extend(entries)
         return out
-
-    def _locked_shard_call(self, i: int, method: str, **kwargs: Any) -> Any:
-        with self._locks[i]:
-            return getattr(self._shards[i], method)(**kwargs)
 
     @property
     def stats(self) -> CacheStats:
         """Exact merged counters across shards (a fresh value object —
         mutating it does not write back)."""
         merged = CacheStats()
-        for i in range(len(self._shards)):
+        for i, s in enumerate(self._stats):
             with self._locks[i]:
-                s = self._shards[i].stats
                 merged.hits += s.hits
                 merged.misses += s.misses
                 merged.evictions += s.evictions
                 merged.invalidations += s.invalidations
         return merged
-
-
-def _key_meta(key: tuple) -> dict:
-    """Decode the epoch metadata the planner embeds in a cache key.
-
-    Planner keys are ``(stage, ("ds", e), ("cv", e)?, ("win", k)?,
-    ...)`` — tagged pairs after the stage name; unrecognized elements
-    are ignored so key shapes can evolve per stage.
-    """
-    meta: dict = {}
-    tag_names = {"ds": "dataset_epoch", "cv": "canvas_epoch", "win": "window_key"}
-    for element in key[1:]:
-        if isinstance(element, tuple) and len(element) == 2 and element[0] in tag_names:
-            meta[tag_names[element[0]]] = element[1]
-    return meta

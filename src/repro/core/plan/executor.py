@@ -7,11 +7,12 @@ owns the stage *implementations* (the vectorized kernels the old
 monolithic engine ran inline); the planner owns the routing and the
 cache keys.
 
-Degradation ladder: a spatial-index failure mid-stage falls back to
-the exact brute-force scan, records the event, and **taints** the
-stage — tainted outputs (and everything computed from them) are never
-inserted into the cache, so a degraded query can never poison the warm
-path.
+Degradation ladder: the summary pyramid is an acceleration, so a
+failed pyramid build leaves the engine on the exact brute-force route.
+Every such query records an ``index-build-failure`` event and
+**taints** its ``brush_hit`` stage — tainted outputs (and everything
+computed from them) are never inserted into the cache, so a degraded
+query can never poison the warm path.
 
 Observability: every stage runs inside a :func:`repro.obs.stage_span`,
 which both back-fills the :class:`QueryTrace` (the per-result record
@@ -46,7 +47,6 @@ from repro.core.aggregate.kernels import (
     MAYBE as AGG_MAYBE,
     OUT as AGG_OUT,
     brush_hit_cells,
-    brush_hit_mask,
     classify_spatial,
     classify_temporal,
     refine_temporal_rows,
@@ -57,7 +57,6 @@ from repro.core.plan.cache import StageCache
 from repro.core.plan.planner import QueryPlan
 from repro.core.plan.trace import QueryTrace
 from repro.core.result import GroupSupport
-from repro.core.spatial_index import UniformGridIndex
 from repro.core.temporal import TimeWindow
 from repro.layout.cells import CellAssignment
 from repro.resilience.health import DegradationReport
@@ -146,10 +145,6 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-#: Distinguishes "not passed" from an explicit ``None`` index.
-_UNSET: Any = object()
-
-
 class QueryExecutor:
     """Executes planned stages over one dataset's packed segments.
 
@@ -157,34 +152,30 @@ class QueryExecutor:
     ----------
     dataset, packed:
         The bound trajectory collection and its columnar segment view.
-    index:
-        The spatial index, or ``None`` (brute-force plans).
     cache:
-        The shared :class:`StageCache` stage outputs flow through.
-    index_error:
-        The recorded index *build* failure, if construction degraded
-        the engine to brute force (surfaces in every query's report).
+        The :class:`StageCache` stage outputs flow through.
     pyramid:
         The summary pyramid backing aggregate-route plans, or ``None``
         (such plans are never produced without one).
+    build_error:
+        The recorded pyramid *build* failure, if construction left the
+        engine on brute force (surfaces in every query's report).
     """
 
     def __init__(
         self,
         dataset: TrajectoryDataset,
         packed: PackedSegments,
-        index: UniformGridIndex | None,
-        cache: "StageCache | Any",
+        cache: StageCache,
         *,
-        index_error: str | None = None,
         pyramid: SummaryPyramid | None = None,
+        build_error: str | None = None,
     ) -> None:
         self.dataset = dataset
         self.packed = packed
-        self.index = index
         self.cache = cache
-        self.index_error = index_error
         self.pyramid = pyramid
+        self.build_error = build_error
         # per-trajectory segment-range bounds for reduceat aggregation
         self._starts = packed.offsets[:-1]
         self._has_segments = packed.offsets[1:] > packed.offsets[:-1]
@@ -216,10 +207,6 @@ class QueryExecutor:
         trace: QueryTrace,
         degradation: DegradationReport,
         deadline: Deadline | None = None,
-        *,
-        index: "UniformGridIndex | None | object" = _UNSET,
-        index_error: "str | None | object" = _UNSET,
-        pyramid: "SummaryPyramid | None | object" = _UNSET,
     ) -> dict[str, Any]:
         """Execute every planned stage; returns the stage-output map.
 
@@ -233,20 +220,12 @@ class QueryExecutor:
         still receives a structurally complete (if conservative) result
         within its budget.
 
-        Concurrency: ``index``/``index_error``/``pyramid`` may be
-        passed per run so a shared executor is never *mutated* between
-        queries — on the lock-free multi-tenant path, N threads run
-        this method against one executor simultaneously and everything
-        they touch is either immutable (dataset, packed view, index,
-        pyramid) or thread-safe (a sharded stage cache, the per-call
-        locals below).
+        Concurrency: on the lock-free multi-tenant path, N threads run
+        this method against one executor simultaneously; everything
+        they touch is either immutable (dataset, packed view, pyramid)
+        or thread-safe (the sharded stage cache, the per-call locals
+        below).
         """
-        if index is _UNSET:
-            index = self.index
-        if index_error is _UNSET:
-            index_error = self.index_error
-        if pyramid is _UNSET:
-            pyramid = self.pyramid
         t_run = time.perf_counter()
         outputs: dict[str, Any] = {}
         tainted: set[str] = set()
@@ -268,7 +247,7 @@ class QueryExecutor:
                     )
             if expired:
                 with obs.stage_span(trace, stage.name) as sp:
-                    value = self._partial_stage(stage.name, assignment, pyramid)
+                    value = self._partial_stage(stage.name, assignment)
                     outputs[stage.name] = value
                     tainted.add(stage.name)
                     sp.n_in = 0
@@ -289,7 +268,7 @@ class QueryExecutor:
             with obs.stage_span(trace, stage.name) as sp:
                 value, degraded, detail = self._execute_stage(
                     stage.name, plan, canvas, window, assignment, outputs,
-                    degradation, index, index_error, pyramid,
+                    degradation,
                 )
                 outputs[stage.name] = value
                 if degraded or dep_tainted:
@@ -305,11 +284,8 @@ class QueryExecutor:
 
     def _n_in(self, name: str, outputs: dict[str, Any]) -> int:
         """Input cardinality feeding one stage."""
-        if name in ("temporal_mask", "spatial_candidates", "combine"):
+        if name in ("temporal_mask", "brush_hit", "combine"):
             return self.packed.n_segments
-        if name == "brush_hit":
-            cand = outputs.get("spatial_candidates")
-            return len(cand) if cand is not None else self.packed.n_segments
         if name in ("agg_temporal", "agg_spatial", "classify"):
             # supernode/cell cardinality — read off the stage's own output
             value = outputs.get(name)
@@ -335,17 +311,10 @@ class QueryExecutor:
         assignment: CellAssignment | None,
         outputs: dict[str, Any],
         degradation: DegradationReport,
-        index: UniformGridIndex | None = None,
-        index_error: str | None = None,
-        pyramid: SummaryPyramid | None = None,
     ) -> tuple[Any, bool, str]:
-        """Dispatch one stage; returns (output, degraded, detail).
-
-        ``index``/``index_error``/``pyramid`` arrive as per-run
-        arguments (never read from shared executor state) so concurrent
-        queries cannot observe each other's index or pyramid swaps.
-        """
+        """Dispatch one stage; returns (output, degraded, detail)."""
         color = plan.spec.color
+        pyramid = self.pyramid
         if name == "temporal_mask":
             return window.segment_mask(self.packed, self.dataset), False, ""
 
@@ -410,42 +379,20 @@ class QueryExecutor:
                 )
             return mask, False, f"refined {len(need)} segments"
 
-        if name == "spatial_candidates":
-            centers, radii = canvas.stamps_of(color)
-            try:
-                assert index is not None
-                return index.candidates_for_discs(centers, radii), False, ""
-            except Exception as exc:
-                # one rung down the ladder: brush_hit scans everything
-                degradation.record(
-                    "index-failure",
-                    scope="index",
-                    action="degraded-brute-force",
-                    detail=repr(exc),
-                )
-                return None, True, "index failed; brute-force fallback"
-
         if name == "brush_hit":
             if plan.strategy == "empty-brush":
                 return np.zeros(self.packed.n_segments, dtype=bool), False, "no stamps"
-            if plan.strategy == "brute-force" and index_error is not None:
-                # the engine-level build failure surfaces on every query
-                # that would have used the index (as the monolith did)
+            mask = canvas.packed_hit_mask(color, self.packed)
+            if self.build_error is not None:
+                # the engine-level pyramid build failure surfaces on
+                # every query that would have used the pyramid
                 degradation.record(
                     "index-build-failure",
                     scope="index",
                     action="degraded-brute-force",
-                    detail=index_error,
+                    detail=self.build_error,
                 )
-                mask = canvas.packed_hit_mask(color, self.packed)
-                return mask, True, "index build failed; brute-force"
-            candidates = outputs.get("spatial_candidates")
-            if candidates is None:
-                # degraded brute-force rung: no index candidates to gate on
-                mask = canvas.packed_hit_mask(color, self.packed)
-            else:
-                centers, radii = canvas.stamps_of(color)
-                mask = brush_hit_mask(centers, radii, self.packed, candidates)
+                return mask, True, "pyramid build failed; brute-force"
             return mask, False, plan.strategy
 
         if name == "combine":
@@ -474,10 +421,7 @@ class QueryExecutor:
         raise ValueError(f"unknown stage {name!r}")
 
     def _partial_stage(
-        self,
-        name: str,
-        assignment: CellAssignment | None,
-        pyramid: SummaryPyramid | None = None,
+        self, name: str, assignment: CellAssignment | None
     ) -> Any:
         """Synthesize the conservative empty output for one skipped stage.
 
@@ -487,11 +431,10 @@ class QueryExecutor:
         inventing hits.  The synthesized values are always tainted —
         they must never reach the stage cache.
         """
+        pyramid = self.pyramid
         if name in ("temporal_mask", "brush_hit", "combine",
                     "agg_brush", "drilldown"):
             return np.zeros(self.packed.n_segments, dtype=bool)
-        if name == "spatial_candidates":
-            return None
         if name in ("agg_temporal", "classify"):
             n = pyramid.n_nodes if pyramid is not None else 0
             return np.zeros(n, dtype=np.int8)

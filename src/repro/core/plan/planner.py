@@ -2,13 +2,9 @@
 
 Turns a :class:`~repro.core.plan.spec.QuerySpec` into a
 :class:`QueryPlan`: a topologically ordered DAG of named stages.  The
-legacy per-segment route is
-
-    temporal_mask → spatial_candidates → brush_hit → combine
-                                  → aggregate → group_support
-
-and the aggregate-first route (when the engine carries a
-:class:`~repro.core.aggregate.SummaryPyramid`) is
+planner knows exactly three strategies.  When the engine holds a
+:class:`~repro.core.aggregate.SummaryPyramid` (its one spatial index)
+it plans the aggregate-first route
 
     agg_temporal → agg_spatial → agg_brush → classify → drilldown
                                   → aggregate → group_support
@@ -16,11 +12,15 @@ and the aggregate-first route (when the engine carries a
 where the ``agg_*`` stages tri-state supernodes (all-in / all-out /
 inconclusive) from summary statistics and ``drilldown`` assembles the
 final segment mask, running the exact per-segment kernels only over
-inconclusive cells.  Both routes produce bit-identical masks; the
-planner makes the routing decision the old monolith made inline —
-index vs brute-force per the degradation ladder, trivial plan for an
-empty brush, aggregate-first when a pyramid is available — so the
-executor stays a mechanical "run stages through the cache" loop.
+inconclusive cells.  Without a pyramid it plans the brute-force route
+
+    temporal_mask → brush_hit → combine → aggregate → group_support
+
+which scans every segment: the oracle every other route is pinned to,
+and the degradation rung a failed pyramid build lands on.  An empty
+brush short-circuits to the trivial ``empty-brush`` plan over the same
+stages.  Both routes produce bit-identical masks, so the executor
+stays a mechanical "run stages through the cache" loop.
 
 Cache-key construction is the heart of the incremental behaviour.
 Keys embed exactly the epochs a stage's output depends on, as tagged
@@ -29,12 +29,11 @@ pairs (``("ds", dataset_epoch)``, ``("cv", color_epoch)``,
 
 * ``temporal_mask`` / ``agg_temporal`` depend on the dataset and
   window only — a color-only change reuses them outright;
-* ``spatial_candidates`` / ``brush_hit`` / ``agg_spatial`` /
-  ``agg_brush`` depend on the dataset and the *color's own* stroke
-  epoch, never the window — a slider-only change reuses the
-  (expensive) capsule hit-tests and re-runs just the cheap temporal
-  stages (``agg_temporal → classify → drilldown → aggregate`` on the
-  aggregate route);
+* ``brush_hit`` / ``agg_spatial`` / ``agg_brush`` depend on the
+  dataset and the *color's own* stroke epoch, never the window — a
+  slider-only change reuses the (expensive) capsule hit-tests and
+  re-runs just the cheap temporal stages (``agg_temporal → classify →
+  drilldown → aggregate`` on the aggregate route);
 * ``combine`` / ``classify`` / ``drilldown`` / ``aggregate`` /
   ``group_support`` depend on both.
 
@@ -53,7 +52,6 @@ __all__ = ["PlannedStage", "QueryPlan", "QueryPlanner", "STAGE_ORDER"]
 
 STAGE_ORDER = (
     "temporal_mask",
-    "spatial_candidates",
     "brush_hit",
     "agg_temporal",
     "agg_spatial",
@@ -131,58 +129,42 @@ class QueryPlanner:
 
     Parameters
     ----------
-    index_token:
-        Identity of the engine's spatial index build (``None`` when no
-        index is available); embedded in spatial keys so a rebuilt
-        index invalidates cached candidate sets.
     pyramid_token:
         Identity of the engine's summary-pyramid build (``None`` when
         no pyramid is available); embedded in every aggregate-route key
         so a republished pyramid invalidates cached classifications.
     """
 
-    def __init__(
-        self,
-        index_token: tuple | None = None,
-        pyramid_token: tuple | None = None,
-    ) -> None:
-        self.index_token = index_token
+    def __init__(self, pyramid_token: tuple | None = None) -> None:
         self.pyramid_token = pyramid_token
 
     def plan(
-        self,
-        spec: QuerySpec,
-        *,
-        index_token: tuple | None = None,
-        pyramid_token: tuple | None = None,
+        self, spec: QuerySpec, *, pyramid_token: tuple | None = None
     ) -> QueryPlan:
         """Build the stage plan for one spec.
 
-        ``index_token`` / ``pyramid_token`` override the constructor's
-        (the engine passes the *current* identities so index or pyramid
-        swaps re-plan correctly).
+        ``pyramid_token`` overrides the constructor's (the engine passes
+        the *current* identity so a pyramid swap re-plans correctly).
+        A pyramid routes the plan aggregate-first; without one it runs
+        brute force.
         """
         t0 = time.perf_counter()
-        token = index_token if index_token is not None else self.index_token
         pyr = (
             pyramid_token if pyramid_token is not None else self.pyramid_token
         )
         # store-attached datasets carry the store's identity inside the
         # dataset tag: epochs of two datasets attached from different
         # shared stores may coincide, the (uid, epoch) store token never
-        # does — the tag stays a 2-tuple so epoch-based invalidation
-        # keeps decoding it
-        ds = ("ds", spec.dataset_epoch if spec.store_token is None
+        # does
+        ds =("ds", spec.dataset_epoch if spec.store_token is None
               else (spec.dataset_epoch, spec.store_token))
         cv = ("cv", (spec.canvas_uid, spec.color_epoch))
         win = ("win", spec.window_key)
 
         if spec.n_stamps == 0:
             strategy = "empty-brush"
-        elif spec.use_aggregate and pyr is not None:
+        elif pyr is not None:
             strategy = "aggregate"
-        elif spec.use_index and token is not None:
-            strategy = "indexed"
         else:
             strategy = "brute-force"
 
@@ -223,21 +205,8 @@ class QueryPlanner:
             stages.append(
                 PlannedStage("temporal_mask", ("temporal_mask", ds, win))
             )
-            hit_deps: tuple[str, ...] = ()
-            if strategy == "indexed":
-                stages.append(
-                    PlannedStage(
-                        "spatial_candidates",
-                        ("spatial_candidates", ds, cv, spec.color, token),
-                    )
-                )
-                hit_deps = ("spatial_candidates",)
             stages.append(
-                PlannedStage(
-                    "brush_hit",
-                    ("brush_hit", ds, cv, spec.color, strategy),
-                    deps=hit_deps,
-                )
+                PlannedStage("brush_hit", ("brush_hit", ds, cv, spec.color, strategy))
             )
             stages.append(
                 PlannedStage(

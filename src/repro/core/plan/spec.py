@@ -67,8 +67,6 @@ class QuerySpec:
     assignment_id:
         :func:`assignment_token` of the layout restriction (None when
         querying without a layout).
-    use_index:
-        Whether the plan may route through the spatial index.
     n_stamps:
         Stamp count of ``color`` on the canvas (0 = empty brush, which
         plans to a trivial all-false hit mask).
@@ -85,13 +83,11 @@ class QuerySpec:
         answer *is* — stages that complete within budget are cached and
         reusable by deadline-free queries, while stages synthesized
         after expiry are tainted and never cached at all.
-    use_aggregate:
-        Whether the plan may route through the aggregate-first summary
-        pyramid (tri-state supernode classification + drill-down).
-        Like ``use_index`` this is a *routing* preference, not an
-        answer-changing one — aggregate-first plans are bit-identical
-        to per-segment plans — but it is part of the spec because the
-        planner keys stage identity on the route taken.
+
+    The route is not part of the spec: it follows from whether the
+    engine holds a summary pyramid (see
+    :class:`~repro.core.plan.planner.QueryPlanner`), and both routes
+    answer bit-identically.
     """
 
     color: str
@@ -101,11 +97,9 @@ class QuerySpec:
     canvas_epoch: int
     color_epoch: int
     assignment_id: int | None
-    use_index: bool
     n_stamps: int
     store_token: tuple | None = None
     deadline_s: float | None = None
-    use_aggregate: bool = False
 
     @classmethod
     def capture(
@@ -116,9 +110,7 @@ class QuerySpec:
         window: TimeWindow,
         assignment: CellAssignment | None,
         *,
-        use_index: bool,
         deadline_s: float | None = None,
-        use_aggregate: bool = False,
     ) -> "QuerySpec":
         """Snapshot the current epochs/keys into a spec."""
         centers, _ = canvas.stamps_of(color)
@@ -130,9 +122,7 @@ class QuerySpec:
             canvas_epoch=canvas.stroke_epoch,
             color_epoch=canvas.color_epoch(color),
             assignment_id=assignment_token(assignment),
-            use_index=use_index,
             n_stamps=len(centers),
             store_token=getattr(dataset, "store_token", None),
             deadline_s=deadline_s,
-            use_aggregate=use_aggregate,
         )

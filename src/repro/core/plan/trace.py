@@ -6,7 +6,7 @@ cardinality, and whether the stage was served from the
 :class:`~repro.core.plan.cache.StageCache`.  The trace rides on
 :class:`~repro.core.result.QueryResult` and is journaled by the
 session, giving "why was this query slow?" a first-class answer
-(e.g. "brush_hit missed because the canvas epoch moved").
+(e.g. "agg_brush missed because the canvas epoch moved").
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class StageRecord:
     Attributes
     ----------
     stage:
-        Stage name (``temporal_mask``, ``spatial_candidates``,
-        ``brush_hit``, ``combine``, ``aggregate``, ``group_support``).
+        Stage name (one of
+        :data:`~repro.core.plan.planner.STAGE_ORDER`).
     elapsed_s:
         Wall time of the stage (near zero on a cache hit).
     n_in:
@@ -62,7 +62,7 @@ class QueryTrace:
     Attributes
     ----------
     strategy:
-        The planner's routing decision (``indexed`` | ``brute-force``
+        The planner's routing decision (``aggregate`` | ``brute-force``
         | ``empty-brush``).
     plan_s:
         Wall time spent building the plan.

@@ -89,8 +89,8 @@ class QueryResult:
         results assembled outside the engine (e.g. combinators).
     degraded:
         True when the query completed on a slower rung of the
-        degradation ladder (e.g. the spatial index failed and the
-        engine fell back to the brute-force scan).  The masks are
+        degradation ladder (e.g. the summary pyramid failed to build
+        and the engine answered with the brute-force scan).  The masks are
         identical to the healthy path either way.
     degradation:
         The ledger of what failed and what the engine did about it

@@ -135,7 +135,7 @@ class ExplorationSession:
     layout_key:
         Initial keypad layout preset ('1' | '2' | '3').
     use_index:
-        Whether the query engine builds its spatial index (ignored when
+        Whether the query engine builds its summary pyramid (ignored when
         ``engine`` is supplied).
     journal_path:
         Optional path of a crash-safe append-only event journal; every

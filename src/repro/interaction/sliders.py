@@ -10,10 +10,10 @@ control that cannot invert.
 ("adjust the time slider, watch the highlight answer in seconds"): it
 binds a :class:`RangeSlider` to an exploration session so every thumb
 move updates the temporal window *and* re-runs the active queries.
-Because a window move changes only the ``temporal_mask`` stage key,
-the engine's stage cache turns each drag step into the cheap
-``temporal_mask → combine → aggregate`` re-execution, reusing the
-expensive brush hit-test outright.
+Because a window move leaves the brush stages' keys unchanged, the
+engine's stage cache turns each drag step into the cheap
+``agg_temporal → classify → drilldown → aggregate`` re-execution,
+reusing the expensive brush hit-test outright.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class IncrementalRequery:
     sets the session's fractional time window and — when the canvas
     has strokes — re-runs the query for each active color through the
     engine's stage cache.  Slider-only moves therefore re-execute just
-    the temporal/combine/aggregate stages (see the traces collected in
-    :attr:`last_traces`).
+    the temporal stages and what depends on them (see the traces
+    collected in :attr:`last_traces`).
 
     Parameters
     ----------

@@ -22,9 +22,9 @@ substrate the reproduction's scaling work builds on:
   (crash-at-boundary, attach-during-swap, evict-with-live-sessions)
   with conservation, stale-read, and shm-leak invariants.
 
-The degradation ladder, top to bottom: **indexed** (spatial-index
-accelerated query) → **brute-force** (unindexed full scan) →
-**serial** (in-process execution of pool work).  Every step down is
+The degradation ladder, top to bottom: **aggregate** (pyramid-
+accelerated query) → **brute-force** (full scan, when the pyramid
+failed to build) → **serial** (in-process execution of pool work).  Every step down is
 recorded, never silent, and preserves exact results.
 """
 

@@ -29,13 +29,15 @@ class FaultEvent:
         What went wrong: ``"crash"`` (worker/pool death), ``"error"``
         (job raised), ``"timeout"``, ``"corrupt"`` (result failed
         validation), ``"injected-*"`` (a fault-plan fault observed as
-        such), ``"index-failure"`` / ``"index-build-failure"`` (spatial
-        index misbehaved), ``"io-row"`` / ``"io-trajectory"`` (loader
+        such), ``"index-build-failure"`` (the summary pyramid failed to
+        build; queries answer by brute force), ``"deadline-exceeded"``
+        (a query ran out of budget), ``"stale-epoch"`` (a session served
+        a superseded epoch), ``"io-row"`` / ``"io-trajectory"`` (loader
         quarantine), ``"shm-attach-failure"`` (a shared-memory store
         handle could not be attached — stale epoch or evicted block).
     scope:
         Which layer observed it: ``"job"``, ``"pool"``, ``"index"``,
-        ``"io"``, or ``"session"``.
+        ``"query"``, ``"io"``, or ``"session"``.
     action:
         What the supervisor did about it: ``"retried"``,
         ``"serial-fallback"``, ``"degraded-brute-force"``,

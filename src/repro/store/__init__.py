@@ -3,7 +3,7 @@
 The package splits the system the way encube (Vohl et al.) splits a
 cluster-driven display wall and Dataopsy (Hoque & Elmqvist) splits
 aggregate query serving: a **shared immutable data plane** — one
-resident copy of the packed trajectory arrays and spatial-index tables,
+resident copy of the packed trajectory arrays and summary-pyramid tables,
 published once into ``multiprocessing.shared_memory`` — and **cheap
 per-consumer state** on top of it.
 
@@ -12,9 +12,9 @@ per-consumer state** on top of it.
 * :mod:`repro.store.arena` — :class:`SharedArenaStore` (publish),
   :class:`StoreHandle` (the small picklable address workers receive
   instead of a pickled dataset), :func:`attach` → :class:`StoreClient`
-  (zero-copy dataset / index / engine rebuilds).
+  (zero-copy dataset / pyramid / engine rebuilds).
 * :mod:`repro.store.snapshot` — :class:`EpochSnapshot` (one immutable
-  published epoch: dataset + engine + index + store) and the GIL-atomic
+  published epoch: dataset + engine + pyramid + store) and the GIL-atomic
   pin/retire refcounts under it.
 * :mod:`repro.store.service` — :class:`DatasetService` (registry of
   epoch snapshots with an atomically-published *active* one, store

@@ -3,14 +3,14 @@
 A :class:`SharedArenaStore` materializes everything the query and
 render paths read — the per-trajectory sample arrays, the packed
 columnar segment view (:class:`~repro.trajectory.dataset.PackedSegments`),
-and optionally the :class:`~repro.core.spatial_index.UniformGridIndex`
-cell tables — **once**, into a single ``multiprocessing.shared_memory``
+and optionally the :class:`~repro.core.aggregate.SummaryPyramid`
+tables — **once**, into a single ``multiprocessing.shared_memory``
 block.  Consumers receive a :class:`StoreHandle`: a small picklable,
 epoch-tagged address (block name + array table-of-contents) that costs
 O(handle bytes) to ship, against the O(dataset bytes) pickling of the
 trajectories themselves.  :func:`attach` maps the block and rebuilds a
 fully functional :class:`~repro.trajectory.dataset.TrajectoryDataset`
-(and index, and engine) whose arrays are zero-copy views into the
+(and pyramid, and engine) whose arrays are zero-copy views into the
 shared pages — the encube/Dataopsy "shared immutable data plane, cheap
 per-consumer state" split.
 
@@ -52,7 +52,6 @@ from repro.trajectory.model import Trajectory, TrajectoryMeta
 
 if TYPE_CHECKING:
     from repro.core.engine import CoordinatedBrushingEngine
-    from repro.core.spatial_index import UniformGridIndex
 
 __all__ = ["ArraySpec", "StoreHandle", "SharedArenaStore", "StoreClient", "attach"]
 
@@ -96,9 +95,6 @@ class StoreHandle:
         The published dataset's name.
     n_traj / n_samples / n_segments:
         Cardinalities, for sanity checks and reporting.
-    index_res:
-        Grid resolution of the materialized spatial index, or ``None``
-        when the store was published without one.
     arrays:
         Array table-of-contents (key → dtype/shape/offset).
     meta_span:
@@ -117,7 +113,6 @@ class StoreHandle:
     n_traj: int
     n_samples: int
     n_segments: int
-    index_res: int | None
     arrays: tuple[ArraySpec, ...]
     meta_span: tuple[int, int]
     pyramid_meta: tuple | None = None
@@ -177,47 +172,25 @@ class SharedArenaStore:
         cls,
         dataset: TrajectoryDataset,
         *,
-        include_index: bool = True,
-        index: "object | None" = None,
-        index_res: int = 64,
         pyramid: "object | None" = None,
     ) -> "SharedArenaStore":
-        """Materialize ``dataset`` (and optionally its spatial index
-        and summary pyramid) into one shared block and return the store.
+        """Materialize ``dataset`` (and optionally its summary pyramid)
+        into one shared block and return the store.
 
         Parameters
         ----------
         dataset:
             The trajectory collection to publish (must be non-empty).
-        include_index:
-            Also materialize the uniform-grid cell tables so attachers
-            skip the index build entirely.
-        index:
-            A prebuilt :class:`~repro.core.spatial_index.UniformGridIndex`
-            over ``dataset.packed()`` to reuse (e.g. the service
-            engine's); built fresh when omitted and ``include_index``.
-        index_res:
-            Resolution for a fresh index build.
         pyramid:
             A prebuilt :class:`~repro.core.aggregate.SummaryPyramid`
             over ``dataset.packed()`` to materialize alongside the
             segments, so attachers rebuild it zero-copy from the shared
             tables (no re-summarization).  Omitted → the store has no
-            pyramid and attached engines take the legacy route.
+            pyramid and attached engines answer by brute force.
         """
         if len(dataset) == 0:
             raise ValueError("cannot publish an empty dataset")
         packed = dataset.packed()
-
-        if include_index and index is None:
-            from repro.core.spatial_index import UniformGridIndex
-
-            try:
-                index = UniformGridIndex(packed, index_res)
-            except Exception:
-                index = None  # publish without; attachers brute-force
-        if index is not None and index.packed is not packed:
-            raise ValueError("index was not built over this dataset's packed view")
         if pyramid is not None and pyramid.packed is not packed:
             raise ValueError("pyramid was not built over this dataset's packed view")
 
@@ -247,13 +220,6 @@ class SharedArenaStore:
             ("seg_owner", "<i4", (packed.n_segments,)),
             ("seg_offsets", "<i8", (n_traj + 1,)),
         ]
-        if index is not None:
-            plan += [
-                ("idx_entries", "<i8", (index.n_entries,)),
-                ("idx_offsets", "<i8", (index.res * index.res + 1,)),
-                ("idx_lo", "<f8", (2,)),
-                ("idx_cell_size", "<f8", (2,)),
-            ]
         if pyramid is not None:
             plan += [
                 ("pyr_node_of", "<i4", (packed.n_segments,)),
@@ -287,7 +253,6 @@ class SharedArenaStore:
             n_traj=n_traj,
             n_samples=n_samples,
             n_segments=packed.n_segments,
-            index_res=None if index is None else index.res,
             arrays=tuple(specs),
             meta_span=(meta_offset, len(metas_blob)),
             pyramid_meta=None if pyramid is None else (
@@ -312,11 +277,6 @@ class SharedArenaStore:
         views["seg_t1"][:] = packed.t1
         views["seg_owner"][:] = packed.owner
         views["seg_offsets"][:] = packed.offsets
-        if index is not None:
-            views["idx_entries"][:] = index._entries
-            views["idx_offsets"][:] = index._offsets
-            views["idx_lo"][:] = index.lo
-            views["idx_cell_size"][:] = index.cell_size
         if pyramid is not None:
             views["pyr_node_of"][:] = pyramid.node_of
             views["pyr_entries"][:] = pyramid.entries
@@ -474,8 +434,8 @@ def _map_array(block: SharedBlock, spec: ArraySpec, *, writable: bool = False) -
 class StoreClient:
     """One process's zero-copy attachment to a published store.
 
-    Lazily rebuilds the dataset / spatial index / engine as views into
-    the shared pages.  :meth:`close` drops the client's references and
+    Lazily rebuilds the dataset / pyramid / engine as views into the
+    shared pages.  :meth:`close` drops the client's references and
     releases the mapping — arrays handed out remain valid only while
     some attachment (here or elsewhere) keeps the pages mapped, so drop
     derived objects before closing.
@@ -485,7 +445,6 @@ class StoreClient:
         self.handle = handle
         self._block = block
         self._dataset: TrajectoryDataset | None = None
-        self._index = None
         self._pyramid = None
 
     # Zero-copy rebuilds --------------------------------------------------
@@ -534,25 +493,6 @@ class StoreClient:
             )
         return self._dataset
 
-    def index(self) -> "UniformGridIndex | None":
-        """The attached :class:`UniformGridIndex` rebuilt from the
-        shared cell tables, or ``None`` when the store has no index."""
-        if self.handle.index_res is None:
-            return None
-        if self._index is None:
-            from repro.core.spatial_index import UniformGridIndex
-
-            h = self.handle
-            self._index = UniformGridIndex.from_tables(
-                self.dataset.packed(),
-                res=h.index_res,
-                lo=_map_array(self._block, h.spec("idx_lo")).copy(),
-                cell_size=_map_array(self._block, h.spec("idx_cell_size")).copy(),
-                entries=_map_array(self._block, h.spec("idx_entries")),
-                offsets=_map_array(self._block, h.spec("idx_offsets")),
-            )
-        return self._index
-
     def pyramid(self) -> "object | None":
         """The attached :class:`~repro.core.aggregate.SummaryPyramid`
         rebuilt zero-copy from the shared tables, or ``None`` when the
@@ -585,19 +525,15 @@ class StoreClient:
 
     def engine(self, **engine_kwargs: Any) -> "CoordinatedBrushingEngine":
         """A :class:`CoordinatedBrushingEngine` over the attached
-        dataset, reusing the shared index and pyramid tables (no
-        rebuild).  Stores published without a pyramid yield a
-        legacy-route engine."""
+        dataset, reusing the shared pyramid tables (no rebuild).  Stores
+        published without a pyramid yield a brute-force engine."""
         from repro.core.engine import CoordinatedBrushingEngine
 
-        index = self.index()
-        if index is not None:
-            engine_kwargs.setdefault("index", index)
-        else:
-            engine_kwargs.setdefault("use_index", False)
         pyramid = self.pyramid()
         if pyramid is not None:
             engine_kwargs.setdefault("pyramid", pyramid)
+        else:
+            engine_kwargs.setdefault("use_index", False)
         return CoordinatedBrushingEngine(self.dataset, **engine_kwargs)
 
     # Lifecycle -----------------------------------------------------------
@@ -608,7 +544,6 @@ class StoreClient:
         (the mapping then stays open and registered — visible to leak
         checks — until those references drop)."""
         self._dataset = None
-        self._index = None
         self._pyramid = None
         return self._block.close()
 

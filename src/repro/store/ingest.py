@@ -245,8 +245,6 @@ class RolloverCoordinator:
         Also publish the new epoch as a shared-memory store (the
         multi-process serving path).  Off, the swap is in-process only
         — cheaper, and what single-process deployments want.
-    include_index:
-        Forwarded to store publication.
     chaos:
         Test-only hook called at each named rollover point
         (``pre_stage`` / ``post_stage`` / ``pre_swap`` / ``post_swap``)
@@ -260,13 +258,11 @@ class RolloverCoordinator:
         buffer: IngestBuffer,
         *,
         publish_store: bool = True,
-        include_index: bool = True,
         chaos: "Callable[[str], None] | None" = None,
     ) -> None:
         self.service = service
         self.buffer = buffer
         self.publish_store = publish_store
-        self.include_index = include_index
         self._chaos = chaos
         # high-water mark of sequences already swapped into the service;
         # set in the same instant a swap returns, consulted at the next
@@ -301,12 +297,7 @@ class RolloverCoordinator:
 
         store = None
         if self.publish_store:
-            store = _Store.publish(
-                successor,
-                include_index=self.include_index,
-                index=engine.index,
-                pyramid=engine.pyramid,
-            )
+            store = _Store.publish(successor, pyramid=engine.pyramid)
             # brand the dataset so stage-cache keys carry the store
             # identity, exactly as the attach path does
             successor.store_token = store.handle.store_token

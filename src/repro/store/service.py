@@ -3,8 +3,8 @@
 The multi-session split of the former one-user application object:
 
 * :class:`DatasetService` owns what is expensive and immutable-ish —
-  **one** dataset, **one** packed segment view, **one** spatial index,
-  **one** sharded stage cache — published as immutable per-epoch
+  **one** dataset, **one** packed segment view, **one** summary
+  pyramid, **one** sharded stage cache — published as immutable per-epoch
   :class:`~repro.store.snapshot.EpochSnapshot` objects, plus a registry
   of shared-memory stores (:class:`~repro.store.arena.SharedArenaStore`)
   with epoch validation and eviction.
@@ -18,14 +18,14 @@ The multi-session split of the former one-user application object:
 
 Lock discipline (the multi-tenant tentpole).  **Queries never take the
 service lock.**  Everything a query reads is epoch-immutable between
-publishes — the dataset, the packed arrays, the spatial index, the
+publishes — the dataset, the packed arrays, the summary pyramid, the
 read-only arena views — so the read path is:
 
 1. resolve the active snapshot with one atomic attribute read
    (``service._active``; sessions do this once, at pin time);
 2. run the engine against it lock-free (per-call state on the stack,
    stage outputs through the thread-safe sharded
-   :class:`~repro.core.plan.cache.ShardedStageCache`).
+   :class:`~repro.core.plan.cache.StageCache`).
 
 The service's re-entrant lock survives **only for mutations**: store
 publish/evict, epoch rollover (the atomic snapshot swap), and session
@@ -76,7 +76,7 @@ from typing import Any
 
 from repro import obs
 from repro.core.engine import CoordinatedBrushingEngine
-from repro.core.plan.cache import ShardedStageCache
+from repro.core.plan.cache import StageCache
 from repro.core.result import QueryResult
 from repro.core.session import ExplorationSession
 from repro.display.viewport import Viewport
@@ -92,13 +92,13 @@ __all__ = ["SharedQueryEngine", "DatasetService", "SessionView"]
 class SharedQueryEngine(CoordinatedBrushingEngine):
     """An engine safe to share across concurrent sessions — lock-free.
 
-    Identical results to the base engine; the difference is purely the
-    concurrency contract.  Queries take **no lock**: the dataset,
-    packed arrays, and spatial index are immutable after construction,
-    every per-query intermediate lives on the calling thread's stack,
-    and stage outputs flow through a thread-safe
-    :class:`~repro.core.plan.cache.ShardedStageCache` whose stripes are
-    the only (micro, bounded) critical sections on the path.  N threads
+    Identical results to the base engine; the difference is the stage
+    cache.  Queries take **no lock**: the dataset, packed arrays, and
+    summary pyramid are immutable after construction, every per-query
+    intermediate lives on the calling thread's stack, and stage outputs
+    flow through a :class:`~repro.core.plan.cache.StageCache` striped
+    over ``cache_shards`` shards, whose per-shard locks are the only
+    (micro, bounded) critical sections on the path.  N threads
     hammering one engine interleave freely and each observes exactly
     what a private engine would have computed.
 
@@ -107,27 +107,19 @@ class SharedQueryEngine(CoordinatedBrushingEngine):
     BENCH_Q3 measured.  The ``service.lock.wait_seconds`` gauge that
     tracked that queueing is gone with the lock; the
     ``service.snapshot.*`` family replaces it.)
-
-    Unlike the single-user base engine, the shared engine defaults to
-    **aggregate-first** query planning (``use_aggregate=True``): the
-    multi-tenant service is the production path where dataset scale
-    dominates, and the summary pyramid's build cost amortizes over
-    every session.  Pass ``use_aggregate=False`` to pin the legacy
-    per-segment route (results are bit-identical either way).
     """
 
     def __init__(
         self,
         dataset: TrajectoryDataset,
         *,
-        cache: ShardedStageCache | None = None,
+        cache: StageCache | None = None,
         cache_capacity: int = 512,
         cache_shards: int = 8,
         **engine_kwargs: Any,
     ) -> None:
         if cache is None:
-            cache = ShardedStageCache(cache_capacity, shards=cache_shards)
-        engine_kwargs.setdefault("use_aggregate", True)
+            cache = StageCache(cache_capacity, shards=cache_shards)
         super().__init__(dataset, cache=cache, **engine_kwargs)
 
 
@@ -136,7 +128,7 @@ class SessionView(ExplorationSession):
 
     Owns everything mutable per user — canvas, time window, layout,
     paging, groups, event log, optional on-disk journal — and nothing
-    heavy: the dataset, packed arrays, spatial index, and stage cache
+    heavy: the dataset, packed arrays, summary pyramid, and stage cache
     all live in (and are shared through) the pinned epoch snapshot.
     Created via :meth:`DatasetService.session`.
 
@@ -275,15 +267,15 @@ class DatasetService:
     ----------
     dataset:
         The trajectory collection to serve (non-empty).
-    use_index / index_res:
-        Spatial-index construction knobs for the shared engine.
+    use_index:
+        Build the shared engine's summary pyramid (``False`` serves
+        every query by brute force).
     cache_capacity:
         Shared stage-cache size; sized up from the single-user default
         because N sessions' stages compete for it.
     cache_shards:
-        Stripe count of the shared :class:`ShardedStageCache`; more
-        shards, less contention between concurrent sessions' stage
-        lookups.
+        Stripe count of the shared :class:`StageCache`; more shards,
+        less contention between concurrent sessions' stage lookups.
     keep_stores:
         How many published shared-memory stores to retain; publishing
         beyond this evicts (closes + unlinks) the oldest, and handles
@@ -305,7 +297,6 @@ class DatasetService:
         dataset: TrajectoryDataset,
         *,
         use_index: bool = True,
-        index_res: int = 64,
         cache_capacity: int = 512,
         cache_shards: int = 8,
         keep_stores: int = 2,
@@ -318,14 +309,11 @@ class DatasetService:
         engine = SharedQueryEngine(
             dataset,
             use_index=use_index,
-            index_res=index_res,
             cache_capacity=cache_capacity,
             cache_shards=cache_shards,
         )
         self.keep_stores = int(keep_stores)
-        self._engine_opts: dict[str, Any] = {
-            "use_index": use_index, "index_res": index_res
-        }
+        self._use_index = use_index
         self._stores: "OrderedDict[str, SharedArenaStore]" = OrderedDict()
         self._n_sessions = 0
         self._closed = False
@@ -343,7 +331,7 @@ class DatasetService:
     def from_handle(cls, handle: StoreHandle, **service_kwargs: Any) -> "DatasetService":
         """A service over a store *another* process published.
 
-        Attaches zero-copy and reuses the shared index tables, so a
+        Attaches zero-copy and reuses the shared pyramid tables, so a
         render/query node process reaches serving state in O(1) data
         movement.  The attachment stays open for the service's
         lifetime; :meth:`close` releases it — deferred, if sessions are
@@ -353,27 +341,18 @@ class DatasetService:
         from repro.store.arena import attach
 
         client = attach(handle)
-        service_kwargs.pop("use_index", None)
-        index = client.index()
+        use_index = service_kwargs.get("use_index", True)
         pyramid = client.pyramid()
         service = cls.__new__(cls)
         service._lock = threading.RLock()
         engine_kwargs: dict[str, Any] = dict(service_kwargs)
-        if pyramid is not None:
+        if pyramid is not None and use_index:
             # zero-copy adoption of the published pyramid tables; stores
             # without one leave the engine to build (or skip) its own
             engine_kwargs.setdefault("pyramid", pyramid)
-        engine = SharedQueryEngine(
-            client.dataset,
-            index=index,
-            use_index=index is not None,
-            **engine_kwargs,
-        )
+        engine = SharedQueryEngine(client.dataset, **engine_kwargs)
         service.keep_stores = 1
-        service._engine_opts = {
-            "use_index": index is not None,
-            "index_res": handle.index_res or 64,
-        }
+        service._use_index = use_index
         service._stores = OrderedDict()
         service._n_sessions = 0
         service._closed = False
@@ -645,17 +624,15 @@ class DatasetService:
         """Build a successor-epoch engine sharing this service's sharded
         stage cache (epoch-tagged keys keep entries disjoint).
 
-        The expensive part — packing + index build — runs outside the
-        lock; only the cache/options snapshot is serialized.
+        The expensive part — packing + pyramid build — runs outside the
+        lock; only the cache snapshot is serialized.
         """
         with self._lock:
             cache = self.engine.cache
-            opts = dict(self._engine_opts)
-        assert isinstance(cache, ShardedStageCache)
-        return SharedQueryEngine(dataset, cache=cache, **opts)
+        return SharedQueryEngine(dataset, cache=cache, use_index=self._use_index)
 
     # Store registry ---------------------------------------------------------
-    def publish_store(self, *, include_index: bool = True) -> StoreHandle:
+    def publish_store(self) -> StoreHandle:
         """Publish (or reuse) a shared-memory store of the current
         dataset epoch and return its handle.
 
@@ -676,21 +653,13 @@ class DatasetService:
                     handle = store.handle
                     break
             if handle is None:
-                index = self.engine.index if include_index else None
-                if index is not None and index.packed is not self.dataset.packed():
-                    # the dataset mutated since the engine bound its index;
-                    # let publish() build a fresh one over the current epoch
-                    index = None
                 pyramid = self.engine.pyramid
                 if pyramid is not None and pyramid.packed is not self.dataset.packed():
-                    pyramid = None  # same staleness guard as the index
+                    # the dataset mutated since the engine bound its
+                    # pyramid: publish the current epoch without one
+                    pyramid = None
                 t_pub = time.perf_counter()
-                store = SharedArenaStore.publish(
-                    self.dataset,
-                    include_index=include_index,
-                    index=index,
-                    pyramid=pyramid,
-                )
+                store = SharedArenaStore.publish(self.dataset, pyramid=pyramid)
                 obs.observe("store.publish.seconds", time.perf_counter() - t_pub)
                 obs.counter_add("store.publishes", 1)
                 self._stores[store.uid] = store

@@ -12,7 +12,7 @@ The lock-free multi-tenant read path rests on two small primitives:
 
 * :class:`EpochSnapshot` — one published dataset epoch and everything a
   query needs: the dataset, its packed view (through the engine), the
-  spatial index, the stage cache, and the shared-memory store that
+  summary pyramid, the stage cache, and the shared-memory store that
   backs them.  **Everything queryable on a snapshot is immutable after
   publish**; the only mutable field is the pin count.  Sessions resolve
   the active snapshot with a single atomic attribute read on the
@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.engine import CoordinatedBrushingEngine
-    from repro.core.spatial_index import CellBitsets
     from repro.store.arena import SharedArenaStore
     from repro.trajectory.dataset import TrajectoryDataset
 
@@ -154,7 +153,7 @@ class EpochSnapshot:
 
     Published exactly once by :meth:`DatasetService._swap_active` (or
     service construction) and never mutated afterwards — the dataset,
-    engine (packed view + spatial index + sharded stage cache), and
+    engine (packed view + summary pyramid + sharded stage cache), and
     backing store are all epoch-frozen, which is precisely why sessions
     may read them concurrently without any lock.  The only mutable
     state is ``refs`` (pin accounting) and the registry that maps
@@ -184,23 +183,6 @@ class EpochSnapshot:
     def retired(self) -> bool:
         """Has this snapshot been retired (sealed)?"""
         return self.refs.sealed
-
-    @property
-    def bitsets(self) -> "CellBitsets | None":
-        """The epoch's per-grid-cell segment bitset cache, or ``None``
-        when the engine runs without a spatial index.
-
-        The vectorized ``spatial_candidates``/``brush_hit`` kernels
-        union these precomputed masks instead of re-gathering CSR
-        entries per query.  Caching *here* — on the snapshot's index —
-        is what makes the lazy build safe: everything queryable on a
-        snapshot is immutable for the epoch's lifetime, so concurrent
-        lazy inserts can only ever write identical words (see
-        :class:`~repro.core.spatial_index.CellBitsets`), and the cache
-        dies with the epoch instead of surviving a rollover stale.
-        """
-        index = getattr(self.engine, "index", None)
-        return None if index is None else index.bitsets()
 
     def __repr__(self) -> str:
         return (

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.aggregate import SummaryPyramid
+from repro.core.engine import CoordinatedBrushingEngine
 from repro.display.presets import cyber_commons_wall, paper_viewport
 from repro.synth import AntStudyConfig, Arena, generate_study_dataset
 from repro.trajectory.dataset import TrajectoryDataset
@@ -25,6 +27,21 @@ def arena() -> Arena:
 def study_dataset() -> TrajectoryDataset:
     """A mid-size study dataset (150 trajectories, fixed seed)."""
     return generate_study_dataset(AntStudyConfig(n_trajectories=150, seed=7))
+
+
+@pytest.fixture()
+def unbuilt_engine(study_dataset, monkeypatch):
+    """An engine over ``study_dataset`` whose summary-pyramid build
+    failed: it answers every query by brute force."""
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("no memory for the pyramid")
+
+    monkeypatch.setattr(SummaryPyramid, "build", fail)
+    engine = CoordinatedBrushingEngine(study_dataset)
+    monkeypatch.undo()
+    assert engine.pyramid is None
+    return engine
 
 
 @pytest.fixture(scope="session")

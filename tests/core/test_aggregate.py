@@ -4,7 +4,8 @@ Complements ``test_aggregate_parity.py`` (end-to-end bit-identity of
 the aggregate query route): here the individual pieces are checked
 against brute-force references — CSR structure, per-node statistics,
 cell gathers, the shared-arena table round-trip, and the vectorized
-drill-down hit kernel against its scalar oracle.
+drill-down hit kernel against its scalar oracle (which lives in
+``test_kernel_properties.py``).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from repro.core.aggregate import (
     MAYBE,
     OUT,
     SummaryPyramid,
-    brush_hit_rows,
-    brush_hit_rows_scalar,
+    brush_hit_cells,
     classify_temporal,
 )
 from repro.core.aggregate.pyramid import _multi_range_indices
 from repro.core.temporal import TimeWindow
+from tests.core.test_kernel_properties import brush_hit_rows_scalar
 
 
 @pytest.fixture(scope="module")
@@ -156,47 +157,50 @@ class TestBrushHitKernel:
     """Satellite: the vectorized drill-down hit-test must agree with the
     scalar one-segment-one-stamp oracle on every row."""
 
-    def test_vectorized_matches_scalar(self, study_dataset, arena):
+    def test_vectorized_matches_scalar(self, pyramid, study_dataset, arena):
         packed = study_dataset.packed()
         rng = np.random.default_rng(11)
         r = arena.radius
+        occupied_cells = np.unique(pyramid.cell_of_rows())
         for trial in range(4):
             k = int(rng.integers(1, 5))
             centers = rng.uniform(-r, r, size=(k, 2))
             radii = rng.uniform(0.02 * r, 0.4 * r, size=k)
-            rows = rng.choice(
-                packed.n_segments, size=min(500, packed.n_segments), replace=False
-            )
-            fast = brush_hit_rows(centers, radii, packed, rows)
+            cells = rng.choice(occupied_cells, size=3, replace=False)
+            rows, fast = brush_hit_cells(pyramid, centers, radii, packed, cells)
             slow = brush_hit_rows_scalar(centers, radii, packed, rows)
             np.testing.assert_array_equal(fast, slow)
 
-    def test_chunking_is_invisible(self, study_dataset, arena):
+    def test_chunking_is_invisible(self, pyramid, study_dataset, arena):
+        """Drilling the cells in chunks gives the rows and hits of one
+        call over all of them, in the same order."""
         packed = study_dataset.packed()
         r = arena.radius
         centers = np.array([[0.2 * r, -0.1 * r]])
         radii = np.array([0.3 * r])
-        rows = np.arange(packed.n_segments)
-        full = brush_hit_rows(centers, radii, packed, rows)
-        tiny = brush_hit_rows(centers, radii, packed, rows, chunk=37)
-        np.testing.assert_array_equal(full, tiny)
+        cells = np.unique(pyramid.cell_of_rows())
+        rows, full = brush_hit_cells(pyramid, centers, radii, packed, cells)
+        parts = [
+            brush_hit_cells(pyramid, centers, radii, packed, cells[i : i + 37])
+            for i in range(0, len(cells), 37)
+        ]
+        np.testing.assert_array_equal(rows, np.concatenate([p[0] for p in parts]))
+        np.testing.assert_array_equal(full, np.concatenate([p[1] for p in parts]))
+        assert full.any() and not full.all()
 
-    def test_empty_rows(self, study_dataset):
+    def test_empty_rows(self, pyramid, study_dataset):
         packed = study_dataset.packed()
-        out = brush_hit_rows(
-            np.zeros((1, 2)), np.ones(1), packed, np.empty(0, dtype=np.int64)
+        rows, out = brush_hit_cells(
+            pyramid, np.zeros((1, 2)), np.ones(1), packed, np.empty(0, dtype=np.int64)
         )
-        assert out.shape == (0,) and out.dtype == bool
+        assert rows.shape == out.shape == (0,) and out.dtype == bool
 
 
 class TestBrushHitCells:
-    """The cell-pruned drill-down kernel must agree with the unpruned
-    row kernel (and hence, transitively, with the scalar oracle) over
-    exactly the member rows of the requested cells."""
+    """The cell-pruned drill-down kernel must agree with the scalar
+    oracle over exactly the member rows of the requested cells."""
 
     def test_matches_row_kernel(self, pyramid, study_dataset, arena):
-        from repro.core.aggregate import brush_hit_cells
-
         packed = study_dataset.packed()
         rng = np.random.default_rng(17)
         r = arena.radius
@@ -206,17 +210,15 @@ class TestBrushHitCells:
             centers = rng.uniform(-r, r, size=(k, 2))
             radii = rng.uniform(0.02 * r, 0.4 * r, size=k)
             cells = rng.choice(
-                occupied_cells, size=min(20, len(occupied_cells)), replace=False
+                occupied_cells, size=min(8, len(occupied_cells)), replace=False
             )
             rows, hits = brush_hit_cells(pyramid, centers, radii, packed, cells)
             np.testing.assert_array_equal(rows, pyramid.rows_in_cells(cells))
             np.testing.assert_array_equal(
-                hits, brush_hit_rows(centers, radii, packed, rows)
+                hits, brush_hit_rows_scalar(centers, radii, packed, rows)
             )
 
     def test_empty_inputs(self, pyramid, study_dataset):
-        from repro.core.aggregate import brush_hit_cells
-
         packed = study_dataset.packed()
         rows, hits = brush_hit_cells(
             pyramid, np.zeros((0, 2)), np.zeros(0), packed, np.array([0, 1])

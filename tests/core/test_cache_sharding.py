@@ -1,12 +1,12 @@
-"""ShardedStageCache: parity with the single cache, and thread safety.
+"""StageCache striping: ``shards=1`` against ``shards=8``, and thread safety.
 
-The sharded cache is a drop-in for :class:`StageCache` with one extra
-property — concurrent callers are safe — and these tests pin the
-"drop-in" half precisely: identical hit/miss/taint behavior per key
-(a key always lands on one shard, so per-key semantics cannot differ),
-exact counter conservation under concurrency, and the epoch-in-key
-staleness story surviving the stripe split (old-epoch entries are
-unreachable by new-epoch keys and eagerly droppable across shards).
+One class serves the single user (``shards=1``) and the multi-tenant
+service (``shards=8``).  These tests pin that striping is invisible:
+identical hit/miss behavior per key (a key always lands on one shard,
+so per-key semantics cannot differ), exact counter conservation under
+concurrency, and the epoch-in-key staleness story surviving the stripe
+split (old-epoch entries are unreachable by new-epoch keys and age out
+of every shard's LRU).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.core.plan.cache import ShardedStageCache, StageCache
+from repro.core.plan.cache import StageCache
 
 
 def _key(stage: str, ds_epoch: int, extra: int = 0) -> tuple:
@@ -26,25 +26,26 @@ def _key(stage: str, ds_epoch: int, extra: int = 0) -> tuple:
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedStageCache(0)
+            StageCache(0)
         with pytest.raises(ValueError):
-            ShardedStageCache(8, shards=0)
+            StageCache(8, shards=0)
 
     def test_shard_count_and_capacity(self):
-        cache = ShardedStageCache(100, shards=8)
+        assert StageCache(100).n_shards == 1
+        cache = StageCache(100, shards=8)
         assert cache.n_shards == 8
         assert cache.capacity == 100
         # per-shard capacity is ceil(100/8): aggregate >= requested
-        assert sum(s.capacity for s in cache._shards) >= 100
+        assert cache.shard_capacity == 13
+        assert cache.shard_capacity * cache.n_shards >= 100
 
     def test_single_shard_degenerates_to_plain_cache_semantics(self):
-        single = StageCache(16)
-        sharded = ShardedStageCache(16, shards=1)
-        for i in range(20):  # overflows capacity: identical LRU eviction
+        """One shard is one exact LRU table of the full capacity."""
+        single = StageCache(16, shards=1)
+        for i in range(20):  # overflows capacity: exact LRU eviction
             single.put(_key("s", 0, i), i)
-            sharded.put(_key("s", 0, i), i)
-        assert single.keys() == sharded.keys()
-        assert single.stats.evictions == sharded.stats.evictions
+        assert single.keys() == [_key("s", 0, i) for i in range(4, 20)]
+        assert single.stats.evictions == 4
 
 
 class TestParityWithSingleCache:
@@ -62,7 +63,7 @@ class TestParityWithSingleCache:
         return observed
 
     def test_hit_miss_parity(self):
-        single, sharded = StageCache(64), ShardedStageCache(64, shards=8)
+        single, sharded = StageCache(64), StageCache(64, shards=8)
         assert self._drive(single) == self._drive(sharded)
         assert single.stats.hits == sharded.stats.hits == 20
         assert single.stats.misses == sharded.stats.misses == 10
@@ -73,26 +74,28 @@ class TestParityWithSingleCache:
             assert sharded.get(key) == value
 
     def test_taint_parity_invalidate_by_epoch(self):
-        single, sharded = StageCache(64), ShardedStageCache(64, shards=8)
+        """An epoch bump invalidates by key: both stripings keep the same
+        entries, miss every new-epoch key, and hit every old one."""
+        single, sharded = StageCache(64), StageCache(64, shards=8)
         for cache in (single, sharded):
             for e in (1, 1, 2, 2, 2):
                 for i in range(3):
                     cache.put(_key("combine", e, i), (e, i))
-        # eager drop of everything not at epoch 2, across all shards
-        assert single.invalidate(dataset_epoch=2) == sharded.invalidate(
-            dataset_epoch=2
-        )
         assert sorted(single.keys()) == sorted(sharded.keys())
-        assert all(k[1] == ("ds", 2) for k in sharded.keys())
-        assert single.stats.invalidations == sharded.stats.invalidations
+        for cache in (single, sharded):
+            assert not any(cache.lookup(_key("combine", 3, i))[1] for i in range(3))
+            assert all(cache.get(_key("combine", 1, i)) == (1, i) for i in range(3))
+        assert single.stats.misses == sharded.stats.misses == 3
+        assert single.stats.hits == sharded.stats.hits == 3
 
     def test_clear_parity(self):
-        sharded = ShardedStageCache(64, shards=8)
-        for i in range(12):
-            sharded.put(_key("s", 0, i), i)
-        sharded.clear()
-        assert len(sharded) == 0
-        assert sharded.stats.invalidations == 12
+        single, sharded = StageCache(64), StageCache(64, shards=8)
+        for cache in (single, sharded):
+            for i in range(12):
+                cache.put(_key("s", 0, i), i)
+            cache.clear()
+            assert len(cache) == 0
+            assert cache.stats.invalidations == 12
 
 
 class TestStaleEpochEntries:
@@ -100,7 +103,7 @@ class TestStaleEpochEntries:
         """The rollover story: epoch-tagged keys make pre-swap entries
         invisible to post-swap queries — no flush required — while a
         pinned old-epoch session still hits them."""
-        cache = ShardedStageCache(64, shards=8)
+        cache = StageCache(64, shards=8)
         old, new = 7, 12
         cache.put(_key("aggregate", old), "old-epoch-output")
         # a new-epoch query computes a *different* key: structural miss
@@ -108,17 +111,21 @@ class TestStaleEpochEntries:
         assert not found
         # the pinned old-epoch session still hits its entry
         assert cache.get(_key("aggregate", old)) == "old-epoch-output"
-        # retirement hygiene: one eager sweep drops the stale entries
-        dropped = cache.invalidate(dataset_epoch=new)
-        assert dropped == 1
+        # once the session moves on, new-epoch traffic ages it out of
+        # its shard's LRU (no flush, no eager sweep)
+        for i in range(10_000):
+            cache.put(_key("aggregate", new, i), i)
+            if _key("aggregate", old) not in cache:
+                break
         assert _key("aggregate", old) not in cache
+        assert len(cache) <= cache.shard_capacity * cache.n_shards
 
 
 class TestConcurrency:
     def test_counter_conservation_under_concurrent_load(self):
         """8 threads, disjoint key ranges: totals are exact (every
         lookup is one hit or one miss, nothing torn or lost)."""
-        cache = ShardedStageCache(1024, shards=8)
+        cache = StageCache(1024, shards=8)
         n_threads, per_thread = 8, 200
         barrier = threading.Barrier(n_threads)
         errors: list[BaseException] = []
@@ -152,7 +159,7 @@ class TestConcurrency:
     def test_concurrent_same_key_last_put_wins_consistently(self):
         """Contending on one key never corrupts: every get returns some
         thread's complete value, never a torn mix."""
-        cache = ShardedStageCache(16, shards=4)
+        cache = StageCache(16, shards=4)
         key = _key("hot", 1)
         barrier = threading.Barrier(8)
         errors: list[BaseException] = []

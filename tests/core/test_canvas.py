@@ -107,19 +107,3 @@ class TestHitMask:
         full = c.segment_hit_mask("red", a, b, chunk=1 << 20)
         tiny = c.segment_hit_mask("red", a, b, chunk=64)
         np.testing.assert_array_equal(full, tiny)
-
-    def test_packed_hit_mask_with_candidates(self, tiny_dataset):
-        c = BrushCanvas()
-        c.add(_stroke(0.5, 0.0, 0.2, "red"))
-        packed = tiny_dataset.packed()
-        full = c.packed_hit_mask("red", packed)
-        cand = np.flatnonzero(full)  # exact candidate set
-        narrowed = c.packed_hit_mask("red", packed, candidates=cand)
-        np.testing.assert_array_equal(full, narrowed)
-
-    def test_packed_hit_mask_empty_candidates(self, tiny_dataset):
-        c = BrushCanvas()
-        c.add(_stroke())
-        packed = tiny_dataset.packed()
-        mask = c.packed_hit_mask("red", packed, candidates=np.empty(0, dtype=np.int64))
-        assert not mask.any()

@@ -1,29 +1,82 @@
 """Property tests pinning the vectorized query kernels to scalar oracles.
 
-The bitset-mask spatial path (PR 10) rewrites two hot kernels —
-``candidates_for_discs`` (CSR gather-and-unique → word-wise bitset OR)
-and the ``brush_hit`` stage (per-row scalar test → bbox-prefiltered
-vectorized capsule test).  Hypothesis drives randomized segment sets
-and brush stamps through both implementations and their scalar
-references; any byte of disagreement is a failed property.  Directed
+Two hot kernels are pinned here.  ``brush_hit_cells`` is the aggregate
+route's drill-down hit-test: a cell-bbox and a row-bbox lower bound
+prune (row, stamp) pairs before the vectorized capsule test.  The
+uniform grid index's ``candidates_for_discs`` unions word-wise bitsets
+instead of gathering CSR entries.  Hypothesis drives randomized segment
+sets and brush stamps through both and through their scalar references
+— the drill-down kernel's oracle, ``brush_hit_rows_scalar``, lives
+here — and any byte of disagreement is a failed property.  Directed
 cases cover the degenerate corners the randomized sweep may under-hit:
 empty brushes, full-cover brushes, and single-segment cells.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate.kernels import (
-    brush_hit_mask,
-    brush_hit_rows,
-    brush_hit_rows_scalar,
+from repro.core.aggregate import (
+    IN,
+    MAYBE,
+    SummaryPyramid,
+    brush_hit_cells,
+    classify_spatial,
 )
 from repro.core.spatial_index import UniformGridIndex
 from repro.trajectory.dataset import PackedSegments
+from repro.util.geometry import point_segment_distance
+
+
+def brush_hit_rows_scalar(
+    centers: np.ndarray,
+    radii: np.ndarray,
+    packed: PackedSegments,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """The oracle: one segment × one stamp at a time through the same
+    distance kernel and the same ``d <= radius`` comparison the
+    brute-force ``brush_hit`` stage evaluates."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros(len(rows), dtype=bool)
+    for i, r in enumerate(rows):
+        for c, rad in zip(centers, radii):
+            if float(point_segment_distance(c, packed.a[r], packed.b[r])) <= rad:
+                out[i] = True
+                break
+    return out
+
+
+def pyramid_over(packed: PackedSegments, res: int) -> SummaryPyramid:
+    """A pyramid over one-trajectory packed segments.  The build reads
+    only each trajectory's start time and duration, so a stand-in
+    spanning [0, 1] s serves."""
+    owner = SimpleNamespace(times=np.zeros(1), duration=1.0)
+    return SummaryPyramid.build(packed, [owner], res=res, n_tbuckets=2, levels=(res,))
+
+
+def drilled_mask(
+    pyramid: SummaryPyramid,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    packed: PackedSegments,
+) -> np.ndarray:
+    """The aggregate route's brush mask: rows of IN cells are hit
+    wholesale, rows of MAYBE cells drill down, OUT cells stay False."""
+    cls = classify_spatial(pyramid, centers, radii)
+    mask = np.zeros(packed.n_segments, dtype=bool)
+    mask[pyramid.rows_in_cells(np.flatnonzero(cls == IN))] = True
+    rows, hits = brush_hit_cells(
+        pyramid, centers, radii, packed, np.flatnonzero(cls == MAYBE)
+    )
+    mask[rows] = hits
+    return mask
+
 
 _coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -62,15 +115,17 @@ def brushes(draw) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-@given(packed_segments(), brushes())
+@given(packed_segments(), brushes(), st.sampled_from((1, 2, 4, 8)))
 @settings(max_examples=25, deadline=None)
-def test_brush_hit_rows_matches_scalar_oracle(packed, brush):
+def test_brush_hit_cells_matches_scalar_oracle(packed, brush, res):
     centers, radii = brush
-    rows = np.arange(packed.n_segments, dtype=np.int64)
-    for subset in (rows, rows[::2], rows[:0]):
+    pyramid = pyramid_over(packed, res)
+    cells = np.unique(pyramid.cell_of_rows())
+    for subset in (cells, cells[::2], cells[:0]):
+        rows, hits = brush_hit_cells(pyramid, centers, radii, packed, subset)
+        np.testing.assert_array_equal(rows, pyramid.rows_in_cells(subset))
         np.testing.assert_array_equal(
-            brush_hit_rows(centers, radii, packed, subset),
-            brush_hit_rows_scalar(centers, radii, packed, subset),
+            hits, brush_hit_rows_scalar(centers, radii, packed, rows)
         )
 
 
@@ -85,17 +140,17 @@ def test_bitset_candidates_match_csr_oracle(packed, brush, res):
     )
 
 
-@given(packed_segments(), brushes())
+@given(packed_segments(), brushes(), st.sampled_from((1, 2, 4, 8)))
 @settings(max_examples=25, deadline=None)
-def test_indexed_mask_matches_brute_force(packed, brush):
-    """Conservativeness end to end: pruning rows through the bitset
-    candidates never changes the stage verdict of any row."""
+def test_indexed_mask_matches_brute_force(packed, brush, res):
+    """Conservativeness end to end: pruning rows through the pyramid's
+    tri-state cells never changes the stage verdict of any row."""
     centers, radii = brush
-    index = UniformGridIndex(packed, res=8)
-    candidates = index.candidates_for_discs(centers, radii)
     np.testing.assert_array_equal(
-        brush_hit_mask(centers, radii, packed, candidates),
-        brush_hit_mask(centers, radii, packed, None),
+        drilled_mask(pyramid_over(packed, res), centers, radii, packed),
+        brush_hit_rows_scalar(
+            centers, radii, packed, np.arange(packed.n_segments)
+        ),
     )
 
 
@@ -131,7 +186,9 @@ class TestDirectedCorners:
         empty_r = np.empty(0)
         index = UniformGridIndex(packed, res=8)
         assert len(index.candidates_for_discs(empty_c, empty_r)) == 0
-        assert not brush_hit_mask(empty_c, empty_r, packed).any()
+        assert not drilled_mask(
+            pyramid_over(packed, 8), empty_c, empty_r, packed
+        ).any()
         assert not brush_hit_rows_scalar(
             empty_c, empty_r, packed, np.arange(packed.n_segments)
         ).any()
@@ -145,7 +202,12 @@ class TestDirectedCorners:
         np.testing.assert_array_equal(
             candidates, np.arange(packed.n_segments, dtype=np.int64)
         )
-        assert brush_hit_mask(centers, radii, packed, candidates).all()
+        pyramid = pyramid_over(packed, 8)
+        # the covering disc decides every cell wholesale: nothing drills
+        assert (classify_spatial(pyramid, centers, radii)[
+            np.unique(pyramid.cell_of_rows())
+        ] == IN).all()
+        assert drilled_mask(pyramid, centers, radii, packed).all()
 
     def test_single_segment_cells(self):
         packed = self._packed(n=1)

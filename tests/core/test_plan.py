@@ -19,6 +19,9 @@ from repro.layout.configs import preset
 from repro.layout.groups import TrajectoryGroups
 
 
+AGG_STAGES = ["agg_temporal", "agg_spatial", "agg_brush", "classify", "drilldown"]
+
+
 @pytest.fixture()
 def engine(study_dataset):
     """A fresh engine per test: stage-cache state must not leak."""
@@ -33,10 +36,9 @@ def west_canvas(arena):
     return c
 
 
-def _spec(canvas, dataset, color="red", window=None, assignment=None, use_index=True):
+def _spec(canvas, dataset, color="red", window=None, assignment=None):
     return QuerySpec.capture(
-        dataset, canvas, color, window or TimeWindow.all(), assignment,
-        use_index=use_index,
+        dataset, canvas, color, window or TimeWindow.all(), assignment
     )
 
 
@@ -97,40 +99,60 @@ class TestStageCache:
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_invalidate_by_dataset_epoch(self):
-        cache = StageCache()
-        cache.put(("temporal_mask", ("ds", 1), ("win", ("*",))), "old")
-        cache.put(("temporal_mask", ("ds", 2), ("win", ("*",))), "new")
-        dropped = cache.invalidate(dataset_epoch=2)
-        assert dropped == 1
-        assert cache.keys() == [("temporal_mask", ("ds", 2), ("win", ("*",)))]
+        """Invalidation is structural: a new dataset epoch's key misses,
+        and the stale entry ages out of the LRU instead of being swept."""
+        old = ("agg_temporal", ("ds", 1), ("win", ("*",)))
+        new = ("agg_temporal", ("ds", 2), ("win", ("*",)))
+        cache = StageCache(capacity=2)
+        cache.put(old, "old")
+        _, found = cache.lookup(new)
+        assert not found
+        cache.put(new, "new")
+        cache.put(("agg_spatial", ("ds", 2), ("cv", (1, 3)), "red"), "s")
+        assert old not in cache and new in cache
+        assert cache.stats.evictions == 1
 
-    def test_invalidate_canvas_epoch_spares_temporal(self):
-        cache = StageCache()
-        cache.put(("temporal_mask", ("ds", 1), ("win", ("*",))), "t")
-        cache.put(("brush_hit", ("ds", 1), ("cv", (1, 3)), "red", "indexed"), "b")
-        dropped = cache.invalidate(canvas_epoch=(1, 4))
-        assert dropped == 1  # brush stage dropped, temporal kept
-        assert len(cache) == 1
+    def test_invalidate_canvas_epoch_spares_temporal(self, engine, west_canvas):
+        """A stroke re-keys every stage that reads the brush, and only
+        those: the temporal classification survives it."""
+        before = {s.name: s.key for s in engine.plan(west_canvas, "red").stages}
+        west_canvas.add(BrushStroke(np.array([[0.0, 0.0]]), 0.1, "red"))
+        after = {s.name: s.key for s in engine.plan(west_canvas, "red").stages}
+        assert before["agg_temporal"] == after["agg_temporal"]
+        assert all(before[n] != after[n] for n in before if n != "agg_temporal")
 
 
 class TestPlanner:
     def test_indexed_plan_shape(self, engine, west_canvas):
+        """The pyramid is the engine's index: it plans aggregate-first."""
         plan = engine.plan(west_canvas, "red", window=TimeWindow.end(0.2))
-        assert plan.strategy == "indexed"
-        assert plan.stage_names() == (
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine", "aggregate",
-        )
+        assert plan.strategy == "aggregate"
+        assert plan.stage_names() == (*AGG_STAGES, "aggregate")
+        assert plan.mask_stage == "drilldown"
 
     def test_brute_force_plan(self, study_dataset, west_canvas):
         engine = CoordinatedBrushingEngine(study_dataset, use_index=False)
         plan = engine.plan(west_canvas, "red")
         assert plan.strategy == "brute-force"
-        assert "spatial_candidates" not in plan
+        assert plan.stage_names() == (
+            "temporal_mask", "brush_hit", "combine", "aggregate",
+        )
+        assert plan.mask_stage == "combine"
 
     def test_empty_brush_plan(self, engine):
         plan = engine.plan(BrushCanvas(), "red")
         assert plan.strategy == "empty-brush"
-        assert "spatial_candidates" not in plan
+        assert "agg_spatial" not in plan
+
+    def test_strategy_follows_the_pyramid(self, west_canvas, study_dataset):
+        """Three strategies, decided by the stamps and the pyramid alone."""
+        planner = QueryPlanner()
+        spec = _spec(west_canvas, study_dataset)
+        empty = _spec(BrushCanvas(), study_dataset)
+        assert planner.plan(spec, pyramid_token=("pyr",)).strategy == "aggregate"
+        assert planner.plan(spec).strategy == "brute-force"
+        assert planner.plan(empty, pyramid_token=("pyr",)).strategy == "empty-brush"
+        assert planner.plan(empty).strategy == "empty-brush"
 
     def test_group_support_needs_assignment(self, engine, west_canvas, study_dataset, viewport):
         grid = preset("2").build(viewport)
@@ -147,11 +169,10 @@ class TestPlanner:
         key = {s.name: s.key for s in a.stages}
         key2 = {s.name: s.key for s in b.stages}
         # window-dependent stages re-key; spatial stages do not
-        assert key["temporal_mask"] != key2["temporal_mask"]
-        assert key["combine"] != key2["combine"]
-        assert key["aggregate"] != key2["aggregate"]
-        assert key["spatial_candidates"] == key2["spatial_candidates"]
-        assert key["brush_hit"] == key2["brush_hit"]
+        for name in ("agg_temporal", "classify", "drilldown", "aggregate"):
+            assert key[name] != key2[name]
+        assert key["agg_spatial"] == key2["agg_spatial"]
+        assert key["agg_brush"] == key2["agg_brush"]
 
     def test_dag_validation(self):
         from repro.core.plan.planner import PlannedStage, QueryPlan
@@ -168,18 +189,18 @@ class TestIncrementalExecution:
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         assert res.trace is not None
         assert res.trace.cache_hits == 0
-        assert res.trace.executed_stages() == [
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine", "aggregate",
-        ]
+        assert res.trace.executed_stages() == [*AGG_STAGES, "aggregate"]
 
     def test_slider_only_requery_is_incremental(self, engine, west_canvas):
         """Acceptance: same canvas/color, new window → only the
-        temporal/combine/aggregate stages execute."""
+        temporal stages and what depends on them execute."""
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.25))
-        assert res.trace.executed_stages() == ["temporal_mask", "combine", "aggregate"]
-        assert res.trace["spatial_candidates"].cache_hit
-        assert res.trace["brush_hit"].cache_hit
+        assert res.trace.executed_stages() == [
+            "agg_temporal", "classify", "drilldown", "aggregate",
+        ]
+        assert res.trace["agg_spatial"].cache_hit
+        assert res.trace["agg_brush"].cache_hit
 
     def test_identical_requery_is_fully_cached(self, engine, west_canvas):
         w = TimeWindow.end(0.2)
@@ -193,8 +214,8 @@ class TestIncrementalExecution:
         west_canvas.add(BrushStroke(np.array([[0.0, 0.0]]), 0.1, "green"))
         engine.query(west_canvas, "red", window=w)
         res = engine.query(west_canvas, "green", window=w)
-        assert res.trace["temporal_mask"].cache_hit
-        assert not res.trace["brush_hit"].cache_hit
+        assert res.trace["agg_temporal"].cache_hit
+        assert not res.trace["agg_brush"].cache_hit
 
     def test_warm_result_equals_cold(self, study_dataset, west_canvas):
         cold_engine = CoordinatedBrushingEngine(study_dataset)
@@ -208,7 +229,7 @@ class TestIncrementalExecution:
         np.testing.assert_allclose(warm.traj_highlight_time, cold.traj_highlight_time)
 
     def test_query_all_colors_shares_temporal_mask(self, engine, arena):
-        """Regression: N colors must cost exactly one temporal_mask
+        """Regression: N colors must cost exactly one temporal stage
         execution (the monolith recomputed it per color)."""
         r = arena.radius
         canvas = BrushCanvas()
@@ -218,7 +239,7 @@ class TestIncrementalExecution:
         results = engine.query_all_colors(canvas, window=TimeWindow.end(0.4))
         assert len(results) == 3
         temporal_runs = [
-            not res.trace["temporal_mask"].cache_hit for res in results.values()
+            not res.trace["agg_temporal"].cache_hit for res in results.values()
         ]
         assert sum(temporal_runs) == 1
 
@@ -229,10 +250,10 @@ class TestCacheInvalidationEdges:
         engine.query(west_canvas, "red", window=w)
         west_canvas.add(BrushStroke(np.array([[0.4, 0.4]]), 0.05, "red"))
         res = engine.query(west_canvas, "red", window=w)
-        # spatial stages re-run (epoch moved), temporal mask reused
-        assert not res.trace["brush_hit"].cache_hit
-        assert not res.trace["spatial_candidates"].cache_hit
-        assert res.trace["temporal_mask"].cache_hit
+        # spatial stages re-run (epoch moved), temporal stage reused
+        assert not res.trace["agg_brush"].cache_hit
+        assert not res.trace["agg_spatial"].cache_hit
+        assert res.trace["agg_temporal"].cache_hit
 
     def test_skip_loaded_dataset_has_epoch(self, tmp_path):
         from repro.trajectory import io
@@ -257,9 +278,7 @@ class TestCacheInvalidationEdges:
         ds = io.load_csv(path, on_error="skip")
         canvas = BrushCanvas()
         canvas.add(BrushStroke(np.array([[0.5, 0.0]]), 0.6, "red"))
-        spec_before = QuerySpec.capture(
-            ds, canvas, "red", TimeWindow.all(), None, use_index=True
-        )
+        spec_before = QuerySpec.capture(ds, canvas, "red", TimeWindow.all(), None)
         t = np.linspace(0.0, 5.0, 6)
         ds.append(
             Trajectory(
@@ -267,39 +286,32 @@ class TestCacheInvalidationEdges:
                 t, TrajectoryMeta(), -1,
             )
         )
-        spec_after = QuerySpec.capture(
-            ds, canvas, "red", TimeWindow.all(), None, use_index=True
-        )
+        spec_after = QuerySpec.capture(ds, canvas, "red", TimeWindow.all(), None)
         assert spec_after.dataset_epoch > spec_before.dataset_epoch
-        planner = QueryPlanner(index_token=("idx",))
+        planner = QueryPlanner(pyramid_token=("pyr",))
         keys_before = {s.name: s.key for s in planner.plan(spec_before).stages}
         keys_after = {s.name: s.key for s in planner.plan(spec_after).stages}
         assert all(keys_before[n] != keys_after[n] for n in keys_before)
 
-    def test_degraded_result_never_cached(self, engine, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine.index = _SabotagedIndex()
+    def test_degraded_result_never_cached(self, unbuilt_engine, west_canvas):
+        engine = unbuilt_engine
         w = TimeWindow.end(0.2)
         first = engine.query(west_canvas, "red", window=w)
         assert first.degraded
-        assert not any(k[0] in ("spatial_candidates", "brush_hit") for k in engine.cache.keys())
+        assert {k[0] for k in engine.cache.keys()} == {"temporal_mask"}
         # the re-query must recompute (and degrade again), not serve a
         # poisoned entry
         second = engine.query(west_canvas, "red", window=w)
         assert second.degraded
         assert not second.trace["brush_hit"].cache_hit
-        # temporal mask is index-independent: cached despite degradation
+        # temporal mask is pyramid-independent: cached despite degradation
         assert second.trace["temporal_mask"].cache_hit
 
-    def test_index_build_failure_not_cached(self, study_dataset, west_canvas):
-        engine = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        engine.index = None
-        engine._index_error = "RuntimeError('no memory')"
+    def test_index_build_failure_not_cached(self, unbuilt_engine, west_canvas):
+        engine = unbuilt_engine
         res = engine.query(west_canvas, "red")
         assert res.degraded
+        assert res.trace.strategy == "brute-force"
         assert res.trace["brush_hit"].degraded
         assert not any(k[0] == "brush_hit" for k in engine.cache.keys())
 
@@ -314,7 +326,8 @@ class TestTraceAndResult:
         assert trace.total_s >= trace.stage_total_s > 0.0
 
     def test_trace_cardinalities(self, engine, west_canvas, study_dataset):
-        res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
+        brute = CoordinatedBrushingEngine(study_dataset, use_index=False)
+        res = brute.query(west_canvas, "red", window=TimeWindow.end(0.2))
         n_seg = study_dataset.packed().n_segments
         tm = res.trace["temporal_mask"]
         assert tm.n_in == n_seg
@@ -323,29 +336,28 @@ class TestTraceAndResult:
         )
         agg = res.trace["aggregate"]
         assert agg.n_out == int(res.traj_mask.sum())
+        fast = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
+        assert fast.trace["agg_temporal"].n_out == engine.pyramid.n_nodes
+        assert fast.trace["drilldown"].n_in == n_seg
+        assert fast.trace["drilldown"].n_out == int(res.segment_mask.sum())
 
     def test_repr_summarizes(self, engine, west_canvas):
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         text = repr(res)
         assert "QueryResult[red]" in text
         assert f"{res.n_highlighted}/{res.n_displayed}" in text
-        assert "stages=5" in text
+        assert "stages=6" in text
         assert "degraded" not in text
 
-    def test_repr_shows_degradation(self, engine, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("boom")
-
-        engine.index = _SabotagedIndex()
-        res = engine.query(west_canvas, "red")
-        assert "degraded[index-failure]" in repr(res)
+    def test_repr_shows_degradation(self, unbuilt_engine, west_canvas):
+        res = unbuilt_engine.query(west_canvas, "red")
+        assert "degraded[index-build-failure]" in repr(res)
 
     def test_trace_describe_is_one_line(self, engine, west_canvas):
         res = engine.query(west_canvas, "red")
         text = res.trace.describe()
         assert "\n" not in text
-        assert "temporal_mask" in text and "aggregate" in text
+        assert "agg_temporal" in text and "aggregate" in text
 
     def test_trace_getitem_unknown_stage(self):
         trace = QueryTrace()
@@ -389,12 +401,11 @@ class TestSessionTraceJournal:
         # a session query always carries a layout assignment, so the
         # plan ends with the (empty-scheme) group_support stage
         assert queries[0]["detail"]["stages_executed"] == [
-            "temporal_mask", "spatial_candidates", "brush_hit", "combine",
-            "aggregate", "group_support",
+            *AGG_STAGES, "aggregate", "group_support",
         ]
         # the slider-only second query is incremental in the journal too
         assert queries[1]["detail"]["stages_executed"] == [
-            "temporal_mask", "combine", "aggregate", "group_support",
+            "agg_temporal", "classify", "drilldown", "aggregate", "group_support",
         ]
         assert "trace" in queries[0]["detail"]
 
@@ -466,8 +477,7 @@ class TestDeadline:
         from repro.resilience.health import DegradationReport
 
         spec = _spec(west_canvas, engine.dataset)
-        plan = engine.planner.plan(spec, index_token=engine._index_token())
-        engine.executor.index = engine.index
+        plan = engine.planner.plan(spec, pyramid_token=engine._pyramid_token())
         # first boundary check passes, second one expires
         deadline = self._deadline(1.0, expire_after_checks=1)
         trace = QueryTrace(strategy=plan.strategy)
@@ -478,11 +488,9 @@ class TestDeadline:
         assert set(outputs) == {s.name for s in plan.stages}
         assert [e.kind for e in report.events] == ["deadline-exceeded"]
         cached_stages = {k[0] for k in engine.cache.keys()}
-        assert cached_stages == {"temporal_mask"}  # the one completed stage
+        assert cached_stages == {"agg_temporal"}  # the one completed stage
         degraded_stages = [s.stage for s in trace.stages if s.degraded]
-        assert degraded_stages == [
-            "spatial_candidates", "brush_hit", "combine", "aggregate",
-        ]
+        assert degraded_stages == [*AGG_STAGES[1:], "aggregate"]
 
     def test_deadline_excluded_from_cache_identity(self, engine, west_canvas):
         """A budget changes *when* a query may be cut short, never *what*

@@ -83,5 +83,8 @@ class TestResolutionInvariance:
         for res in (4, 16, 64):
             idx = UniformGridIndex(packed, res=res)
             cand = idx.candidates_for_discs(centers, radii)
-            narrowed = canvas.packed_hit_mask("red", packed, candidates=cand)
+            narrowed = np.zeros(packed.n_segments, dtype=bool)
+            narrowed[cand] = canvas.segment_hit_mask(
+                "red", packed.a[cand], packed.b[cand]
+            )
             np.testing.assert_array_equal(narrowed, truth)

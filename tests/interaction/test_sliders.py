@@ -109,9 +109,9 @@ class TestIncrementalRequery:
         slider.set_low(0.6)   # scrub: only temporal stages re-run
         trace = driver.last_traces["red"]
         assert trace.executed_stages() == [
-            "temporal_mask", "combine", "aggregate", "group_support",
+            "agg_temporal", "classify", "drilldown", "aggregate", "group_support",
         ]
-        assert trace["brush_hit"].cache_hit
+        assert trace["agg_brush"].cache_hit
 
     def test_on_results_callback(self, session):
         from repro.interaction.sliders import IncrementalRequery

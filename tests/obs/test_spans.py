@@ -128,7 +128,7 @@ def test_stage_span_records_nothing_on_exception():
     obs.disable()
     trace = QueryTrace()
     with pytest.raises(RuntimeError):
-        with obs.stage_span(trace, "spatial_candidates"):
+        with obs.stage_span(trace, "agg_spatial"):
             raise RuntimeError("stage blew up")
     assert trace.stages == []
 

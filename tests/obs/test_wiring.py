@@ -24,13 +24,14 @@ from repro.parallel.pool import WorkerPool
 from repro.resilience.health import DegradationReport
 from repro.store.service import DatasetService
 
-# the planned stage sequence for an indexed query without a cell
-# assignment (group_support is planned only when cells are assigned)
+# the planned stage sequence for an aggregate-route query without a
+# cell assignment (group_support is planned only when cells are assigned)
 STAGES = [
-    "temporal_mask",
-    "spatial_candidates",
-    "brush_hit",
-    "combine",
+    "agg_temporal",
+    "agg_spatial",
+    "agg_brush",
+    "classify",
+    "drilldown",
     "aggregate",
 ]
 
@@ -76,20 +77,13 @@ class TestTraceParity:
         assert len(hits) == warm.cache_hits > 0
         assert all(r.elapsed_s == 0.0 for r in hits)
 
-    def test_degraded_trace_taint_flags(self, study_dataset, west_canvas):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine = CoordinatedBrushingEngine(study_dataset)
-        engine.index = _SabotagedIndex()
-        trace = engine.query(west_canvas, "red", window=TimeWindow.end(0.2)).trace
+    def test_degraded_trace_taint_flags(self, unbuilt_engine, west_canvas):
+        trace = unbuilt_engine.query(west_canvas, "red", window=TimeWindow.end(0.2)).trace
         flags = {r.stage: r.degraded for r in trace.stages}
-        # the failing stage and everything downstream of it is tainted;
-        # the temporal mask is index-independent and stays clean
+        # the degraded stage and everything downstream of it is tainted;
+        # the temporal mask is pyramid-independent and stays clean
         assert flags == {
             "temporal_mask": False,
-            "spatial_candidates": True,
             "brush_hit": True,
             "combine": True,
             "aggregate": True,
@@ -127,8 +121,8 @@ class TestEmission:
         engine = CoordinatedBrushingEngine(study_dataset)
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
-        assert snap.counter("query.count", strategy="indexed") == 1.0
-        hist = snap.histogram("query.seconds", strategy="indexed")
+        assert snap.counter("query.count", strategy="aggregate") == 1.0
+        hist = snap.histogram("query.seconds", strategy="aggregate")
         assert hist is not None and hist.count == 1
         # cold query: every stage missed
         assert snap.counter_total("query.stage.cache_misses") == len(STAGES)
@@ -148,15 +142,9 @@ class TestEmission:
             assert hist is not None and hist.count == 2
 
     def test_degraded_query_emits_taint_counters(
-        self, registry, study_dataset, west_canvas
+        self, registry, unbuilt_engine, west_canvas
     ):
-        class _SabotagedIndex:
-            def candidates_for_discs(self, centers, radii):
-                raise RuntimeError("index sabotaged")
-
-        engine = CoordinatedBrushingEngine(study_dataset)
-        engine.index = _SabotagedIndex()
-        res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
+        res = unbuilt_engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
         assert res.degraded
         assert snap.counter_total("query.degraded") == 1.0
@@ -195,13 +183,13 @@ class TestEmission:
 
     def test_resilience_faults_route_through_report(self, registry):
         report = DegradationReport()
-        report.record("index-failure", scope="index", action="degraded-brute-force")
+        report.record("index-build-failure", scope="index", action="degraded-brute-force")
         report.record("worker-crash", scope="tile", action="respawned")
         snap = obs.telemetry_snapshot()
         assert (
             snap.counter(
                 "resilience.faults",
-                kind="index-failure",
+                kind="index-build-failure",
                 scope="index",
                 action="degraded-brute-force",
             )
@@ -235,7 +223,7 @@ class TestAggregateEmission:
     def test_build_and_classification_metrics(
         self, registry, study_dataset, west_canvas
     ):
-        engine = CoordinatedBrushingEngine(study_dataset, use_aggregate=True)
+        engine = CoordinatedBrushingEngine(study_dataset)
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
         build = snap.histogram("service.aggregate.build_seconds")
@@ -254,7 +242,7 @@ class TestAggregateEmission:
         )
 
     def test_warm_query_does_not_recount(self, registry, study_dataset, west_canvas):
-        engine = CoordinatedBrushingEngine(study_dataset, use_aggregate=True)
+        engine = CoordinatedBrushingEngine(study_dataset)
         w = TimeWindow.end(0.2)
         engine.query(west_canvas, "red", window=w)
         cold = obs.telemetry_snapshot().counter_total("service.aggregate.supernodes")

@@ -6,9 +6,10 @@ accounting*, never results:
 * a seeded 30%-crash fault plan under parallel tile rendering still
   produces bit-identical framebuffers, with every planned fault
   accounted for in the degradation report;
-* a sabotaged spatial index degrades the query engine to the
-  brute-force path — same masks as an unindexed engine, ``degraded``
-  flagged, nothing raised;
+* a failed summary-pyramid build degrades the query engine to the
+  brute-force path — bit-identical to the brute-force oracle,
+  ``degraded`` flagged on every query, nothing tainted cached, nothing
+  raised;
 * a session journal survives a crash (torn final line) and replays to
   the same query answers.
 """
@@ -16,7 +17,7 @@ accounting*, never results:
 import numpy as np
 import pytest
 
-from repro.core.brush import stroke_from_rect
+from repro.core.brush import BrushStroke, stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.session import ExplorationSession, SessionJournal, replay_session
@@ -24,8 +25,10 @@ from repro.core.temporal import TimeWindow
 from repro.display.bezel import BezelSpec
 from repro.display.viewport import Viewport
 from repro.display.wall import DisplayWall
-from repro.layout.cells import assign_sequential
+from repro.layout.cells import assign_groups_to_cells, assign_sequential
+from repro.layout.configs import preset
 from repro.layout.grid import BezelAwareGrid
+from repro.layout.groups import TrajectoryGroups
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.pipeline import WallRenderer
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
@@ -107,13 +110,6 @@ class TestRenderingUnderFaults:
         assert report.degradation.n_events == 0
 
 
-class _SabotagedIndex:
-    """Index stub whose candidate lookup always explodes."""
-
-    def candidates_for_discs(self, centers, radii):
-        raise RuntimeError("index sabotaged")
-
-
 class TestEngineDegradation:
     def _canvas(self, arena):
         canvas = BrushCanvas()
@@ -123,33 +119,48 @@ class TestEngineDegradation:
         )
         return canvas
 
-    def test_sabotaged_index_matches_unindexed(self, study_dataset, arena):
+    def test_index_build_failure_degrades_every_query(
+        self, unbuilt_engine, study_dataset, arena, viewport
+    ):
+        """The one failure rung: a pyramid that failed to build leaves
+        the engine answering by brute force — bit-equal to the oracle,
+        ``index-build-failure`` on every query, and no tainted stage in
+        the cache, however the queries interleave."""
+        engine = unbuilt_engine
+        oracle = CoordinatedBrushingEngine(study_dataset, use_index=False)
+        r = arena.radius
         canvas = self._canvas(arena)
-        window = TimeWindow.end(0.3)
-        reference = CoordinatedBrushingEngine(study_dataset, use_index=False)
-        sabotaged = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        sabotaged.index = _SabotagedIndex()
-
-        want = reference.query(canvas, "red", window=window)
-        got = sabotaged.query(canvas, "red", window=window)  # must not raise
-
-        np.testing.assert_array_equal(want.segment_mask, got.segment_mask)
-        np.testing.assert_array_equal(want.traj_mask, got.traj_mask)
-        np.testing.assert_allclose(
-            want.traj_highlight_time, got.traj_highlight_time
+        canvas.add(BrushStroke(np.array([[0.3 * r, 0.2 * r]]), 0.2 * r, "blue"))
+        grid = preset("2").build(viewport)
+        assignment = assign_groups_to_cells(
+            study_dataset, grid, TrajectoryGroups.fig3_scheme(grid)
         )
-        assert got.degraded
-        assert got.degradation.by_action() == {"degraded-brute-force": 1}
-        assert not want.degraded
-
-    def test_index_build_failure_degrades_every_query(self, study_dataset, arena):
-        engine = CoordinatedBrushingEngine(study_dataset, use_index=True)
-        # simulate a build that failed at construction time
-        engine.index = None
-        engine._index_error = "RuntimeError('no memory for the grid')"
-        result = engine.query(self._canvas(arena), "red")
-        assert result.degraded
-        assert "index-build-failure" in result.degradation.by_kind()
+        specs = [
+            (color, window, asg)
+            for color in ("red", "blue")
+            for window in (TimeWindow.all(), TimeWindow.end(0.3),
+                           TimeWindow.absolute(5.0, 40.0))
+            for asg in (None, assignment)
+        ]
+        for _ in range(2):  # the repeat must not be served tainted stages
+            for color, window, asg in specs:
+                got = engine.query(canvas, color, window=window, assignment=asg)
+                want = oracle.query(canvas, color, window=window, assignment=asg)
+                np.testing.assert_array_equal(got.segment_mask, want.segment_mask)
+                np.testing.assert_array_equal(got.traj_mask, want.traj_mask)
+                np.testing.assert_array_equal(
+                    got.traj_highlight_time, want.traj_highlight_time
+                )
+                assert got.group_support == want.group_support
+                assert got.trace.strategy == "brute-force"
+                assert got.degraded and not want.degraded
+                assert got.degradation.by_kind() == {"index-build-failure": 1}
+                assert got.degradation.by_action() == {"degraded-brute-force": 1}
+                tainted = [s.stage for s in got.trace.stages if s.degraded]
+                assert "brush_hit" in tainted
+                assert not any(s.cache_hit for s in got.trace.stages if s.degraded)
+        # only the pyramid-independent temporal stage was ever cached
+        assert {key[0] for key in engine.cache.keys()} == {"temporal_mask"}
 
     def test_healthy_query_not_degraded(self, study_dataset, arena):
         engine = CoordinatedBrushingEngine(study_dataset, use_index=True)

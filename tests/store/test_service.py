@@ -202,7 +202,7 @@ def _query_on_service(service, viewport, stroke, window) -> np.ndarray:
 class TestFromHandle:
     def test_service_over_foreign_store(self, small_dataset, viewport, arena):
         """A second service attached through a handle answers queries
-        identically to the publisher's — zero-copy, shared index."""
+        identically to the publisher's — zero-copy, shared pyramid."""
         stroke, window = _session_ops(2, arena)
         with DatasetService(small_dataset) as origin:
             handle = origin.publish_store()
@@ -213,6 +213,8 @@ class TestFromHandle:
                 # alive past node.close() (views would pin the mapping)
                 distinct = node.dataset is not origin.dataset
                 assert distinct
+                adopted = node.engine.pyramid.bits.base is not None
+                assert adopted  # a view into the shared block, not a rebuild
                 got = _query_on_service(node, viewport, stroke, window)
                 np.testing.assert_array_equal(got, ref)
             finally:

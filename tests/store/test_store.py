@@ -20,6 +20,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -144,11 +145,14 @@ def _check_zero_copy(client) -> None:
 
 
 def _check_query_identical(client, original, canvas, window) -> None:
-    """Attached engine answers bit-identically, via the shared index."""
-    ref = CoordinatedBrushingEngine(original).query(canvas, "red", window=window)
+    """Attached engine answers bit-identically, via the shared pyramid."""
+    ref = CoordinatedBrushingEngine(original, use_index=False).query(
+        canvas, "red", window=window
+    )
     engine = client.engine()
-    # the shared cell tables were reused, not rebuilt
-    assert engine.plan(canvas, "red", window=window).strategy == "indexed"
+    # the shared pyramid tables were adopted, not rebuilt
+    assert engine.pyramid is client.pyramid()
+    assert engine.plan(canvas, "red", window=window).strategy == "aggregate"
     got = engine.query(canvas, "red", window=window)
     np.testing.assert_array_equal(got.traj_mask, ref.traj_mask)
     np.testing.assert_array_equal(got.segment_mask, ref.segment_mask)
@@ -160,9 +164,11 @@ def _check_store_token(client, token) -> None:
 
 
 def _check_query_unindexed(client, original, canvas) -> None:
-    """Index-less store still answers identically (brute force)."""
-    assert client.index() is None
-    got = client.engine().query(canvas, "red")
+    """Pyramid-less store still answers identically (brute force)."""
+    assert client.pyramid() is None
+    engine = client.engine()
+    assert engine.plan(canvas, "red").strategy == "brute-force"
+    got = engine.query(canvas, "red")
     ref = CoordinatedBrushingEngine(original, use_index=False).query(canvas, "red")
     np.testing.assert_array_equal(got.traj_mask, ref.traj_mask)
 
@@ -179,17 +185,18 @@ class TestPublishAttach:
                 _check_zero_copy(client)
 
     def test_query_bit_identical_and_index_reused(self, small_dataset):
-        with SharedArenaStore.publish(small_dataset) as store:
-            assert store.handle.index_res is not None
+        pyramid = SummaryPyramid.build(small_dataset.packed(), small_dataset)
+        with SharedArenaStore.publish(small_dataset, pyramid=pyramid) as store:
+            assert store.handle.pyramid_meta is not None
             with attach(store.handle) as client:
                 _check_query_identical(
                     client, small_dataset, _canvas(), TimeWindow.end(0.4)
                 )
 
     def test_publish_without_index(self, small_dataset):
-        with SharedArenaStore.publish(small_dataset, include_index=False) as store:
-            assert store.handle.index_res is None
-            assert not store.handle.has_array("idx_entries")
+        with SharedArenaStore.publish(small_dataset) as store:
+            assert store.handle.pyramid_meta is None
+            assert not any(a.key.startswith("pyr_") for a in store.handle.arrays)
             with attach(store.handle) as client:
                 _check_query_unindexed(client, small_dataset, _canvas())
 

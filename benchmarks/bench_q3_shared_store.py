@@ -15,7 +15,11 @@ on the paper-scale 500-trajectory dataset:
   quietly skip the other N-1 initializer payloads);
 * **frame latency** — ``render_viewport_parallel`` serial vs pooled
   (pickle ship-back of tile pixels) over the store, with the
-  bit-identity acceptance check;
+  bit-identity acceptance check.  Both are cold: each repetition gets a
+  fresh renderer, because a renderer retains its last frame's base
+  layers.  ``serial_retained_s`` is the warm counterpart: a renderer
+  that keeps its bases re-renders after one color's stroke is
+  replaced, as on an analyst's brush tick;
 * **sessions** — the same brushing script run by 1 vs 8 concurrent
   :class:`SessionView` threads over one :class:`DatasetService`
   (one resident copy of the packed arrays, one stage cache).
@@ -156,41 +160,74 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
         )
         frame_viewport = Viewport(wall)
         grid = BezelAwareGrid(frame_viewport, 8, 4)
-        renderer = WallRenderer(full_dataset, Arena(), frame_viewport)
         assignment = assign_sequential(full_dataset, grid)
-        canvas = BrushCanvas()
+        engine = CoordinatedBrushingEngine(full_dataset)
         colors = ("red", "blue", "green")
         r = arena.radius
-        for i in range(6):
-            x0 = -r + 0.22 * r * i
-            canvas.add(
-                stroke_from_rect(
-                    (x0, -0.6 * r), (x0 + 0.3 * r, 0.5 * r),
-                    0.1 * r, colors[i % 3],
+
+        def brushed(dy: tuple[float, ...]):
+            """The 6-stamp 3-color brush, stroke i moved dy[i] radii
+            north, and its query results."""
+            canvas = BrushCanvas()
+            for i in range(6):
+                x0, y = -r + 0.22 * r * i, dy[i] * r
+                canvas.add(
+                    stroke_from_rect(
+                        (x0, -0.6 * r + y), (x0 + 0.3 * r, 0.5 * r + y),
+                        0.1 * r, colors[i % 3],
+                    )
                 )
-            )
-        results = CoordinatedBrushingEngine(full_dataset).query_all_colors(
-            canvas, assignment=assignment
-        )
+            return canvas, engine.query_all_colors(canvas, assignment=assignment)
+
+        canvas, results = brushed((0.0,) * 6)
+
+        def fresh() -> WallRenderer:
+            """A renderer with no retained bases: its frame is cold."""
+            return WallRenderer(full_dataset, Arena(), frame_viewport)
 
         def _best_of(n_reps, **kw):
             best = None
             for _ in range(n_reps):
                 report = render_viewport_parallel(
-                    renderer, assignment, canvas=canvas, results=results, **kw
+                    fresh(), assignment, canvas=canvas, results=results, **kw
                 )
                 if best is None or report.elapsed_s < best.elapsed_s:
                     best = report
             return best
 
+        def _assert_identical(a, b):
+            for eye in (Eye.LEFT, Eye.RIGHT):
+                for key in a.frames[eye]:
+                    np.testing.assert_array_equal(
+                        a.frames[eye][key].data, b.frames[eye][key].data
+                    )
+
         serial = _best_of(3, max_workers=0)
         pooled = _best_of(3, max_workers=4, store=store)
         assert not pooled.degraded, pooled.degradation.summary()
-        for eye in (Eye.LEFT, Eye.RIGHT):  # acceptance: bit-identical
-            for key in serial.frames[eye]:
-                np.testing.assert_array_equal(
-                    serial.frames[eye][key].data, pooled.frames[eye][key].data
-                )
+        _assert_identical(serial, pooled)  # acceptance: bit-identical
+
+        # retained: each repetition replaces one color's first stroke
+        # and re-renders on a renderer that kept the previous bases
+        warm = fresh()
+        render_viewport_parallel(
+            warm, assignment, canvas=canvas, results=results, max_workers=0
+        )
+        dy = [0.0] * 6
+        retained = None
+        for i in range(3):
+            dy[i] = 0.1
+            tick_canvas, tick_results = brushed(tuple(dy))
+            tick = render_viewport_parallel(
+                warm, assignment, canvas=tick_canvas, results=tick_results,
+                max_workers=0,
+            )
+            if retained is None or tick.elapsed_s < retained.elapsed_s:
+                retained = tick
+        _assert_identical(tick, render_viewport_parallel(
+            fresh(), assignment, canvas=tick_canvas, results=tick_results,
+            max_workers=0,
+        ))
 
         def _stages(report):
             s = report.stage_seconds
@@ -203,6 +240,8 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
 
         frame = {
             "serial_s": round(serial.elapsed_s, 4),
+            "serial_retained_s": round(retained.elapsed_s, 4),
+            "retained_bytes": warm.retained_bytes,
             "pooled_shipback_s": round(pooled.elapsed_s, 4),
             "workers": pooled.workers,
             "n_jobs": pooled.n_jobs,
@@ -309,6 +348,9 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
         f"{frame['shipback_stages']['render_worker_total_s'] * 1e3:.1f} ms | "
         f"ship-back {frame['shipback_stages']['shipback_s'] * 1e3:.1f} ms | "
         f"assemble {frame['shipback_stages']['assemble_s'] * 1e3:.1f} ms",
+        f"retained serial frame (one color's stroke replaced, best of 3): "
+        f"{frame['serial_retained_s'] * 1e3:.1f} ms, bit-identical to a cold "
+        f"render; {frame['retained_bytes'] / 1e6:.1f} MB of retained bases",
         f"sessions: solo median query "
         f"{sessions['solo']['median_query_s'] * 1e3:.2f} ms vs 8 concurrent "
         f"{sessions['concurrent_8']['median_query_s'] * 1e3:.2f} ms "

@@ -11,6 +11,10 @@ accounting for each injected crash.
 A deliberately small wall (6 panels, 120x68 px each) keeps the jobs
 cheap so the timing differences are dominated by respawn/retry
 overhead, which is what R1 measures.
+
+Every run gets a fresh renderer: a renderer keeps the base layers of
+its last frame, and forked pool workers would inherit them, so a
+shared one would time later runs warm against a cold reference.
 """
 
 import numpy as np
@@ -44,8 +48,12 @@ def setup(full_dataset):
     )
     viewport = Viewport(wall)
     grid = BezelAwareGrid(viewport, 12, 2)
-    renderer = WallRenderer(full_dataset, Arena(), viewport)
     assignment = assign_sequential(full_dataset, grid)
+
+    def renderer() -> WallRenderer:
+        """A fresh renderer: nothing retained, every run is cold."""
+        return WallRenderer(full_dataset, Arena(), viewport)
+
     return renderer, assignment
 
 
@@ -59,12 +67,12 @@ def _check_identical(serial, report):
 
 def test_r1_latency_under_failure(setup, report_sink, benchmark):
     renderer, assignment = setup
-    serial = render_viewport_parallel(renderer, assignment, max_workers=0)
+    serial = render_viewport_parallel(renderer(), assignment, max_workers=0)
 
     # headline number: the healthy parallel render
     healthy = benchmark.pedantic(
         render_viewport_parallel,
-        args=(renderer, assignment),
+        args=(renderer(), assignment),
         kwargs=dict(max_workers=2, retry_policy=POLICY),
         rounds=1,
         iterations=1,
@@ -82,7 +90,7 @@ def test_r1_latency_under_failure(setup, report_sink, benchmark):
         else:
             plan = FaultPlan.crash_fraction(p, seed=SEED)
             report = render_viewport_parallel(
-                renderer, assignment, max_workers=2,
+                renderer(), assignment, max_workers=2,
                 fault_plan=plan, retry_policy=POLICY,
             )
             _check_identical(serial, report)

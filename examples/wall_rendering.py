@@ -19,6 +19,7 @@ from repro.parallel.pool import default_workers
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.compose import anaglyph, compose_wall, stereo_pair_side_by_side
 from repro.render.image_io import write_ppm
+from repro.render.pipeline import WallRenderer
 from repro.stereo.camera import Eye
 
 
@@ -57,8 +58,11 @@ def main() -> None:
     print(f"serial render:   {serial.elapsed_s:6.2f} s "
           f"({serial.n_jobs} tile-eye jobs)")
     if args.workers > 1:
+        # a fresh renderer, so the pool renders cold like the serial
+        # frame did: forked workers would inherit `renderer`'s bases
+        cold = WallRenderer(app.dataset, app.arena, app.viewport, renderer.projection)
         parallel = render_viewport_parallel(
-            renderer, assignment, canvas=canvas, results=results,
+            cold, assignment, canvas=canvas, results=results,
             max_workers=args.workers,
         )
         print(f"parallel render: {parallel.elapsed_s:6.2f} s "

@@ -108,6 +108,7 @@ class TrajectoryExplorer:
         self._brush_color_idx = 0
         self._router: PointerRouter | None = None
         self._paintbrush: PaintbrushTool | None = None
+        self._renderer: WallRenderer | None = None
         self._rebuild_tools()
         self._last_results: dict[str, QueryResult] = {}
         self.temporal_requery = IncrementalRequery(
@@ -241,10 +242,20 @@ class TrajectoryExplorer:
 
     # Rendering --------------------------------------------------------------------
     def renderer(self) -> WallRenderer:
-        """A renderer bound to the current projection state."""
-        return WallRenderer(
-            self.dataset, self.arena, self.viewport, self.controls.projection()
-        )
+        """The explorer's renderer, bound to the current projection state.
+
+        One renderer lives as long as the session's dataset and the
+        viewport, so its retained base layers carry over from frame to
+        frame; a new dataset (an epoch rebind) or viewport gets a new
+        renderer.  The projection is taken from the ergonomic controls
+        on every call.
+        """
+        renderer = self._renderer
+        if (renderer is None or renderer.dataset is not self.dataset
+                or renderer.viewport is not self.viewport):
+            renderer = self._renderer = WallRenderer(self.dataset, self.arena, self.viewport)
+        renderer.projection = self.controls.projection()
+        return renderer
 
     def render_frame(
         self,

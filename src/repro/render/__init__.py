@@ -8,13 +8,20 @@ on a real cluster-driven wall and in :mod:`repro.parallel`), group
 background colors, brush-highlight overlays, and stereo-pair/anaglyph
 composition.
 
+Every (tile, eye) job renders in two passes: a base (cell backgrounds,
+arena rims, labels and trajectories) and an overlay (brush footprints
+and highlights) over a copy of it.  :class:`WallRenderer` retains its
+last job list's bases, keyed by value on everything they read, so an
+interaction that changes only the brush, the results or the time
+window redraws only the overlay.
+
 Rendering uses arc-length point splatting with bilinear coverage: a
-cell's polyline is resampled at sub-pixel spacing and every (kernel
-offset, bilinear tap, sample) contribution is accumulated with one
-``np.bincount`` per channel — one vectorized pass per polyline, no
-per-segment Python loop.  Each coverage layer is alpha-composited only
-over the bounding box of its nonzero pixels, and a frame's job list
-shares one brush-footprint cache.
+cell's polyline is projected once per eye, resampled at sub-pixel
+spacing, and every (kernel offset, bilinear tap, sample) contribution
+is accumulated with one ``np.bincount`` per channel — one vectorized
+pass per polyline, no per-segment Python loop.  Each coverage layer is
+alpha-composited only over the bounding box of its nonzero pixels, and
+a frame's job list shares one brush-footprint cache.
 """
 
 from repro.render.color import Color, HIGHLIGHT_COLORS, named_color, time_gradient

@@ -2,9 +2,12 @@
 
 A :class:`Framebuffer` is an (H, W, 3) float32 RGB image with the
 blending operations the renderer needs: rect fills, one alpha
-composite for every coverage layer, and circle outlines.  Buffers are
-preallocated once per tile per eye and reused across frames (guide
-idiom: allocate outside the loop, write in place).
+composite for every coverage layer, and circle outlines.  Every render
+job returns a new buffer that its caller owns: either a cleared one
+(a cold job's base pass draws into it) or one copy of a retained base
+image (:meth:`Framebuffer.from_pixels`, see
+:class:`~repro.render.pipeline.WallRenderer`).  Drawing then writes in
+place.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ class Framebuffer:
         self.height = int(height)
         self.data = np.empty((self.height, self.width, 3), dtype=np.float32)
         self.clear(background)
+
+    @classmethod
+    def from_pixels(cls, pixels: np.ndarray) -> "Framebuffer":
+        """A framebuffer over one writable float32 copy of an (H, W, 3)
+        image; ``pixels`` itself is never written (it may be read-only)."""
+        if pixels.ndim != 3 or pixels.shape[2] != 3 or not pixels.size:
+            raise ValueError(f"expected an (H, W, 3) image, got shape {pixels.shape}")
+        fb = cls.__new__(cls)
+        fb.data = np.array(pixels, dtype=np.float32)
+        fb.height, fb.width = fb.data.shape[:2]
+        return fb
 
     def clear(self, color: Color = (0.0, 0.0, 0.0)) -> None:
         """Fill the whole buffer with one color (in place)."""
@@ -106,6 +120,4 @@ class Framebuffer:
 
     def copy(self) -> "Framebuffer":
         """Deep copy (independent pixel storage)."""
-        fb = Framebuffer(self.width, self.height)
-        fb.data[...] = self.data
-        return fb
+        return Framebuffer.from_pixels(self.data)

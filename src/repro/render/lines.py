@@ -17,6 +17,8 @@ into a handful of NumPy passes regardless of its length.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["resample_segments", "splat_points", "splat_polylines", "disc_kernel"]
@@ -54,22 +56,28 @@ def resample_segments(
     return points, vals
 
 
+@functools.lru_cache(maxsize=64)
 def disc_kernel(width: float) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and weights of a disc stamp for line width ``width`` px.
 
     Width <= 1 collapses to a single center tap.  Weights fall off
-    linearly at the rim for soft edges.
+    linearly at the rim for soft edges.  Built once per width: the
+    arrays are shared by every call and read-only.
     """
     if width <= 1.0:
-        return np.zeros((1, 2)), np.ones(1)
-    r = width / 2.0
-    n = int(np.ceil(r))
-    ys, xs = np.mgrid[-n : n + 1, -n : n + 1]
-    d = np.hypot(xs, ys)
-    weights_full = np.clip(r + 0.5 - d, 0.0, 1.0)
-    keep = weights_full > 0.0
-    offsets = np.stack([xs[keep], ys[keep]], axis=1).astype(np.float64)
-    return offsets, weights_full[keep]
+        offsets, weights = np.zeros((1, 2)), np.ones(1)
+    else:
+        r = width / 2.0
+        n = int(np.ceil(r))
+        ys, xs = np.mgrid[-n : n + 1, -n : n + 1]
+        d = np.hypot(xs, ys)
+        weights_full = np.clip(r + 0.5 - d, 0.0, 1.0)
+        keep = weights_full > 0.0
+        offsets = np.stack([xs[keep], ys[keep]], axis=1).astype(np.float64)
+        weights = weights_full[keep]
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 #: Width of the ring of bins around the box that catches off-box

@@ -3,19 +3,30 @@
 A :class:`WallRenderer` turns an exploration state — dataset, layout
 assignment, brush canvas, query results, temporal window, projection —
 into per-tile, per-eye framebuffers.  Tiles are independent render
-units: :meth:`render_tile` touches only geometry overlapping one panel,
-which is what makes process-parallel rendering
-(:mod:`repro.parallel.tilerender`) a drop-in.
+units: a job touches only the cells on one panel, which is what makes
+process-parallel rendering (:mod:`repro.parallel.tilerender`) a
+drop-in.
 
 A :class:`RenderJob` is the picklable work description one tile worker
 needs (everything resolved to plain arrays before shipping).
+
+Every job renders in two passes.  The *base* pass draws every cell's
+background, arena rim, label and time-graded trajectory; nothing in it
+reads the brush canvas, the query results or the time window.  The
+*overlay* pass draws every cell's brush footprints and highlights over
+a copy of the base.  The renderer retains the bases of its last job
+list, keyed by value on everything they read (:class:`BaseKey`), so a
+brush or time-window tick copies each (tile, eye) base and redraws only the
+overlay.  A cold job builds its base first and then takes the same
+path; nothing is ever invalidated by hand.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -32,7 +43,9 @@ from repro.stereo.projection import SpaceTimeProjection
 from repro.synth.arena import Arena
 from repro.trajectory.dataset import TrajectoryDataset
 
-__all__ = ["RenderJob", "WallRenderer"]
+__all__ = ["BaseKey", "RenderJob", "WallRenderer"]
+
+Rect = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,33 @@ class RenderJob:
     cell_traj: np.ndarray             # (C,) dataset indices (-1 = empty)
     cell_colors: np.ndarray           # (C, 3) group background colors
     cell_labels: tuple[str, ...] = () # per-cell annotation ("" = none)
+
+
+def _array_value(a: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
+    """An array as a hashable value: dtype, shape and bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class BaseKey(NamedTuple):
+    """Everything one job's base layer reads, by value.
+
+    The dataset enters by identity and epoch: two datasets can share an
+    epoch, an appended dataset keeps its identity, and a key holds its
+    dataset alive, so the identity is never a reused ``id()``.  The
+    other fields are frozen values or array bytes.
+    """
+
+    dataset: TrajectoryDataset
+    epoch: int
+    arena: Arena
+    tile: Tile
+    eye: Eye
+    cell_rects: tuple[str, tuple[int, ...], bytes]
+    cell_traj: tuple[str, tuple[int, ...], bytes]
+    cell_colors: tuple[str, tuple[int, ...], bytes]
+    cell_labels: tuple[str, ...]
+    projection: SpaceTimeProjection
+    style: CellStyle
 
 
 class WallRenderer:
@@ -77,6 +117,13 @@ class WallRenderer:
         self.viewport = viewport
         self.projection = projection or SpaceTimeProjection()
         self.style = style or CellStyle()
+        #: The last job list's base layers by :class:`BaseKey`, read-only.
+        self._bases: dict[BaseKey, np.ndarray] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # the retained bases stay in this process: a pickled renderer
+        # (the pool's pickle-ship initializer) carries none of them
+        return {**self.__dict__, "_bases": {}}
 
     # Job construction -----------------------------------------------------
     def _cells_on_tile(
@@ -118,6 +165,20 @@ class WallRenderer:
         return jobs
 
     # Rendering ---------------------------------------------------------------
+    def base_key(self, job: RenderJob) -> BaseKey:
+        """Everything ``job``'s base layer reads, by value."""
+        return BaseKey(
+            self.dataset, self.dataset.epoch, self.arena, job.tile, job.eye,
+            _array_value(job.cell_rects), _array_value(job.cell_traj),
+            _array_value(job.cell_colors), job.cell_labels,
+            self.projection, self.style,
+        )
+
+    @property
+    def retained_bytes(self) -> int:
+        """Pixel bytes of the retained base layers."""
+        return sum(base.nbytes for base in self._bases.values())
+
     def render_job(
         self,
         job: RenderJob,
@@ -125,8 +186,17 @@ class WallRenderer:
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
         footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] | None = None,
+        bases: dict[BaseKey, np.ndarray] | None = None,
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
+
+        The job's base layer (every cell's background, arena rim, label
+        and trajectory) comes from the renderer's retained bases when
+        :meth:`base_key` finds it there, and is drawn otherwise.  The
+        returned framebuffer is one copy of that base with the overlay
+        (every cell's brush footprints, then its highlights) drawn on
+        top; the caller owns it.  ``bases``, when given, receives the
+        base under its key — :meth:`render_jobs` keeps those.
 
         ``footprint_cache`` maps (cell
         :class:`~repro.render.raster.FootprintGeometry`, color) to the
@@ -137,19 +207,50 @@ class WallRenderer:
         one across its whole job list.  Without a dict the job builds
         its own.  Never reuse a cache across canvas changes.
         """
-        tile = job.tile
-        fb = Framebuffer(tile.px_width, tile.px_height, self.style.background)
-        renderer = CellRenderer(tile, self.projection, self.style)
-        packed = self.dataset.packed() if results else None
-        if footprint_cache is None:
-            footprint_cache = {}
-        labels = job.cell_labels or ("",) * len(job.cell_rects)
-        for rect, traj_idx, color, label in zip(
-            job.cell_rects, job.cell_traj, job.cell_colors, labels
+        renderer = CellRenderer(job.tile, self.projection, self.style)
+        cells: list[tuple[Rect, CoordinateMapper, int]] = []
+        for rect, traj_idx in zip(job.cell_rects, job.cell_traj):
+            rect_t = (float(rect[0]), float(rect[1]), float(rect[2]), float(rect[3]))
+            cells.append((rect_t, CoordinateMapper(self.arena, rect_t), int(traj_idx)))
+        polylines: dict[int, np.ndarray] = {}
+
+        def polyline(k: int) -> np.ndarray:
+            """Cell ``k``'s projected polyline: once per (cell, eye) per job."""
+            if k not in polylines:
+                rect_t, mapper, traj_idx = cells[k]
+                polylines[k] = renderer.cell_polyline(
+                    self.dataset[traj_idx], mapper, job.eye, rect_t
+                )
+            return polylines[k]
+
+        key = self.base_key(job)
+        base = self._bases.get(key)
+        if base is None:
+            base = self._draw_base(renderer, job, cells, polyline)
+        if bases is not None:
+            bases[key] = base
+        fb = Framebuffer.from_pixels(base)
+        self._draw_overlay(
+            renderer, fb, job, cells, polyline, canvas, results,
+            {} if footprint_cache is None else footprint_cache,
+        )
+        return fb
+
+    def _draw_base(
+        self,
+        renderer: CellRenderer,
+        job: RenderJob,
+        cells: list[tuple[Rect, CoordinateMapper, int]],
+        polyline: Callable[[int], np.ndarray],
+    ) -> np.ndarray:
+        """Every cell's background, rim, label and trajectory, as a new
+        read-only image."""
+        fb = Framebuffer(job.tile.px_width, job.tile.px_height, self.style.background)
+        labels = job.cell_labels or ("",) * len(cells)
+        for k, ((rect_t, mapper, traj_idx), color, label) in enumerate(
+            zip(cells, job.cell_colors, labels)
         ):
-            rect_t = tuple(float(v) for v in rect)
             renderer.draw_background(fb, rect_t, tuple(color))
-            mapper = CoordinateMapper(self.arena, rect_t)
             renderer.draw_arena_rim(fb, mapper)
             if label:
                 from repro.render.font import draw_text
@@ -159,14 +260,35 @@ class WallRenderer:
                 # composed (downscaled) wall frames
                 scale = max(1, (y1 - y0) // 60)
                 draw_text(fb, x0 + 3, y0 + 3, label, alpha=0.9, scale=scale)
+            if traj_idx >= 0:
+                renderer.draw_trajectory(
+                    fb, self.dataset[traj_idx], mapper, job.eye, rect_t,
+                    polyline=polyline(k),
+                )
+        fb.data.setflags(write=False)
+        return fb.data
+
+    def _draw_overlay(
+        self,
+        renderer: CellRenderer,
+        fb: Framebuffer,
+        job: RenderJob,
+        cells: list[tuple[Rect, CoordinateMapper, int]],
+        polyline: Callable[[int], np.ndarray],
+        canvas: BrushCanvas | None,
+        results: dict[str, QueryResult] | None,
+        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray],
+    ) -> None:
+        """Every displayed cell's brush footprints, then its highlights."""
+        stamps = [] if canvas is None else [
+            (color_name, *canvas.stamps_of(color_name)) for color_name in canvas.colors()
+        ]
+        for k, (rect_t, mapper, traj_idx) in enumerate(cells):
             if traj_idx < 0:
                 continue
-            traj = self.dataset[int(traj_idx)]
-            renderer.draw_trajectory(fb, traj, mapper, job.eye, rect_t)
-            if canvas is not None:
+            if stamps:
                 _, geometry = renderer.footprint_geometry(mapper, rect_t)
-                for color_name in canvas.colors():
-                    centers, radii = canvas.stamps_of(color_name)
+                for color_name, centers, radii in stamps:
                     if not len(centers):
                         continue
                     key = (geometry, color_name)
@@ -177,14 +299,14 @@ class WallRenderer:
                     if cov is not None and key not in footprint_cache:
                         footprint_cache[key] = cov
             if results:
+                rows = self.dataset.packed().rows_of(traj_idx)
                 for color_name, res in results.items():
-                    rows = packed.rows_of(int(traj_idx))
                     seg_mask = res.segment_mask[rows]
                     if seg_mask.any():
                         renderer.draw_highlights(
-                            fb, traj, mapper, job.eye, seg_mask, color_name, rect_t
+                            fb, self.dataset[traj_idx], mapper, job.eye, seg_mask,
+                            color_name, rect_t, polyline=polyline(k),
                         )
-        return fb
 
     def render_jobs(
         self,
@@ -193,7 +315,8 @@ class WallRenderer:
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
     ) -> list[tuple[Framebuffer, float]]:
-        """Render a job list with one footprint cache across it.
+        """Render a job list with one footprint cache across it, and
+        retain its base layers.
 
         Returns each job's framebuffer and in-process render seconds, in
         job order.  Every render path goes through here: the serial
@@ -201,15 +324,26 @@ class WallRenderer:
         re-render of a failed batch.  The list pays each footprint
         rasterization once per (geometry, color) instead of once per
         job.
+
+        Afterwards the renderer retains exactly the bases these jobs
+        used or built, one image per (tile, eye): the next list redraws
+        only the overlay of every job whose :meth:`base_key` is
+        unchanged.  Bases this list does not use are dropped before it
+        renders, so a layout change holds one frame of bases, not two.
         """
+        keys = {self.base_key(job) for job in jobs}
+        self._bases = {key: base for key, base in self._bases.items() if key in keys}
         footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] = {}
+        bases: dict[BaseKey, np.ndarray] = {}
         out: list[tuple[Framebuffer, float]] = []
         for job in jobs:
             t0 = time.perf_counter()
             fb = self.render_job(
-                job, canvas=canvas, results=results, footprint_cache=footprint_cache
+                job, canvas=canvas, results=results,
+                footprint_cache=footprint_cache, bases=bases,
             )
             out.append((fb, time.perf_counter() - t0))
+        self._bases = bases
         return out
 
     def render_viewport(

@@ -101,6 +101,26 @@ class CellRenderer:
         k = self.style.background_dim
         return (color[0] * k, color[1] * k, color[2] * k)
 
+    def cell_polyline(
+        self,
+        traj: Trajectory,
+        mapper: CoordinateMapper,
+        eye: Eye,
+        cell_rect: tuple[float, float, float, float],
+    ) -> np.ndarray:
+        """The trajectory's per-eye projected polyline, in pixels of the
+        cell's padded box (read-only).
+
+        :meth:`draw_trajectory` and :meth:`draw_highlights` splat in
+        this frame, so one projection serves the trajectory and every
+        highlight color of a (cell, eye).
+        """
+        x0, y0, _, _ = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
+        px = self.tile.wall_to_pixel(self.projection.project(traj, mapper, eye))
+        px -= (x0, y0)
+        px.setflags(write=False)
+        return px
+
     # Drawing ------------------------------------------------------------------
     def draw_background(
         self,
@@ -129,14 +149,18 @@ class CellRenderer:
         mapper: CoordinateMapper,
         eye: Eye,
         cell_rect: tuple[float, float, float, float],
+        *,
+        polyline: np.ndarray | None = None,
     ) -> None:
-        """Splat the per-eye projected space-time polyline, time-graded."""
+        """Splat the per-eye projected space-time polyline, time-graded.
+
+        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`,
+        projected here when omitted.
+        """
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
             return
-        projected_wall = self.projection.project(traj, mapper, eye)
-        px = self.tile.wall_to_pixel(projected_wall)
-        px -= (x0, y0)
+        px = self.cell_polyline(traj, mapper, eye, cell_rect) if polyline is None else polyline
         a = px[:-1]
         b = px[1:]
         tmid = 0.5 * (traj.times[:-1] + traj.times[1:])
@@ -169,8 +193,14 @@ class CellRenderer:
         seg_mask: np.ndarray,
         color_name: str,
         cell_rect: tuple[float, float, float, float],
+        *,
+        polyline: np.ndarray | None = None,
     ) -> None:
-        """Overlay the highlighted segments in the brush color."""
+        """Overlay the highlighted segments in the brush color.
+
+        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`,
+        projected here when omitted.
+        """
         seg_mask = np.asarray(seg_mask, dtype=bool)
         if seg_mask.shape != (traj.n_samples - 1,):
             raise ValueError(
@@ -181,9 +211,7 @@ class CellRenderer:
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
             return
-        projected_wall = self.projection.project(traj, mapper, eye)
-        px = self.tile.wall_to_pixel(projected_wall)
-        px -= (x0, y0)
+        px = self.cell_polyline(traj, mapper, eye, cell_rect) if polyline is None else polyline
         a = px[:-1][seg_mask]
         b = px[1:][seg_mask]
         coverage = np.zeros((y1 - y0, x1 - x0), dtype=np.float64)

@@ -159,8 +159,11 @@ def test_three_transports_bit_identical(
     serial = render_viewport_parallel(
         renderer, assignment, max_workers=0, **common
     )
+    # a fresh renderer: forked workers would inherit the bases the
+    # serial frame left in `renderer`, and this arm must render cold
     pickled = render_viewport_parallel(
-        renderer, assignment, max_workers=workers, **common
+        WallRenderer(study_dataset, arena, viewport), assignment,
+        max_workers=workers, **common
     )
     with SharedArenaStore.publish(study_dataset) as store:
         stored = render_viewport_parallel(

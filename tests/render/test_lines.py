@@ -51,6 +51,12 @@ class TestDiscKernel:
         assert offs.shape == (1, 2)
         assert w[0] == 1.0
 
+    def test_built_once_per_width_and_read_only(self):
+        offs, w = disc_kernel(2.4)
+        again = disc_kernel(2.4)
+        assert again[0] is offs and again[1] is w
+        assert not offs.flags.writeable and not w.flags.writeable
+
     def test_width_three_covers_disc(self):
         offs, w = disc_kernel(3.0)
         assert len(offs) > 4

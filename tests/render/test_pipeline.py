@@ -89,6 +89,36 @@ class TestRenderJob:
         assert red_dominant(brushed) > red_dominant(plain)
 
 
+class TestProjectOnce:
+    def test_one_projection_per_cell_and_eye(
+        self, monkeypatch, study_dataset, small_viewport, small_grid, arena
+    ):
+        """The trajectory and every highlight color share one projected
+        polyline per (cell, eye) and job."""
+        from repro.stereo.projection import SpaceTimeProjection
+
+        asg = assign_sequential(study_dataset, small_grid)
+        canvas = BrushCanvas()
+        canvas.add(stroke_from_rect((-0.4, -0.4), (0.4, 0.4), 0.1, "red"))
+        canvas.add(stroke_from_rect((-0.3, -0.2), (0.3, 0.2), 0.1, "blue"))
+        engine = CoordinatedBrushingEngine(study_dataset)
+        results = engine.query_all_colors(canvas, assignment=asg)
+        calls = []
+        project = SpaceTimeProjection.project
+        monkeypatch.setattr(
+            SpaceTimeProjection, "project",
+            lambda self, *a, **kw: calls.append(1) or project(self, *a, **kw),
+        )
+        renderer = WallRenderer(study_dataset, Arena(), small_viewport)
+        jobs = renderer.make_jobs(asg)
+        renderer.render_jobs(jobs, canvas=canvas, results=results)
+        cells = sum(int((job.cell_traj >= 0).sum()) for job in jobs)
+        assert len(calls) == cells  # cold: every trajectory, highlights reuse it
+        calls.clear()
+        renderer.render_jobs(jobs, canvas=canvas, results=results)
+        assert 0 < len(calls) <= cells  # warm: only cells with highlights
+
+
 class TestRenderViewport:
     def test_full_structure(self, renderer, study_dataset, small_grid):
         asg = assign_sequential(study_dataset, small_grid)

@@ -1,0 +1,240 @@
+"""Retained frames equal fresh ones, byte for byte.
+
+:class:`~repro.render.pipeline.WallRenderer` keeps the base layer of
+each (tile, eye) of its last job list and redraws only the overlay when
+a job's :meth:`~repro.render.pipeline.WallRenderer.base_key` is
+unchanged.  The oracle: drive one long-lived renderer through every
+kind of change a session makes, and after each step compare its frame
+with the frame of a new renderer given the same state.
+The inputs are the render-transport parity specs.
+
+Each step also pins whether it may reuse bases: a change that only
+touches the overlay (stroke, results, window, a subset of the eyes)
+draws no background, rim or trajectory at all, and every other change
+draws them.  The cache always holds exactly the last job list's keys.
+"""
+
+from __future__ import annotations
+
+import pickle
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.app import TrajectoryExplorer
+from repro.core.brush import stroke_from_rect
+from repro.core.canvas import BrushCanvas
+from repro.core.engine import CoordinatedBrushingEngine
+from repro.core.temporal import TimeWindow
+from repro.display.viewport import Viewport
+from repro.layout.cells import assign_groups_to_cells, assign_sequential
+from repro.layout.grid import BezelAwareGrid
+from repro.layout.groups import TrajectoryGroups
+from repro.render.pipeline import WallRenderer
+from repro.render.raster import CellRenderer, CellStyle
+from repro.stereo.camera import Eye
+from repro.synth.arena import Arena
+from repro.trajectory.dataset import TrajectoryDataset
+from repro.trajectory.model import Trajectory
+from tests.parallel.test_frame_parity import SPECS, _make_wall, _seeded_canvas
+
+BASE_LAYERS = ("draw_background", "draw_arena_rim", "draw_trajectory")
+
+
+@pytest.fixture()
+def base_draws(monkeypatch) -> Counter:
+    """Calls of each base-layer draw method, by name."""
+    counts: Counter = Counter()
+    for name in BASE_LAYERS:
+        original = getattr(CellRenderer, name)
+
+        def spy(self, *args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellRenderer, name, spy)
+    return counts
+
+
+def _fresh(renderer: WallRenderer) -> WallRenderer:
+    return WallRenderer(
+        renderer.dataset, renderer.arena, renderer.viewport,
+        renderer.projection, renderer.style,
+    )
+
+
+def _assert_same_frames(got, want, label: str) -> None:
+    assert set(got) == set(want), label
+    for eye in want:
+        assert set(got[eye]) == set(want[eye]), label
+        for key, fb in want[eye].items():
+            assert np.array_equal(got[eye][key].data, fb.data), f"{label}: {eye} {key}"
+
+
+class Scene:
+    """The state a frame is rendered from, changed one field at a time."""
+
+    def __init__(self, renderer: WallRenderer, assignment, canvas, window, eyes) -> None:
+        self.renderer = renderer
+        self.assignment = assignment
+        self.canvas = canvas
+        self.window = window
+        self.eyes = eyes
+        self.engines: dict[TrajectoryDataset, CoordinatedBrushingEngine] = {}
+
+    def render(self, renderer: WallRenderer, results):
+        return renderer.render_viewport(
+            self.assignment, eyes=self.eyes, canvas=self.canvas, results=results
+        )
+
+    def results(self):
+        if self.canvas.is_empty():
+            return None
+        dataset = self.renderer.dataset
+        if dataset not in self.engines:  # by identity; epochs differ by append
+            self.engines[dataset] = CoordinatedBrushingEngine(dataset)
+        return self.engines[dataset].query_all_colors(
+            self.canvas, window=self.window, assignment=self.assignment
+        )
+
+
+@pytest.mark.parametrize(
+    "name,seed,wall_kw,grid_shape,n_strokes,window_frac,eyes,workers",
+    SPECS,
+    ids=[s[0] for s in SPECS],
+)
+def test_retained_frame_equals_fresh_after_every_change(
+    study_dataset, base_draws, name, seed, wall_kw, grid_shape, n_strokes,
+    window_frac, eyes, workers,
+):
+    arena = Arena()
+    viewport = Viewport(_make_wall(**wall_kw))
+    # a private dataset: one step appends to it
+    dataset = TrajectoryDataset(list(study_dataset))
+    renderer = WallRenderer(dataset, arena, viewport)
+    grid_a = BezelAwareGrid(viewport, *grid_shape)
+    # the Fig. 3 scheme needs five columns; B always differs from A
+    grid_b = BezelAwareGrid(viewport, max(5, grid_shape[0] + 1), grid_shape[1])
+    scene = Scene(
+        renderer,
+        assign_sequential(dataset, grid_a),
+        _seeded_canvas(seed, n_strokes, arena) or BrushCanvas(),
+        None if window_frac is None else TimeWindow.end(window_frac),
+        eyes,
+    )
+
+    def step(label: str, *, warm: bool) -> None:
+        results = scene.results()
+        base_draws.clear()
+        got = scene.render(renderer, results)
+        drawn = sum(base_draws.values())
+        want = scene.render(_fresh(renderer), results)
+        _assert_same_frames(got, want, label)
+        jobs = renderer.make_jobs(scene.assignment, scene.eyes)
+        assert set(renderer._bases) == {renderer.base_key(job) for job in jobs}, label
+        if warm:
+            assert drawn == 0, f"{label}: a warm frame drew {dict(base_draws)}"
+        else:
+            assert drawn > 0, f"{label}: a changed base was served from the cache"
+
+    r = arena.radius
+    step("first frame", warm=False)
+    step("same state again", warm=True)
+    scene.canvas.add(stroke_from_rect((-0.5 * r, -0.4 * r), (0.1 * r, 0.2 * r), 0.08 * r, "red"))
+    step("stroke added", warm=True)
+    scene.canvas.clear("red")
+    step("stroke erased", warm=True)
+    scene.canvas.add(stroke_from_rect((0.0, -0.5 * r), (0.4 * r, 0.5 * r), 0.1 * r, "blue"))
+    scene.window = TimeWindow.end(0.4)
+    step("results and window", warm=True)
+    scene.assignment = assign_sequential(dataset, grid_b)
+    step("layout switch", warm=False)
+    scene.assignment = assign_groups_to_cells(
+        dataset, grid_b, TrajectoryGroups.fig3_scheme(grid_b)
+    )
+    step("Fig. 3 groups", warm=False)
+    first = dataset[0]
+    dataset.append(Trajectory(first.positions[::-1], first.times, first.meta))
+    step("dataset append", warm=False)
+    swapped = TrajectoryDataset(list(reversed(list(dataset))))
+    assert swapped.epoch == dataset.epoch and swapped is not dataset
+    renderer.dataset = swapped
+    step("dataset swapped at the same epoch", warm=False)
+    renderer.projection = renderer.projection.with_controls(depth_offset=0.02)
+    step("projection controls", warm=False)
+    renderer.style = CellStyle(line_width=2.0)
+    step("style", warm=False)
+    one_eye = (Eye.LEFT,)
+    warm = Eye.LEFT in scene.eyes
+    scene.eyes = one_eye
+    step("one-eye frame", warm=warm)
+    scene.eyes = eyes
+    for label, grid in (("A", grid_a), ("B", grid_b), ("A again", grid_a)):
+        scene.assignment = assign_sequential(renderer.dataset, grid)
+        step(f"layout {label}", warm=False)
+
+
+def test_renderer_pickles_without_its_bases(study_dataset):
+    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
+    renderer = WallRenderer(study_dataset, Arena(), viewport)
+    size = len(pickle.dumps(renderer))
+    assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
+    renderer.render_viewport(assignment)
+    assert renderer.retained_bytes == 4 * 64 * 36 * 3 * 4  # 2 tiles x 2 eyes, float32
+    assert len(pickle.dumps(renderer)) == size
+    assert pickle.loads(pickle.dumps(renderer)).retained_bytes == 0
+
+
+def test_bases_are_read_only_and_frames_are_the_callers(study_dataset):
+    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
+    renderer = WallRenderer(study_dataset, Arena(), viewport)
+    assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
+    first = renderer.render_viewport(assignment)
+    bases = list(renderer._bases.values())
+    assert bases and not any(base.flags.writeable for base in bases)
+    second = renderer.render_viewport(assignment)
+    for eye, tiles in second.items():
+        for key, fb in tiles.items():
+            assert fb.data.flags.writeable
+            assert not any(np.shares_memory(fb.data, base) for base in bases)
+            fb.data[...] = 0.0  # the caller may scribble on what it got
+            assert not np.array_equal(fb.data, first[eye][key].data)
+    third = renderer.render_viewport(assignment)
+    _assert_same_frames(third, first, "after the caller overwrote its frame")
+
+
+def test_explorer_frames_equal_a_fresh_explorers(study_dataset):
+    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=96, panel_px_height=54))
+    app = TrajectoryExplorer(study_dataset, viewport=viewport)
+    r = app.arena.radius
+    stroke = stroke_from_rect((-0.6 * r, -0.3 * r), (0.2 * r, 0.4 * r), 0.1 * r, "red")
+
+    def fresh_frame(*, brushed: bool, depth: float | None, layout: str | None):
+        other = TrajectoryExplorer(service=app.service, viewport=viewport)
+        if brushed:
+            other.brush(stroke)
+            other.query("red")
+        if depth is not None:
+            other.controls.set_depth(depth)
+        if layout is not None:
+            other.switch_layout(layout)
+        return other.render_frame(mode="pair")
+
+    app.render_frame(mode="pair")
+    renderer = app.renderer()
+    app.brush(stroke)
+    app.query("red")
+    assert np.array_equal(
+        app.render_frame(mode="pair"), fresh_frame(brushed=True, depth=None, layout=None)
+    )
+    app.controls.set_depth(app.controls.depth_offset + 0.01)
+    depth = app.controls.depth_offset
+    assert np.array_equal(
+        app.render_frame(mode="pair"), fresh_frame(brushed=True, depth=depth, layout=None)
+    )
+    app.switch_layout("1")
+    assert np.array_equal(
+        app.render_frame(mode="pair"), fresh_frame(brushed=True, depth=depth, layout="1")
+    )
+    assert app.renderer() is renderer  # one renderer for the explorer's dataset

@@ -3,7 +3,7 @@
 
 Builds the queried application state (groups + west brush + end
 window), renders every tile of the 2/3-surface viewport for both eyes
-— serially and across a process pool, the way a cluster-driven wall
+— serially and on tile-owner processes, the way a cluster-driven wall
 distributes tiles — and writes PPM images you can open in any viewer.
 
 Run:  python examples/wall_rendering.py [--outdir frames] [--workers 4]
@@ -19,7 +19,6 @@ from repro.parallel.pool import default_workers
 from repro.parallel.tilerender import render_viewport_parallel
 from repro.render.compose import anaglyph, compose_wall, stereo_pair_side_by_side
 from repro.render.image_io import write_ppm
-from repro.render.pipeline import WallRenderer
 from repro.stereo.camera import Eye
 
 
@@ -58,15 +57,14 @@ def main() -> None:
     print(f"serial render:   {serial.elapsed_s:6.2f} s "
           f"({serial.n_jobs} tile-eye jobs)")
     if args.workers > 1:
-        # a fresh renderer, so the pool renders cold like the serial
-        # frame did: forked workers would inherit `renderer`'s bases
-        cold = WallRenderer(app.dataset, app.arena, app.viewport, renderer.projection)
+        # the renderer's tile owners start here and, like the serial
+        # frame, draw every base cold
         parallel = render_viewport_parallel(
-            cold, assignment, canvas=canvas, results=results,
+            renderer, assignment, canvas=canvas, results=results,
             max_workers=args.workers,
         )
         print(f"parallel render: {parallel.elapsed_s:6.2f} s "
-              f"with {args.workers} workers "
+              f"with {args.workers} tile owners "
               f"({serial.elapsed_s / parallel.elapsed_s:.2f}x)")
         frames = parallel.frames
     else:

@@ -1,53 +1,66 @@
-"""Process-parallel tile rendering.
+"""Process-parallel tile rendering on tile owners.
 
 Each (tile, eye) render job is independent, so the frame parallelizes
-across a process pool.  State that every job needs — the renderer (with
-its dataset), brush canvas, and query results — is shipped *once per
-worker* through the pool initializer rather than once per job, which is
-what makes the speedup survive Python's pickling costs (the dataset is
-megabytes; a job description is kilobytes).
+across processes.  As on the paper's cluster-driven wall, where each
+render node drives its own panels and keeps its data resident, the
+pooled path runs on **tile owners**: worker processes that live across
+frames, each always rendering the same (tile, eye) jobs — owner ``i``
+gets the ``i``-th share of a round-robin deal of the frame's job list.
+An owner renders through its own :class:`WallRenderer`, so it keeps its
+tiles' base layers and footprint coverage from one frame to the next: a
+brush tick redraws only the overlay, in every owner at once.
 
-With ``store=`` the per-worker *input* payload drops further, from
-O(dataset bytes) to O(handle bytes): workers attach zero-copy views
-onto the one resident copy of the packed arrays via
-:class:`repro.store.StoreHandle`.  An unattachable handle degrades to
-the pickle-ship initializer with a ``shm-attach-failure`` event.
-Output has one transport: workers return each tile's pixels through
-the executor result queue (pickle ship-back).
+An owner receives the renderer's dataset once, when it starts: pickled
+(inherited under fork), or with ``store=`` as a zero-copy attach of the
+published :class:`repro.store.StoreHandle`.  An unattachable handle
+degrades to the pickled dataset, with a ``shm-attach-failure`` event on
+every frame those owners render.  Per frame an owner receives only its
+jobs, the brush canvas, the query results and the renderer's current
+projection and style, and returns only its tiles' pixels through its
+pipe (pickle ship-back), with its render seconds and the monotonic time
+at which it finished, so ship-back is measured, not estimated.
 
-Jobs are **batched per worker** (one submit per worker carrying its
-tile list) instead of dispatched per tile: a batch amortizes dispatch
-and lets the worker hoist the brush-footprint coverage cache across its
-whole tile list — the dominant per-tile cost on brushed frames is
-rasterizing the same (cell geometry, color) footprint over and over,
-and a batch pays it once.  Batch size is informed by the
-``render.frame.stage_seconds{stage}`` / ``render.tile.seconds``
-telemetry: when per-tile history says a one-batch-per-worker deal would
-outlive the supervisor's attempt timeout, batches are split further so
-a healthy batch is never mistaken for a hang.
+Owners start on a renderer's first pooled frame and are replaced when
+anything they were built from changes: the renderer's dataset (by
+identity and epoch, so an append or a rollover rebinds them), the store
+handle, the arena, the viewport or ``max_workers``.  They stop when the
+renderer is garbage-collected, when they are replaced, and at
+interpreter exit.  They live in this module, keyed weakly by renderer,
+never in the renderer itself.
+
+Jobs are **batched per owner** (one request per owner carrying its
+tile list): a batch amortizes dispatch and shares the renderer's
+footprint cache across the owner's tiles.  Batch size is informed by
+the ``render.tile.seconds`` telemetry: when per-tile history says an
+owner's share would outlive the supervisor's attempt timeout, the share
+is split into sub-batches, still on that owner, so a healthy batch is
+never mistaken for a hang.
 
 Every path renders its job list through
-:meth:`WallRenderer.render_jobs`, one footprint cache per list:
-``max_workers<=1`` renders the whole frame in-process as one list and
-is bit-identical to :meth:`WallRenderer.render_viewport`.
+:meth:`WallRenderer.render_jobs`: ``max_workers<=1`` renders the whole
+frame in-process as one list and is bit-identical to
+:meth:`WallRenderer.render_viewport`.
 
 The pooled path runs under a :class:`repro.resilience.SupervisedPool`:
-a crashed, hung or misbehaving worker never costs the frame.  Failed
-batches are retried on respawned workers and, as a last resort,
-re-rendered serially in the parent — rendering is deterministic, so a
-retried batch returns identical bytes and the frame always completes.
-What failed and what it took to recover is attached as
+a crashed, hung or misbehaving owner never costs the frame.  Its failed
+batches are retried on the respawned owner (which renders them cold:
+its retained layers died with it) and, as a last resort, re-rendered
+serially in the parent — rendering is deterministic, so every rung
+returns identical bytes and the frame always completes.  What failed
+and what it took to recover is attached as
 ``ParallelRenderReport.degradation``.  Fault injection for tests and
 benchmarks comes in through ``fault_plan`` or the ``REPRO_FAULTS``
-environment hook; fault job indices address *batches* on this path.
+environment hook; fault job indices address batches, which are owners
+unless telemetry split them.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro import obs
 from repro.core.canvas import BrushCanvas
@@ -69,95 +82,198 @@ from repro.stereo.projection import SpaceTimeProjection
 from repro.store.arena import SharedArenaStore, StoreHandle, attach
 from repro.store.shm import StoreAttachError
 from repro.synth.arena import Arena
+from repro.trajectory.dataset import TrajectoryDataset
 
-__all__ = ["render_viewport_parallel", "ParallelRenderReport", "TileBatch"]
+__all__ = ["render_viewport_parallel", "ParallelRenderReport", "TileBatch", "owner_pids"]
 
-# Per-worker state installed by the pool initializer.  Values are
-# heterogeneous (renderer, canvas, results, pinned clients) — an
-# explicit Any beats casting at every read site.
-_WORKER_STATE: dict[str, Any] = {}
+# An owner process's state, installed by its initializer: its renderers
+# by batch slot, and the store client pinning its mapping.
+_OWNER_STATE: dict[str, Any] = {}
 
 
 @dataclass(frozen=True)
 class TileBatch:
-    """One worker's submit: the tile jobs it renders in sequence.
+    """One request to a tile owner: the jobs it renders in sequence.
 
-    Batching is what lets the worker share a brush-footprint coverage
-    cache across its whole job list (see
-    :meth:`~repro.render.pipeline.WallRenderer.render_jobs`), and what
-    collapses per-tile dispatch overhead into one pickle round-trip
-    per worker.
+    ``owner`` is the owner the jobs belong to, every frame; ``slot``
+    numbers the owner's batches of one frame (always 0 unless telemetry
+    split its share).  One list per request is what lets the owner share
+    its footprint cache across its tiles (see
+    :meth:`~repro.render.pipeline.WallRenderer.render_jobs`).
     """
 
+    owner: int
+    slot: int
     jobs: tuple[RenderJob, ...]
 
 
-def _init_worker(renderer: WallRenderer, canvas: BrushCanvas | None,
-                 results: dict[str, QueryResult] | None) -> None:
-    _WORKER_STATE["renderer"] = renderer
-    _WORKER_STATE["canvas"] = canvas
-    _WORKER_STATE["results"] = results
+#: What a batch needs besides its jobs, sent with it every frame.
+_FrameWork = tuple[
+    TileBatch, BrushCanvas | None, dict[str, QueryResult] | None,
+    SpaceTimeProjection, CellStyle,
+]
 
 
-def _init_worker_shm(handle: StoreHandle, arena: Arena, viewport: Viewport,
-                     projection: SpaceTimeProjection | None,
-                     style: CellStyle | None,
-                     canvas: BrushCanvas | None,
-                     results: dict[str, QueryResult] | None) -> None:
-    """Zero-copy pool initializer: attach the shared store and rebuild
-    the renderer around view-backed trajectories.
+@dataclass(frozen=True)
+class _BatchOut:
+    """A rendered batch: each job's pixels and render seconds, the
+    number of base layers it had to build, and when its owner finished
+    (``time.monotonic``).  ``arrived`` is stamped in the parent as the
+    output is unpickled, so ``arrived - finished`` is its ship-back;
+    it is None for a batch rendered in the parent."""
 
-    An attach failure raises, killing the worker — the supervised pool
-    still completes the frame (the parent pre-validates the handle, so
-    this is a race, not the expected path).
+    tiles: list[tuple[Framebuffer, float]]
+    bases_built: int
+    finished: float
+    arrived: float | None = None
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (_arrived, (self.tiles, self.bases_built, self.finished))
+
+
+def _arrived(tiles: list[tuple[Framebuffer, float]], bases_built: int,
+             finished: float) -> _BatchOut:
+    """Unpickle a batch's output, stamping when its pixels arrived."""
+    return _BatchOut(tiles, bases_built, finished, time.monotonic())
+
+
+def _init_owner(source: TrajectoryDataset | StoreHandle, arena: Arena,
+                viewport: Viewport) -> None:
+    """Owner initializer: attach the shared store (or take the pickled
+    dataset) and build the owner's renderer.
+
+    An attach failure raises, killing the owner — the supervisor still
+    completes the frame (the parent probes the handle first, so this is
+    a race, not the expected path).
     """
-    client = attach(handle)
-    _WORKER_STATE["client"] = client  # pins the mapping for the worker's life
-    _WORKER_STATE["renderer"] = WallRenderer(
-        client.dataset, arena, viewport, projection, style
+    if isinstance(source, StoreHandle):
+        client = attach(source)
+        _OWNER_STATE["client"] = client  # pins the mapping for the owner's life
+        source = client.dataset
+    _OWNER_STATE["renderers"] = {0: WallRenderer(source, arena, viewport)}
+
+
+def _render_on(renderer: WallRenderer, work: _FrameWork) -> _BatchOut:
+    batch, canvas, results, projection, style = work
+    renderer.projection, renderer.style = projection, style
+    built = renderer.bases_built
+    tiles = renderer.render_jobs(batch.jobs, canvas=canvas, results=results)
+    return _BatchOut(tiles, renderer.bases_built - built, time.monotonic())
+
+
+def _render_batch(work: _FrameWork) -> _BatchOut:
+    """Render one batch in its owner, on the renderer of its slot: one
+    renderer per slot, so split shares keep their own retained layers."""
+    renderers: dict[int, WallRenderer] = _OWNER_STATE["renderers"]
+    slot = work[0].slot
+    if slot not in renderers:
+        first = renderers[0]
+        renderers[slot] = WallRenderer(first.dataset, first.arena, first.viewport)
+    return _render_on(renderers[slot], work)
+
+
+class _OwnerKey(NamedTuple):
+    """What a renderer's owners were built from; any change replaces
+    them.  The dataset compares by identity (it defines no equality)."""
+
+    dataset: TrajectoryDataset
+    epoch: int
+    handle: StoreHandle | None
+    arena: Arena
+    viewport: Viewport
+    workers: int
+
+
+@dataclass
+class _Owners:
+    key: _OwnerKey
+    pool: SupervisedPool
+    stop: weakref.finalize
+    attach_failure: str  # why the store handle was not used ("" when it was)
+
+
+#: Each renderer's tile owners.  Weak keys: the owners stop when their
+#: renderer is collected, and nothing here keeps a renderer alive.
+_OWNERS: weakref.WeakKeyDictionary[WallRenderer, _Owners] = weakref.WeakKeyDictionary()
+
+
+def _owners_for(renderer: WallRenderer, handle: StoreHandle | None, workers: int) -> _Owners:
+    """``renderer``'s owners for this frame, replacing stale ones."""
+    key = _OwnerKey(renderer.dataset, renderer.dataset.epoch, handle,
+                    renderer.arena, renderer.viewport, workers)
+    owners = _OWNERS.get(renderer)
+    if owners is not None and owners.key == key:
+        return owners
+    if owners is not None:
+        owners.stop()
+    source: TrajectoryDataset | StoreHandle = renderer.dataset
+    failure = ""
+    if handle is not None:
+        try:
+            attach(handle).close()  # parent-side probe: fail fast and cheap
+        except StoreAttachError as exc:
+            failure = repr(exc)
+        else:
+            source = handle
+    pool = SupervisedPool(
+        workers, initializer=_init_owner,
+        initargs=(source, renderer.arena, renderer.viewport),
     )
-    _WORKER_STATE["canvas"] = canvas
-    _WORKER_STATE["results"] = results
+    # the finalizer also runs at interpreter exit
+    owners = _Owners(key, pool, weakref.finalize(renderer, pool.close), failure)
+    _OWNERS[renderer] = owners
+    return owners
 
 
-def _render_batch(batch: TileBatch) -> list[tuple[Framebuffer, float]]:
-    """Render one batch in a worker, against its initializer state.
-
-    The per-job seconds let the parent split frame wall time into
-    dispatch / render / transport (worker processes cannot emit into
-    the parent's telemetry registry directly).
-    """
-    renderer: WallRenderer = _WORKER_STATE["renderer"]
-    return renderer.render_jobs(
-        batch.jobs, canvas=_WORKER_STATE["canvas"], results=_WORKER_STATE["results"]
-    )
+def owner_pids(renderer: WallRenderer) -> tuple[int | None, ...]:
+    """Process ids of ``renderer``'s running tile owners, by owner
+    (empty before its first pooled frame)."""
+    owners = _OWNERS.get(renderer)
+    return owners.pool.pids if owners is not None else ()
 
 
 def _plan_batches(
     jobs: list[RenderJob], max_workers: int, policy: RetryPolicy
 ) -> list[TileBatch]:
-    """Deal jobs into per-worker batches, sized from tile telemetry.
+    """Deal jobs to owners round-robin, split by tile telemetry.
 
-    Default: one batch per worker (maximal footprint-cache reuse,
-    minimal dispatch).  When ``render.tile.seconds`` history predicts a
-    batch would outlive half the supervisor's attempt timeout, batches
-    are split until the expected batch render fits — a healthy batch
-    must never be indistinguishable from a hung worker.
+    Default: one batch per owner (maximal footprint-cache reuse,
+    minimal dispatch).  When ``render.tile.seconds`` history predicts an
+    owner's share would outlive half the supervisor's attempt timeout,
+    each share is split into sub-batches of the owner until the
+    expected batch render fits — a healthy batch must never be
+    indistinguishable from a hung owner.
     """
     if not jobs:
         return []
-    n_batches = min(len(jobs), max_workers)
+    shares = round_robin_batches(jobs, max_workers)
+    per_batch = len(shares[0])
     timeout = policy.attempt_timeout_s
     if timeout:
         hist = obs.telemetry_snapshot().histogram("render.tile.seconds")
         if hist is not None and hist.count:
             per_tile = hist.sum / hist.count
             budget = 0.5 * float(timeout)
-            largest = math.ceil(len(jobs) / n_batches)
-            if per_tile > 0 and per_tile * largest > budget:
+            if per_tile > 0 and per_tile * per_batch > budget:
                 per_batch = max(1, int(budget / per_tile))
-                n_batches = min(len(jobs), math.ceil(len(jobs) / per_batch))
-    return [TileBatch(jobs=b) for b in round_robin_batches(jobs, n_batches)]
+    return [
+        TileBatch(owner, slot, sub)
+        for owner, share in enumerate(shares)
+        for slot, sub in enumerate(
+            round_robin_batches(share, math.ceil(len(share) / per_batch))
+        )
+    ]
+
+
+def _covered_s(spans: list[tuple[float, float]]) -> float:
+    """Seconds covered by the union of ``(start, end)`` spans."""
+    total, reach = 0.0, -math.inf
+    for start, end in sorted(spans):
+        start = max(start, reach)
+        if end > start:
+            total += end - start
+            reach = end
+    return total
 
 
 @dataclass(frozen=True)
@@ -165,12 +281,14 @@ class ParallelRenderReport:
     """Frames plus timing and health of a parallel render pass.
 
     ``stage_seconds`` splits ``elapsed_s`` for the pooled path:
-    ``dispatch`` (pool bring-up and initializer shipping), ``render``
-    (summed in-worker render time across all jobs), ``shipback``
-    (result transport and queueing — everything in the map wall not
-    accounted to rendering) and ``assemble`` (parent-side frame
-    assembly: filing the shipped framebuffers).  The serial path reports
-    only ``render``.
+    ``dispatch`` (finding or replacing the renderer's owners),
+    ``render`` (summed in-owner render time across all jobs),
+    ``shipback`` (the part of the wait in which some finished batch was
+    still on its way back: the union of each batch's span from its
+    owner's finish to its arrival in the parent) and ``assemble``
+    (filing the shipped framebuffers into the frame).  The serial path
+    reports only ``render``.  ``bases_built`` counts the base layers the
+    frame had to draw: 0 on a tick that changed only the overlay.
     """
 
     frames: dict[Eye, dict[tuple[int, int], Framebuffer]]
@@ -180,6 +298,7 @@ class ParallelRenderReport:
     degradation: DegradationReport = field(default_factory=DegradationReport)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     n_batches: int = 0
+    bases_built: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -201,11 +320,12 @@ def render_viewport_parallel(
     retry_policy: RetryPolicy | None = None,
     store: "SharedArenaStore | StoreHandle | None" = None,
 ) -> ParallelRenderReport:
-    """Render all viewport tiles, optionally over a supervised pool.
+    """Render all viewport tiles, in-process or on the renderer's tile
+    owners.
 
     Returns the same ``{eye: {(col, row): Framebuffer}}`` structure as
     the serial path, wrapped with timing for benchmark E11 and a
-    :class:`DegradationReport` accounting for any worker failures the
+    :class:`DegradationReport` accounting for any owner failures the
     render absorbed.
 
     Parameters
@@ -216,23 +336,24 @@ def render_viewport_parallel(
         *once* in the parent — through the engine's stage cache, so an
         unchanged brush/window costs only cache lookups — and the
         finished :class:`QueryResult` objects are shipped to the
-        workers, instead of every tile job re-deriving highlights.
+        owners, instead of every tile job re-deriving highlights.
     window:
         Temporal filter for the ``engine`` evaluation.
+    max_workers:
+        Number of tile owners; ``<= 1`` renders in-process.
     fault_plan:
-        Deterministic fault injection for the pool workers (tests,
-        benchmark R1).  Defaults to the ``REPRO_FAULTS`` environment
-        hook; pass an empty plan to override the environment.  Fault
-        job indices address batches (one per worker submit).
+        Deterministic fault injection for the owners (tests, benchmark
+        R1).  Defaults to the ``REPRO_FAULTS`` environment hook; pass an
+        empty plan to override the environment.  Fault job indices
+        address batches (one per owner unless split).
     retry_policy:
         Per-batch retry/backoff/timeout policy for the supervisor.
     store:
         A published :class:`~repro.store.SharedArenaStore` (or its
         :class:`~repro.store.StoreHandle`) for the renderer's dataset.
-        Pool workers then attach zero-copy views instead of receiving
-        a pickled dataset; an unattachable handle degrades to the
-        pickle-ship initializer with a ``shm-attach-failure`` event on
-        the report.
+        Owners then attach zero-copy views instead of receiving a
+        pickled dataset; an unattachable handle degrades to the pickled
+        dataset with a ``shm-attach-failure`` event on the report.
     """
     if results is None and engine is not None and canvas is not None:
         if not canvas.is_empty():
@@ -248,72 +369,60 @@ def render_viewport_parallel(
     stage_seconds: dict[str, float] = {}
     n_batches = 0
     if max_workers <= 1:
+        built = renderer.bases_built
         for job, (fb, job_s) in zip(
             jobs, renderer.render_jobs(jobs, canvas=canvas, results=results), strict=True
         ):
             obs.observe("render.tile.seconds", job_s)
             frames[job.eye][(job.tile.col, job.tile.row)] = fb
+        bases_built = renderer.bases_built - built
         workers = 1
         stage_seconds["render"] = time.perf_counter() - t0
     else:
         policy = retry_policy or DEFAULT_POLICY
         batches = _plan_batches(jobs, max_workers, policy)
         n_batches = len(batches)
-
-        # default transport: pickle the whole renderer into each worker
-        initializer: Any = _init_worker
-        initargs: tuple[Any, ...] = (renderer, canvas, results)
-        if store is not None:
-            handle = store.handle if isinstance(store, SharedArenaStore) else store
-            try:
-                attach(handle).close()  # parent-side probe: fail fast+cheap
-            except StoreAttachError as exc:
-                degradation.record(
-                    "shm-attach-failure", scope="pool", action="pickle-fallback",
-                    detail=repr(exc),
-                )
-                obs.counter_add("render.transport.fallbacks", 1)
-            else:
-                initializer = _init_worker_shm
-                initargs = (
-                    handle, renderer.arena, renderer.viewport,
-                    renderer.projection, renderer.style, canvas, results,
-                )
-
-        with SupervisedPool(
-            max_workers,
-            policy=retry_policy,
-            fault_plan=fault_plan,
-            initializer=initializer,
-            initargs=initargs,
-            report=degradation,
-        ) as pool:
-            dispatch_s = time.perf_counter() - t0
-            t_map = time.perf_counter()
-            outputs = pool.map(
-                _render_batch, batches,
-                serial_fn=lambda b: renderer.render_jobs(
-                    b.jobs, canvas=canvas, results=results
-                ),
+        handle = store.handle if isinstance(store, SharedArenaStore) else store
+        owners = _owners_for(renderer, handle, max_workers)
+        if owners.attach_failure:
+            degradation.record(
+                "shm-attach-failure", scope="pool", action="pickle-fallback",
+                detail=owners.attach_failure,
             )
-            map_s = time.perf_counter() - t_map
+            obs.counter_add("render.transport.fallbacks", 1)
+        work: list[_FrameWork] = [
+            (batch, canvas, results, renderer.projection, renderer.style)
+            for batch in batches
+        ]
+        pool = owners.pool
+        pool.policy, pool.fault_plan, pool.report = policy, fault_plan, degradation
+        dispatch_s = time.perf_counter() - t0
+        t_map, t_map_mono = time.perf_counter(), time.monotonic()
+        outputs = pool.map(
+            _render_batch, work,
+            owners=[batch.owner for batch in batches],
+            serial_fn=lambda w: _render_on(renderer, w),
+        )
+        t_map_end = time.monotonic()
+        map_s = time.perf_counter() - t_map
         t_assemble = time.perf_counter()
         render_s = 0.0
-        for batch, batch_out in zip(batches, outputs, strict=True):
-            for job, (fb, job_s) in zip(batch.jobs, batch_out, strict=True):
+        bases_built = 0
+        in_transit: list[tuple[float, float]] = []
+        for batch, out in zip(batches, outputs, strict=True):
+            bases_built += out.bases_built
+            if out.arrived is not None:
+                in_transit.append((max(out.finished, t_map_mono), min(out.arrived, t_map_end)))
+            for job, (fb, job_s) in zip(batch.jobs, out.tiles, strict=True):
                 render_s += job_s
                 obs.observe("render.tile.seconds", job_s)
                 frames[job.eye][(job.tile.col, job.tile.row)] = fb
         assemble_s = time.perf_counter() - t_assemble
         workers = max_workers
-        # everything in the map wall not spent rendering (even spread
-        # perfectly across workers) is transport: batch pickling and
-        # result queues
-        shipback_s = max(map_s - render_s / max_workers, 0.0)
         stage_seconds = {
             "dispatch": dispatch_s,
             "render": render_s,
-            "shipback": shipback_s,
+            "shipback": min(_covered_s(in_transit), map_s),
             "assemble": assemble_s,
         }
         obs.counter_add("render.batches", n_batches, workers=workers)
@@ -330,4 +439,5 @@ def render_viewport_parallel(
         degradation=degradation,
         stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
         n_batches=n_batches,
+        bases_built=bases_built,
     )

@@ -18,7 +18,10 @@ a copy of the base.  The renderer retains the bases of its last job
 list, keyed by value on everything they read (:class:`BaseKey`), so a
 brush or time-window tick copies each (tile, eye) base and redraws only the
 overlay.  A cold job builds its base first and then takes the same
-path; nothing is ever invalidated by hand.
+path; nothing is ever invalidated by hand.  The footprint coverage the
+overlay composites is retained the same way, keyed by value on the
+cell geometry and the stamps, so a tick that replaces one color's
+stroke rasterizes only that color's footprints.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ from repro.trajectory.dataset import TrajectoryDataset
 __all__ = ["BaseKey", "RenderJob", "WallRenderer"]
 
 Rect = tuple[float, float, float, float]
+ArrayValue = tuple[str, tuple[int, ...], bytes]
+#: A footprint coverage map's key: the cell geometry and one color's
+#: stamp centers and radii, by value — everything the map reads.
+FootprintKey = tuple[FootprintGeometry, ArrayValue, ArrayValue]
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class RenderJob:
     cell_labels: tuple[str, ...] = () # per-cell annotation ("" = none)
 
 
-def _array_value(a: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
+def _array_value(a: np.ndarray) -> ArrayValue:
     """An array as a hashable value: dtype, shape and bytes."""
     return a.dtype.str, a.shape, a.tobytes()
 
@@ -79,9 +86,9 @@ class BaseKey(NamedTuple):
     arena: Arena
     tile: Tile
     eye: Eye
-    cell_rects: tuple[str, tuple[int, ...], bytes]
-    cell_traj: tuple[str, tuple[int, ...], bytes]
-    cell_colors: tuple[str, tuple[int, ...], bytes]
+    cell_rects: ArrayValue
+    cell_traj: ArrayValue
+    cell_colors: ArrayValue
     cell_labels: tuple[str, ...]
     projection: SpaceTimeProjection
     style: CellStyle
@@ -119,11 +126,15 @@ class WallRenderer:
         self.style = style or CellStyle()
         #: The last job list's base layers by :class:`BaseKey`, read-only.
         self._bases: dict[BaseKey, np.ndarray] = {}
+        #: The last job list's footprint coverage maps, read-only.
+        self._footprints: dict[FootprintKey, np.ndarray] = {}
+        #: Base layers this renderer has drawn (one per cold job).
+        self.bases_built = 0
 
     def __getstate__(self) -> dict[str, Any]:
-        # the retained bases stay in this process: a pickled renderer
-        # (the pool's pickle-ship initializer) carries none of them
-        return {**self.__dict__, "_bases": {}}
+        # retained pixels stay in this process: a pickled renderer
+        # carries no bases and no footprints
+        return {**self.__dict__, "_bases": {}, "_footprints": {}}
 
     # Job construction -----------------------------------------------------
     def _cells_on_tile(
@@ -185,7 +196,7 @@ class WallRenderer:
         *,
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
-        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] | None = None,
+        footprint_cache: dict[FootprintKey, np.ndarray] | None = None,
         bases: dict[BaseKey, np.ndarray] | None = None,
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
@@ -198,14 +209,16 @@ class WallRenderer:
         top; the caller owns it.  ``bases``, when given, receives the
         base under its key — :meth:`render_jobs` keeps those.
 
-        ``footprint_cache`` maps (cell
-        :class:`~repro.render.raster.FootprintGeometry`, color) to the
-        footprint coverage of the cell's pixel box.  Coverage is a pure
-        function of that key and the color's strokes, so one dict may
-        serve any set of jobs drawn with the same canvas, with bytes
-        identical to any other cache scope; :meth:`render_jobs` shares
-        one across its whole job list.  Without a dict the job builds
-        its own.  Never reuse a cache across canvas changes.
+        ``footprint_cache`` maps a :data:`FootprintKey` (cell
+        :class:`~repro.render.raster.FootprintGeometry`, one color's
+        stamp centers and radii) to the footprint coverage of the cell's
+        pixel box.  Coverage is a pure function of that key, so one dict
+        may serve any jobs and any canvas, with bytes identical to any
+        other cache scope.  The job looks a map up there, then among the
+        renderer's retained maps, and rasterizes it only when both miss;
+        every map it uses lands in the dict.  :meth:`render_jobs` shares
+        one across its whole job list and retains it.  Without a dict
+        the job builds its own.
         """
         renderer = CellRenderer(job.tile, self.projection, self.style)
         cells: list[tuple[Rect, CoordinateMapper, int]] = []
@@ -227,6 +240,7 @@ class WallRenderer:
         base = self._bases.get(key)
         if base is None:
             base = self._draw_base(renderer, job, cells, polyline)
+            self.bases_built += 1
         if bases is not None:
             bases[key] = base
         fb = Framebuffer.from_pixels(base)
@@ -277,26 +291,30 @@ class WallRenderer:
         polyline: Callable[[int], np.ndarray],
         canvas: BrushCanvas | None,
         results: dict[str, QueryResult] | None,
-        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray],
+        footprint_cache: dict[FootprintKey, np.ndarray],
     ) -> None:
         """Every displayed cell's brush footprints, then its highlights."""
-        stamps = [] if canvas is None else [
-            (color_name, *canvas.stamps_of(color_name)) for color_name in canvas.colors()
-        ]
+        stamps = []
+        for color_name in [] if canvas is None else canvas.colors():
+            centers, radii = canvas.stamps_of(color_name)
+            if len(centers):
+                stamps.append((color_name, centers, radii,
+                               _array_value(centers), _array_value(radii)))
         for k, (rect_t, mapper, traj_idx) in enumerate(cells):
             if traj_idx < 0:
                 continue
             if stamps:
                 _, geometry = renderer.footprint_geometry(mapper, rect_t)
-                for color_name, centers, radii in stamps:
-                    if not len(centers):
-                        continue
-                    key = (geometry, color_name)
+                for color_name, centers, radii, centers_value, radii_value in stamps:
+                    key = (geometry, centers_value, radii_value)
+                    cov = footprint_cache.get(key)
+                    if cov is None:
+                        cov = self._footprints.get(key)
                     cov = renderer.draw_brush_footprint(
-                        fb, mapper, centers, radii, color_name, rect_t,
-                        precomputed=footprint_cache.get(key),
+                        fb, mapper, centers, radii, color_name, rect_t, precomputed=cov,
                     )
                     if cov is not None and key not in footprint_cache:
+                        cov.setflags(write=False)
                         footprint_cache[key] = cov
             if results:
                 rows = self.dataset.packed().rows_of(traj_idx)
@@ -316,24 +334,26 @@ class WallRenderer:
         results: dict[str, QueryResult] | None = None,
     ) -> list[tuple[Framebuffer, float]]:
         """Render a job list with one footprint cache across it, and
-        retain its base layers.
+        retain its base layers and footprints.
 
         Returns each job's framebuffer and in-process render seconds, in
         job order.  Every render path goes through here: the serial
-        frame, each pool worker's batch and the parent's last-resort
+        frame, each tile owner's batch and the parent's last-resort
         re-render of a failed batch.  The list pays each footprint
-        rasterization once per (geometry, color) instead of once per
-        job.
+        rasterization once per (geometry, stamps) instead of once per
+        job, and not at all when the last list already used it.
 
         Afterwards the renderer retains exactly the bases these jobs
-        used or built, one image per (tile, eye): the next list redraws
-        only the overlay of every job whose :meth:`base_key` is
-        unchanged.  Bases this list does not use are dropped before it
-        renders, so a layout change holds one frame of bases, not two.
+        used or built, one image per (tile, eye), and exactly the
+        footprint maps they used: the next list redraws only the overlay
+        of every job whose :meth:`base_key` is unchanged, and
+        rasterizes only the footprints of strokes that changed.  Bases
+        this list does not use are dropped before it renders, so a
+        layout change holds one frame of bases, not two.
         """
         keys = {self.base_key(job) for job in jobs}
         self._bases = {key: base for key, base in self._bases.items() if key in keys}
-        footprint_cache: dict[tuple[FootprintGeometry, str], np.ndarray] = {}
+        footprint_cache: dict[FootprintKey, np.ndarray] = {}
         bases: dict[BaseKey, np.ndarray] = {}
         out: list[tuple[Framebuffer, float]] = []
         for job in jobs:
@@ -344,6 +364,7 @@ class WallRenderer:
             )
             out.append((fb, time.perf_counter() - t0))
         self._bases = bases
+        self._footprints = footprint_cache
         return out
 
     def render_viewport(

@@ -11,10 +11,11 @@ substrate the reproduction's scaling work builds on:
 * :mod:`retry` — :func:`retry_call` / :func:`retryable` with
   exponential backoff, deterministic jitter and per-attempt timeouts,
   governed by a :class:`RetryPolicy`;
-* :mod:`supervisor` — :class:`SupervisedPool`, a process pool that
-  detects worker crashes, hangs and corrupt payloads, respawns and
-  retries, and falls back to in-process serial execution (bit-identical
-  results) when retries are exhausted;
+* :mod:`supervisor` — :class:`SupervisedPool`, long-lived worker
+  processes (one channel each, so an item always runs on the same
+  worker) that detect crashes, hangs and corrupt payloads, respawn the
+  failed worker and retry, and fall back to in-process serial execution
+  (bit-identical results) when retries are exhausted;
 * :mod:`health` — :class:`DegradationReport`, the "no silent drops"
   ledger attached to render and query results;
 * :mod:`chaos` — :class:`ChaosHarness` / :class:`ChaosMonkey`, a

@@ -10,9 +10,9 @@ fault" without any cross-process bookkeeping.
 
 Fault kinds:
 
-* ``"crash"``   — the worker process hard-exits (``os._exit``), taking
-  the whole :class:`~concurrent.futures.ProcessPoolExecutor` with it
-  (the ugliest real-world failure: ``BrokenProcessPool``);
+* ``"crash"``   — the worker process hard-exits (``os._exit``) before
+  replying, and whatever it held in memory dies with it (the ugliest
+  real-world failure);
 * ``"error"``   — the job raises :class:`InjectedFault`;
 * ``"hang"``    — the job sleeps ``delay_s`` (pair with a per-attempt
   timeout to exercise the kill-and-respawn path), then raises;
@@ -53,7 +53,7 @@ FAULT_KINDS = ("crash", "error", "hang", "slow", "corrupt")
 #: Environment variable holding a JSON fault plan.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
-#: Worker ordinal installed by the supervisor's pool initializer
+#: Worker ordinal installed when a supervised worker starts
 #: (None in the parent / serial execution).
 _WORKER_ORDINAL: int | None = None
 

@@ -1,34 +1,44 @@
-"""Supervised process-pool execution.
+"""Supervised worker processes.
 
-:class:`SupervisedPool` is the drop-in hardened sibling of
-:class:`repro.parallel.pool.WorkerPool`: an ordered ``map`` over a
-:class:`~concurrent.futures.ProcessPoolExecutor` that treats partial
-failure as the normal case.  Per job it detects
+:class:`SupervisedPool` runs an ordered ``map`` over ``max_workers``
+long-lived worker processes and treats partial failure as the normal
+case.  Each worker has its own channel (a ``Process`` and a ``Pipe``),
+and item ``i`` always runs on the worker ``owners[i]`` names
+(round-robin by default), so a worker can keep state from one ``map``
+to the next: the tile owners of :mod:`repro.parallel.tilerender` keep
+their tiles' retained base layers that way.  Per item it detects
 
-* worker death (``BrokenProcessPool`` — e.g. an injected ``crash``
-  fault calling ``os._exit``),
+* worker death (end of file on the worker's pipe — e.g. an injected
+  ``crash`` fault calling ``os._exit``),
 * raised exceptions (including :class:`InjectedFault`),
-* per-attempt timeouts (hung workers are terminated and the pool
-  respawned),
+* per-attempt timeouts (the hung worker is terminated),
 * corrupt payloads (:class:`CorruptResult` markers, or a caller
   ``validate`` hook rejecting a value),
 
-and responds by respawning the pool as needed and retrying the failed
-jobs under a :class:`RetryPolicy` with exponential backoff.  Jobs that
-exhaust their retries are re-executed *in the parent process* via
-``serial_fn`` — the bottom rung of the degradation ladder — so ``map``
-always completes with results bit-identical to a plain serial loop.
-Everything that failed, was retried, or fell back is recorded in the
-attached :class:`DegradationReport` (no silent drops).
+and responds by respawning only the failed worker and retrying the
+failed items under a :class:`RetryPolicy` with exponential backoff.
+Items that exhaust their retries are re-executed *in the parent
+process* via ``serial_fn`` — the bottom rung of the degradation ladder
+— so ``map`` always completes with results bit-identical to a plain
+serial loop.  Everything that failed, was retried, or fell back is
+recorded in a :class:`DegradationReport` (no silent drops).
+
+The pool starts no helper thread: the parent writes each worker's
+requests itself and reads the replies with
+:func:`multiprocessing.connection.wait`.  So respawning a worker under
+the fork start method forks a process that runs only the caller's own
+threads.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence, TypeVar
+from collections import deque
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from repro.resilience.faults import CorruptResult, FaultPlan, InjectedFault, run_with_faults
 from repro.resilience.health import DegradationReport
@@ -41,43 +51,78 @@ R = TypeVar("R")
 
 _UNSET = object()
 
+#: Seconds a worker gets to exit after a stop request before it is
+#: terminated.
+_STOP_GRACE_S = 5.0
 
-def _supervised_init(counter, user_init, user_args) -> None:
-    """Pool initializer: assign this worker a stable ordinal (for
-    worker-targeted faults), then run the caller's initializer."""
+
+def _worker_main(conn: Connection, ordinal: int,
+                 initializer: Callable[..., None] | None, initargs: tuple) -> None:
+    """A worker's life: install its ordinal (for worker-targeted faults)
+    and the caller's state, then serve requests until told to stop.
+
+    A request is ``(fn, plan, [(job, attempt, item), ...])``; each item
+    is answered in order with ``(True, value)`` or ``(False, exception)``.
+    End of file (the parent is gone) or ``None`` stops the worker.
+    """
     from repro.resilience import faults
 
-    if counter is not None:
-        with counter.get_lock():
-            faults._WORKER_ORDINAL = int(counter.value)
-            counter.value += 1
-    if user_init is not None:
-        user_init(*user_args)
+    faults._WORKER_ORDINAL = ordinal
+    if initializer is not None:
+        initializer(*initargs)
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        fn, plan, tasks = request
+        for job, attempt, item in tasks:
+            try:
+                reply: tuple[bool, Any] = (True, run_with_faults(fn, item, job, attempt, plan))
+            except Exception as exc:  # the job raised: ship the exception
+                reply = (False, exc)
+            try:
+                conn.send(reply)
+            except OSError:
+                return  # the parent is gone
+            except Exception as exc:  # pickling failed; nothing was written
+                conn.send((False, RuntimeError(f"unpicklable reply: {exc!r}")))
+
+
+class _Worker(NamedTuple):
+    process: BaseProcess
+    conn: Connection
 
 
 class SupervisedPool:
-    """A process pool that survives its workers.
+    """Worker processes that outlive their failures.
 
     Parameters
     ----------
     max_workers:
-        Pool width; ``<= 1`` runs everything serially in-process (no
-        faults are injected on the serial path — it is the trusted
+        Number of workers; ``<= 1`` runs everything serially in-process
+        (no faults are injected on the serial path — it is the trusted
         bottom rung of the degradation ladder).
     policy:
-        Retry policy governing attempts per job and backoff between
-        retry rounds.
+        Retry policy governing attempts per item, backoff between retry
+        rounds and the per-attempt timeout.
     fault_plan:
         Optional :class:`FaultPlan` shipped to workers (tests and
         benchmarks inject faults through this; production passes None).
     initializer / initargs:
-        Per-worker setup, as for :class:`ProcessPoolExecutor` (re-run
-        whenever the pool is respawned).
+        Per-worker setup, run once in each worker when it starts (and
+        again in a respawned one).
     report:
         A :class:`DegradationReport` to accumulate into (a fresh one is
         created when omitted; read it back via :attr:`report`).
     sleep:
         Injectable backoff sleep.
+
+    Workers start on the first pooled ``map`` and live until
+    :meth:`close` (or the end of a ``with`` block).  One caller at a
+    time: a ``map`` owns every worker's pipe until it returns.
     """
 
     def __init__(
@@ -104,47 +149,68 @@ class SupervisedPool:
         self._initializer = initializer
         self._initargs = initargs
         self._sleep = sleep
-        self._executor: ProcessPoolExecutor | None = None
+        self._workers: dict[int, _Worker] = {}
+        self._parent_pid = os.getpid()
 
-    # Pool lifecycle -------------------------------------------------------
+    # Worker lifecycle -----------------------------------------------------
     @property
     def serial(self) -> bool:
         return self.max_workers <= 1
+
+    @property
+    def pids(self) -> tuple[int | None, ...]:
+        """Process ids of the running workers, by ordinal."""
+        return tuple(self._workers[o].process.pid for o in sorted(self._workers))
 
     def __enter__(self) -> "SupervisedPool":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._shutdown()
+        self.close()
 
-    def _spawn(self) -> ProcessPoolExecutor:
-        import multiprocessing
-
-        counter = multiprocessing.Value("i", 0)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_supervised_init,
-            initargs=(counter, self._initializer, self._initargs),
+    def _spawn(self, ordinal: int) -> _Worker:
+        ctx = multiprocessing.get_context()
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, ordinal, self._initializer, self._initargs),
+            name=f"repro-worker-{ordinal}",
+            daemon=True,
         )
-        return self._executor
+        process.start()
+        child_conn.close()  # the worker's end lives in the worker only
+        worker = self._workers[ordinal] = _Worker(process, parent_conn)
+        return worker
 
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _kill(self) -> None:
-        """Tear down a broken or hung pool without waiting on it."""
-        if self._executor is None:
+    def _kill(self, ordinal: int) -> None:
+        """Terminate a dead, hung or misbehaving worker and reap it."""
+        worker = self._workers.pop(ordinal, None)
+        if worker is None:
             return
-        procs = getattr(self._executor, "_processes", None) or {}
-        for proc in list(procs.values()):
+        worker.conn.close()
+        worker.process.kill()
+        worker.process.join()
+
+    def close(self) -> None:
+        """Stop every worker: ask, wait briefly, then terminate.
+
+        A no-op outside the process that created the pool (a forked
+        child holds a copy of the pool but none of its workers).
+        """
+        if os.getpid() != self._parent_pid:
+            return
+        workers, self._workers = self._workers, {}
+        for worker in workers.values():
             try:
-                proc.terminate()
-            except Exception:
-                pass
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
+                worker.conn.send(None)
+            except OSError:
+                pass  # already gone
+        for worker in workers.values():
+            worker.process.join(_STOP_GRACE_S)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join()
+            worker.conn.close()
 
     # Supervision ----------------------------------------------------------
     def _note_failure(
@@ -152,12 +218,13 @@ class SupervisedPool:
         kind: str,
         job: int,
         attempt: int,
+        worker: int,
         retry_next: list[tuple[int, int]],
         fallback: list[int],
         detail: str = "",
     ) -> None:
-        """Record one failed attempt and route the job onward."""
-        spec = self.fault_plan.fires(job, attempt) if self.fault_plan else None
+        """Record one failed attempt and route the item onward."""
+        spec = self.fault_plan.fires(job, attempt, worker) if self.fault_plan else None
         if spec is not None and "injected" not in kind:
             kind = f"injected-{spec.kind}"
         will_retry = attempt + 1 < self.policy.max_attempts
@@ -179,6 +246,7 @@ class SupervisedPool:
         fn: Callable[[T], R],
         items: Sequence[T],
         *,
+        owners: Sequence[int] | None = None,
         serial_fn: Callable[[T], R] | None = None,
         validate: Callable[[R], bool] | None = None,
     ) -> list[R]:
@@ -187,8 +255,13 @@ class SupervisedPool:
         Parameters
         ----------
         fn:
-            Picklable per-item work function run in pool workers (may
-            rely on state installed by the pool initializer).
+            Picklable per-item work function run in the workers (may
+            rely on state installed by the initializer, or kept by the
+            worker from earlier items).
+        owners:
+            The worker ordinal (``0 <= o < max_workers``) each item runs
+            on, retries included; round-robin when omitted.  A worker
+            runs its items in order.
         serial_fn:
             In-parent equivalent used for serial mode and last-resort
             fallback (defaults to ``fn``; pass one when ``fn`` depends
@@ -196,6 +269,9 @@ class SupervisedPool:
         validate:
             Optional result predicate; a False verdict counts as a
             ``corrupt`` failure and triggers a retry.
+
+        The pool's :attr:`policy`, :attr:`fault_plan` and :attr:`report`
+        are read when ``map`` runs, so a caller may set them per call.
         """
         serial_fn = serial_fn if serial_fn is not None else fn
         n = len(items)
@@ -204,75 +280,17 @@ class SupervisedPool:
             for i, item in enumerate(items):
                 results[i] = serial_fn(item)
             return results
+        if owners is None:
+            owners = [i % self.max_workers for i in range(n)]
+        if any(not 0 <= o < self.max_workers for o in owners):
+            raise ValueError(f"owners must lie in [0, {self.max_workers})")
 
         pending: list[tuple[int, int]] = [(i, 0) for i in range(n)]
         round_index = 0
         while pending:
-            retry_next: list[tuple[int, int]] = []
-            fallback: list[int] = []
-            if self._executor is None:
-                self._spawn()
-            futures: list[tuple[int, int, Future]] = [
-                (job, attempt, self._executor.submit(
-                    run_with_faults, fn, items[job], job, attempt, self.fault_plan
-                ))
-                for job, attempt in pending
-            ]
-            broken = False
-            for job, attempt, fut in futures:
-                try:
-                    if broken:
-                        # pool already dead: collect what finished in
-                        # time, fail the rest without further waiting
-                        value = fut.result(timeout=0)
-                    else:
-                        value = fut.result(timeout=self.policy.attempt_timeout_s)
-                except FutureTimeoutError:
-                    if broken:
-                        self._note_failure("crash", job, attempt, retry_next, fallback,
-                                           detail="pool died mid-round")
-                        continue
-                    # hung worker: kill the whole pool, respawn next round
-                    self._kill()
-                    broken = True
-                    self.report.record(
-                        "timeout", scope="pool", action="respawned",
-                        job=job, attempt=attempt,
-                        detail=f"attempt exceeded {self.policy.attempt_timeout_s}s",
-                    )
-                    self._note_failure("timeout", job, attempt, retry_next, fallback)
-                    continue
-                except BrokenProcessPool as exc:
-                    if not broken:
-                        self._kill()
-                        broken = True
-                        self.report.record(
-                            "crash", scope="pool", action="respawned",
-                            job=job, attempt=attempt, detail=repr(exc),
-                        )
-                    self._note_failure("crash", job, attempt, retry_next, fallback,
-                                       detail=repr(exc))
-                    continue
-                except CancelledError:
-                    self._note_failure("crash", job, attempt, retry_next, fallback,
-                                       detail="cancelled by pool death")
-                    continue
-                except InjectedFault as exc:
-                    self._note_failure(f"injected-{exc.kind}", job, attempt,
-                                       retry_next, fallback, detail=str(exc))
-                    continue
-                except Exception as exc:  # job raised in the worker
-                    self._note_failure("error", job, attempt, retry_next, fallback,
-                                       detail=repr(exc))
-                    continue
-                if isinstance(value, CorruptResult) or (
-                    validate is not None and not validate(value)
-                ):
-                    self._note_failure("corrupt", job, attempt, retry_next, fallback)
-                    continue
-                results[job] = value
+            retry_next, fallback = self._round(fn, items, owners, pending, validate, results)
 
-            # bottom rung: exhausted jobs run in-process, serially —
+            # bottom rung: exhausted items run in-process, serially —
             # deterministic work gives bit-identical output
             for job in fallback:
                 results[job] = serial_fn(items[job])
@@ -284,6 +302,98 @@ class SupervisedPool:
 
         assert all(r is not _UNSET for r in results)
         return results
+
+    def _round(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        owners: Sequence[int],
+        pending: list[tuple[int, int]],
+        validate: Callable[[Any], bool] | None,
+        results: list[Any],
+    ) -> tuple[list[tuple[int, int]], list[int]]:
+        """One attempt of every pending item: one request per worker,
+        then its replies in order as they arrive.  Returns the items to
+        retry and the items to run in the parent."""
+        retry_next: list[tuple[int, int]] = []
+        fallback: list[int] = []
+
+        def fail(kind: str, job: int, attempt: int, detail: str = "") -> None:
+            self._note_failure(kind, job, attempt, owners[job], retry_next, fallback, detail)
+
+        queues: dict[int, deque[tuple[int, int]]] = {}
+        for job, attempt in pending:
+            queues.setdefault(owners[job], deque()).append((job, attempt))
+
+        def lose(ordinal: int, kind: str, detail: str) -> None:
+            """The worker died or hung: kill it (its next request
+            respawns it) and fail its unanswered items."""
+            self._kill(ordinal)
+            queue = queues[ordinal]
+            job, attempt = queue.popleft()
+            self.report.record(kind, scope="worker", action="respawned",
+                               job=job, attempt=attempt, detail=detail)
+            fail(kind, job, attempt, detail)
+            for job, attempt in queue:
+                fail("crash", job, attempt, "worker lost mid-round")
+
+        # conn -> (worker ordinal, when its current item started)
+        live: dict[Connection, tuple[int, float]] = {}
+        try:
+            for ordinal, queue in queues.items():
+                worker = self._workers.get(ordinal) or self._spawn(ordinal)
+                try:
+                    worker.conn.send((fn, self.fault_plan, [(job, attempt, items[job])
+                                                            for job, attempt in queue]))
+                except OSError as exc:
+                    lose(ordinal, "crash", repr(exc))
+                    continue
+                live[worker.conn] = (ordinal, time.monotonic())
+            timeout = self.policy.attempt_timeout_s
+            while live:
+                wait_s = None
+                if timeout is not None:
+                    oldest = min(started for _, started in live.values())
+                    wait_s = max(0.0, oldest + timeout - time.monotonic())
+                ready = wait(list(live), wait_s)
+                if not ready:
+                    # the longest-running item outlived its attempt timeout
+                    conn = min(live, key=lambda c: live[c][1])
+                    ordinal, _ = live.pop(conn)
+                    lose(ordinal, "timeout", f"attempt exceeded {timeout}s")
+                    continue
+                for conn in [c for c in live if c in ready]:
+                    ordinal, _ = live[conn]
+                    try:
+                        ok, value = conn.recv()
+                    except (EOFError, OSError) as exc:
+                        del live[conn]
+                        lose(ordinal, "crash", repr(exc))
+                        continue
+                    queue = queues[ordinal]
+                    job, attempt = queue.popleft()
+                    if queue:
+                        live[conn] = (ordinal, time.monotonic())
+                    else:
+                        del live[conn]
+                    if not ok:
+                        if isinstance(value, InjectedFault):
+                            fail(f"injected-{value.kind}", job, attempt, str(value))
+                        else:
+                            fail("error", job, attempt, repr(value))
+                    elif isinstance(value, CorruptResult) or (
+                        validate is not None and not validate(value)
+                    ):
+                        fail("corrupt", job, attempt)
+                    else:
+                        results[job] = value
+        except BaseException:
+            # a worker still owing replies would hand them to the next
+            # map as its answers: drop it
+            for ordinal, _ in live.values():
+                self._kill(ordinal)
+            raise
+        return retry_next, fallback
 
 
 def supervised_map(

@@ -12,6 +12,8 @@ Each step also pins whether it may reuse bases: a change that only
 touches the overlay (stroke, results, window, a subset of the eyes)
 draws no background, rim or trajectory at all, and every other change
 draws them.  The cache always holds exactly the last job list's keys.
+Footprint coverage is retained the same way: a tick that replaces one
+color's stroke rasterizes only that color's footprints.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.app import TrajectoryExplorer
-from repro.core.brush import stroke_from_rect
+from repro.core.brush import BrushStroke, stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.temporal import TimeWindow
@@ -175,15 +177,53 @@ def test_retained_frame_equals_fresh_after_every_change(
         step(f"layout {label}", warm=False)
 
 
+def test_only_the_changed_colors_footprints_are_rasterized(study_dataset, monkeypatch):
+    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
+    arena = Arena()
+    renderer = WallRenderer(study_dataset, arena, viewport)
+    assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
+    canvas = _seeded_canvas(0, 3, arena)  # one stroke each: red, blue, green
+    calls: list[tuple[object, bytes]] = []
+    original = CellRenderer.brush_footprint_coverage
+
+    def spy(self, mapper, cell_rect, centers, radii, **kwargs):
+        calls.append((self.footprint_geometry(mapper, cell_rect)[1],
+                      np.asarray(centers).tobytes()))
+        return original(self, mapper, cell_rect, centers, radii, **kwargs)
+
+    monkeypatch.setattr(CellRenderer, "brush_footprint_coverage", spy)
+    renderer.render_viewport(assignment, canvas=canvas)
+    geometries = {geometry for geometry, _ in calls}
+    assert len(calls) == 3 * len(geometries)
+    calls.clear()
+    renderer.render_viewport(assignment, canvas=canvas)
+    assert not calls  # nothing changed: every map is retained
+
+    # the same stamps and radius, moved: only the centers' bytes differ
+    [red] = canvas.strokes("red")
+    canvas.clear("red")
+    canvas.add(BrushStroke(red.centers + [0.05 * arena.radius, 0.0], red.radius, "red"))
+    got = renderer.render_viewport(assignment, canvas=canvas)
+    red = canvas.stamps_of("red")[0].tobytes()
+    assert [stamps for _, stamps in calls] == [red] * len(geometries)
+    assert {geometry for geometry, _ in calls} == geometries
+    _assert_same_frames(
+        got, _fresh(renderer).render_viewport(assignment, canvas=canvas),
+        "one color's stroke replaced",
+    )
+
+
 def test_renderer_pickles_without_its_bases(study_dataset):
     viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
     renderer = WallRenderer(study_dataset, Arena(), viewport)
     size = len(pickle.dumps(renderer))
     assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
-    renderer.render_viewport(assignment)
+    renderer.render_viewport(assignment, canvas=_seeded_canvas(0, 2, renderer.arena))
     assert renderer.retained_bytes == 4 * 64 * 36 * 3 * 4  # 2 tiles x 2 eyes, float32
+    assert renderer._footprints
     assert len(pickle.dumps(renderer)) == size
-    assert pickle.loads(pickle.dumps(renderer)).retained_bytes == 0
+    copy = pickle.loads(pickle.dumps(renderer))
+    assert copy.retained_bytes == 0 and not copy._footprints
 
 
 def test_bases_are_read_only_and_frames_are_the_callers(study_dataset):

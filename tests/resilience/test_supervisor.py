@@ -42,6 +42,27 @@ class TestHealthyPath:
         with pytest.raises(ValueError):
             SupervisedPool(-1)
 
+    def test_workers_live_across_maps(self):
+        with SupervisedPool(2, policy=FAST) as pool:
+            assert pool.map(_square, list(range(4))) == _expected(4)
+            pids = pool.pids
+            assert len(pids) == 2
+            assert pool.map(_square, list(range(6))) == _expected(6)
+            assert pool.pids == pids
+        assert pool.pids == ()
+
+    def test_an_aborted_map_leaves_no_stale_reply(self):
+        """Workers still owing replies when ``map`` raises are dropped,
+        so the next ``map`` never reads the aborted one's answers."""
+
+        def refuse(value):
+            raise RuntimeError("validator failed")
+
+        with SupervisedPool(2, policy=FAST) as pool:
+            with pytest.raises(RuntimeError):
+                pool.map(_square, list(range(6)), validate=refuse)
+            assert pool.map(_square, list(range(6))) == _expected(6)
+
 
 class TestFaultAbsorption:
     def test_error_fault_retried(self):

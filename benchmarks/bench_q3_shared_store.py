@@ -1,12 +1,12 @@
 """Q3 — zero-copy shared-memory data plane: ship handles, not datasets.
 
-The tentpole claim of the store refactor: a worker (render node, batch
-query shard) should receive an O(handle-bytes) address of the resident
+The tentpole claim of the store refactor: a worker (a render node's
+tile owner) should receive an O(handle-bytes) address of the resident
 arrays instead of an O(dataset-bytes) pickle.  This bench quantifies it
 on the paper-scale 500-trajectory dataset:
 
-* **init payload** — ``pickle.dumps`` size of the pool initializer
-  arguments, pickle-ship vs store-handle ship;
+* **init payload** — ``pickle.dumps`` size of the tile owners'
+  initializer arguments, pickle-ship vs store-handle ship;
 * **pool warm-up** — wall time to spin up a *spawn*-context pool (the
   honest transport: fork inherits pages for free) at 1/4/8 workers
   under each transport, until every worker is initialized and drained
@@ -51,7 +51,7 @@ import pytest
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.temporal import TimeWindow
-from repro.parallel.batch import _init_batch_worker, _init_batch_worker_shm
+from repro.parallel.tilerender import _init_owner
 from repro.store import DatasetService, SharedArenaStore
 from repro.synth import AntStudyConfig, generate_study_dataset
 
@@ -117,21 +117,18 @@ def _drive_session(session, arena, i: int) -> list[float]:
 
 
 def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sink):
-    strokes = [_stroke(arena)]
-    window = TimeWindow.all()
-
     with SharedArenaStore.publish(ship_dataset) as ship_store:
-        # --- init payload: what each worker ship costs on the wire ------
-        pickle_args = (ship_dataset, strokes, "red", window)
-        shm_args = (ship_store.handle, strokes, "red", window)
+        # --- init payload: what each tile owner's start costs on the wire
+        pickle_args = (ship_dataset, arena, viewport)
+        shm_args = (ship_store.handle, arena, viewport)
         pickle_bytes = len(pickle.dumps(pickle_args))
         shm_bytes = len(pickle.dumps(shm_args))
 
         # --- spawn-pool warm-up at 1/4/8 workers ------------------------
         warmup = {}
         for n in WORKER_COUNTS:
-            t_pickle = _pool_warmup_s(n, _init_batch_worker, pickle_args)
-            t_shm = _pool_warmup_s(n, _init_batch_worker_shm, shm_args)
+            t_pickle = _pool_warmup_s(n, _init_owner, pickle_args)
+            t_shm = _pool_warmup_s(n, _init_owner, shm_args)
             warmup[str(n)] = {
                 "pickle_ship_s": round(t_pickle, 4),
                 "shm_attach_s": round(t_shm, 4),

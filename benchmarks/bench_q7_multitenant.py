@@ -33,13 +33,16 @@ This bench quantifies the new read path on the paper-scale dataset:
 
 Emits human-readable ``out/Q7.txt`` and machine-readable
 ``out/BENCH_Q7.json`` (CI artifact; the multitenant-bench job gates on
-the 8-session p95/solo ratio recorded here).
+the 8-session wall ratio recorded here), with a ``host`` block (usable
+CPUs, Python and NumPy versions) so runs on different machines are not
+compared blind.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import threading
 import time
 from pathlib import Path
@@ -288,6 +291,11 @@ def test_q7_multitenant(full_dataset, viewport, arena, report_sink):
     payload = {
         "bench": "Q7",
         "title": "lock-free multi-tenant read path over epoch snapshots",
+        "host": {
+            "n_cpus": n_cpus,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "dataset": {
             "n_trajectories": len(full_dataset),
             "n_segments": int(full_dataset.packed().n_segments),
@@ -301,10 +309,12 @@ def test_q7_multitenant(full_dataset, viewport, arena, report_sink):
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_Q7.json").write_text(json.dumps(payload, indent=2))
 
+    host = payload["host"]
     lines = [
+        f"host: {host['n_cpus']} usable CPUs, Python {host['python']}, "
+        f"NumPy {host['numpy']}",
         f"dataset: {len(full_dataset)} trajectories, "
-        f"{int(full_dataset.packed().n_segments)} segments  "
-        f"({n_cpus} cpu{'s' if n_cpus != 1 else ''})",
+        f"{int(full_dataset.packed().n_segments)} segments",
         f"solo (per-user, fresh service): mean wall {mean_solo * 1e3:7.1f} ms, "
         f"range {min(solo_walls) * 1e3:.0f}-{max(solo_walls) * 1e3:.0f} ms  "
         f"p50 {solo_p['p50_ms']:.2f} / p95 {solo_p['p95_ms']:.2f} / "

@@ -38,7 +38,7 @@ pytestmark = pytest.mark.resilience
 #: Owners crashed on their first attempt, per scenario (of 2 owners,
 #: each owning one batch: fault job b is owner b's batch).
 SCENARIOS = (0, 1, 2)
-POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter=0.0)
+POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.01)
 NO_FAULTS = FaultPlan()  # also overrides a REPRO_FAULTS environment plan
 
 

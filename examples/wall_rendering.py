@@ -25,7 +25,9 @@ from repro.stereo.camera import Eye
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="frames", help="output directory")
-    parser.add_argument("--workers", type=int, default=min(4, default_workers()))
+    # at least 2 tile owners, so a 2-CPU host (1 default worker) still
+    # renders pooled; --workers 1 renders serially only
+    parser.add_argument("--workers", type=int, default=max(2, min(4, default_workers())))
     parser.add_argument("--layout", default="2", choices=("1", "2", "3"))
     parser.add_argument("--scale", type=float, default=0.25,
                         help="output downscale factor")

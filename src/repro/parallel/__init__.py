@@ -1,4 +1,4 @@
-"""Parallel execution harness.
+"""Parallel tile rendering.
 
 On the real wall each tile is driven by its own render node, which
 keeps its data resident.  The software reproduction mirrors that with
@@ -8,20 +8,11 @@ frame and keeping their base layers, so a frame ships each owner only
 its jobs, the brush and the query results, and ships back only its
 tiles' pixels.  Tiles share nothing, so the decomposition is
 embarrassing; the interesting part is paying worker startup once and
-shipping only what a tile needs.  A process pool runs chunked batch
-queries for the §VI-C large-dataset workloads.
+shipping only what a tile needs.  The owners are the workers of a
+:class:`repro.resilience.SupervisedPool`, the repository's one process
+pool.
 """
 
-from repro.parallel.partition import chunk_indices, partition_jobs_by_cost
-from repro.parallel.pool import WorkerPool, pool_map
 from repro.parallel.tilerender import render_viewport_parallel
-from repro.parallel.batch import parallel_query_support
 
-__all__ = [
-    "chunk_indices",
-    "partition_jobs_by_cost",
-    "WorkerPool",
-    "pool_map",
-    "render_viewport_parallel",
-    "parallel_query_support",
-]
+__all__ = ["render_viewport_parallel"]

@@ -1,27 +1,17 @@
-"""Process pool wrapper.
+"""Worker counts and the round-robin deal of jobs to workers.
 
-A thin, test-friendly layer over :mod:`concurrent.futures`:
-
-* ``max_workers=0`` (or 1) degrades to in-process serial execution —
-  identical results, no fork, so unit tests and small jobs skip pool
-  overhead entirely;
-* work functions and payloads must be picklable (jobs are resolved to
-  plain arrays before shipping, mirroring what a cluster-driven wall
-  sends its render nodes).
+The one process pool is :class:`repro.resilience.SupervisedPool`; this
+module only sizes it and splits work across its workers.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from repro import obs
-
-__all__ = ["WorkerPool", "pool_map", "default_workers", "round_robin_batches"]
+__all__ = ["default_workers", "round_robin_batches"]
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 def default_workers() -> int:
@@ -48,93 +38,3 @@ def round_robin_batches(items: Sequence[T], n_batches: int) -> list[tuple[T, ...
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
     n = min(int(n_batches), len(items))
     return [tuple(items[b::n]) for b in range(n)]
-
-
-class WorkerPool:
-    """Context-managed process pool with a serial fallback.
-
-    >>> with WorkerPool(0) as pool:          # serial mode
-    ...     pool.map(str, [1, 2])
-    ['1', '2']
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is None:
-            max_workers = default_workers()
-        if max_workers < 0:
-            raise ValueError("max_workers must be >= 0")
-        self.max_workers = int(max_workers)
-        self._executor: ProcessPoolExecutor | None = None
-
-    @property
-    def serial(self) -> bool:
-        return self.max_workers <= 1
-
-    def __enter__(self) -> "WorkerPool":
-        if not self.serial:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T], *, chunksize: int = 1) -> list[R]:
-        """Ordered map over items (serial or pooled).
-
-        Both paths give identical guarantees so code exercised serially
-        behaves the same pooled:
-
-        * **Ordering** — ``results[i] == fn(items[i])`` always.
-          ``chunksize`` only batches how many items travel per pickle
-          round-trip; chunks are formed from consecutive items and
-          results are reassembled in submission order, never reordered.
-        * **Validation** — ``chunksize`` must be >= 1 on the serial
-          path too (the pooled executor rejects it; a serial test run
-          must not mask that).
-        * **Failure timing** — the first exception from ``fn``
-          propagates and later items are not evaluated.  Serially,
-          items are consumed chunk-by-chunk in the same grouping the
-          pooled path would ship, so side-effect ordering matches.
-
-        Pickling contract (pooled path): ``fn`` must be a module-level
-        callable, and every item and result must pickle — resolve jobs
-        to plain arrays/dataclasses before mapping (or ship a
-        :class:`repro.store.StoreHandle` and attach in the worker
-        instead of pickling datasets).  The serial path never pickles;
-        that difference is unobservable for conforming payloads.
-
-        A pooled ``WorkerPool`` must be entered (``with`` block) before
-        mapping; calling outside the context manager raises rather than
-        silently degrading to serial execution and losing parallelism.
-        """
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        mode = "serial" if self.serial else "pooled"
-        obs.counter_add("pool.map.calls", 1, mode=mode)
-        obs.counter_add("pool.map.items", len(items), mode=mode)
-        if self.serial:
-            results: list[R] = []
-            for start in range(0, len(items), chunksize):
-                results.extend(fn(item) for item in items[start : start + chunksize])
-            return results
-        if self._executor is None:
-            raise RuntimeError(
-                f"WorkerPool(max_workers={self.max_workers}).map called outside "
-                "the context manager; enter `with WorkerPool(...) as pool:` so "
-                "the process pool exists (refusing to silently run serial)"
-            )
-        return list(self._executor.map(fn, items, chunksize=chunksize))
-
-
-def pool_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    max_workers: int | None = None,
-    chunksize: int = 1,
-) -> list[R]:
-    """One-shot pooled map."""
-    with WorkerPool(max_workers) as pool:
-        return pool.map(fn, items, chunksize=chunksize)

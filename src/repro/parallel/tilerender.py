@@ -30,11 +30,7 @@ never in the renderer itself.
 
 Jobs are **batched per owner** (one request per owner carrying its
 tile list): a batch amortizes dispatch and shares the renderer's
-footprint cache across the owner's tiles.  Batch size is informed by
-the ``render.tile.seconds`` telemetry: when per-tile history says an
-owner's share would outlive the supervisor's attempt timeout, the share
-is split into sub-batches, still on that owner, so a healthy batch is
-never mistaken for a hang.
+footprint cache across the owner's tiles.
 
 Every path renders its job list through
 :meth:`WallRenderer.render_jobs`: ``max_workers<=1`` renders the whole
@@ -43,15 +39,14 @@ frame in-process as one list and is bit-identical to
 
 The pooled path runs under a :class:`repro.resilience.SupervisedPool`:
 a crashed, hung or misbehaving owner never costs the frame.  Its failed
-batches are retried on the respawned owner (which renders them cold:
-its retained layers died with it) and, as a last resort, re-rendered
+batch is retried on the respawned owner (which renders it cold: its
+retained layers died with it) and, as a last resort, re-rendered
 serially in the parent — rendering is deterministic, so every rung
 returns identical bytes and the frame always completes.  What failed
 and what it took to recover is attached as
 ``ParallelRenderReport.degradation``.  Fault injection for tests and
 benchmarks comes in through ``fault_plan`` or the ``REPRO_FAULTS``
-environment hook; fault job indices address batches, which are owners
-unless telemetry split them.
+environment hook; fault job ``b`` is owner ``b``'s batch.
 """
 
 from __future__ import annotations
@@ -84,32 +79,18 @@ from repro.store.shm import StoreAttachError
 from repro.synth.arena import Arena
 from repro.trajectory.dataset import TrajectoryDataset
 
-__all__ = ["render_viewport_parallel", "ParallelRenderReport", "TileBatch", "owner_pids"]
+__all__ = ["render_viewport_parallel", "ParallelRenderReport", "owner_pids"]
 
-# An owner process's state, installed by its initializer: its renderers
-# by batch slot, and the store client pinning its mapping.
+# An owner process's state, installed by its initializer: its renderer
+# and the store client pinning its mapping.
 _OWNER_STATE: dict[str, Any] = {}
 
-
-@dataclass(frozen=True)
-class TileBatch:
-    """One request to a tile owner: the jobs it renders in sequence.
-
-    ``owner`` is the owner the jobs belong to, every frame; ``slot``
-    numbers the owner's batches of one frame (always 0 unless telemetry
-    split its share).  One list per request is what lets the owner share
-    its footprint cache across its tiles (see
-    :meth:`~repro.render.pipeline.WallRenderer.render_jobs`).
-    """
-
-    owner: int
-    slot: int
-    jobs: tuple[RenderJob, ...]
-
-
-#: What a batch needs besides its jobs, sent with it every frame.
+#: One request to a tile owner: its jobs, which it renders as one list
+#: (so they share its footprint cache, see
+#: :meth:`~repro.render.pipeline.WallRenderer.render_jobs`), and what
+#: they need besides, sent with them every frame.
 _FrameWork = tuple[
-    TileBatch, BrushCanvas | None, dict[str, QueryResult] | None,
+    tuple[RenderJob, ...], BrushCanvas | None, dict[str, QueryResult] | None,
     SpaceTimeProjection, CellStyle,
 ]
 
@@ -150,26 +131,20 @@ def _init_owner(source: TrajectoryDataset | StoreHandle, arena: Arena,
         client = attach(source)
         _OWNER_STATE["client"] = client  # pins the mapping for the owner's life
         source = client.dataset
-    _OWNER_STATE["renderers"] = {0: WallRenderer(source, arena, viewport)}
+    _OWNER_STATE["renderer"] = WallRenderer(source, arena, viewport)
 
 
 def _render_on(renderer: WallRenderer, work: _FrameWork) -> _BatchOut:
-    batch, canvas, results, projection, style = work
+    jobs, canvas, results, projection, style = work
     renderer.projection, renderer.style = projection, style
     built = renderer.bases_built
-    tiles = renderer.render_jobs(batch.jobs, canvas=canvas, results=results)
+    tiles = renderer.render_jobs(jobs, canvas=canvas, results=results)
     return _BatchOut(tiles, renderer.bases_built - built, time.monotonic())
 
 
 def _render_batch(work: _FrameWork) -> _BatchOut:
-    """Render one batch in its owner, on the renderer of its slot: one
-    renderer per slot, so split shares keep their own retained layers."""
-    renderers: dict[int, WallRenderer] = _OWNER_STATE["renderers"]
-    slot = work[0].slot
-    if slot not in renderers:
-        first = renderers[0]
-        renderers[slot] = WallRenderer(first.dataset, first.arena, first.viewport)
-    return _render_on(renderers[slot], work)
+    """Render one batch in its owner, on the owner's renderer."""
+    return _render_on(_OWNER_STATE["renderer"], work)
 
 
 class _OwnerKey(NamedTuple):
@@ -230,39 +205,6 @@ def owner_pids(renderer: WallRenderer) -> tuple[int | None, ...]:
     (empty before its first pooled frame)."""
     owners = _OWNERS.get(renderer)
     return owners.pool.pids if owners is not None else ()
-
-
-def _plan_batches(
-    jobs: list[RenderJob], max_workers: int, policy: RetryPolicy
-) -> list[TileBatch]:
-    """Deal jobs to owners round-robin, split by tile telemetry.
-
-    Default: one batch per owner (maximal footprint-cache reuse,
-    minimal dispatch).  When ``render.tile.seconds`` history predicts an
-    owner's share would outlive half the supervisor's attempt timeout,
-    each share is split into sub-batches of the owner until the
-    expected batch render fits — a healthy batch must never be
-    indistinguishable from a hung owner.
-    """
-    if not jobs:
-        return []
-    shares = round_robin_batches(jobs, max_workers)
-    per_batch = len(shares[0])
-    timeout = policy.attempt_timeout_s
-    if timeout:
-        hist = obs.telemetry_snapshot().histogram("render.tile.seconds")
-        if hist is not None and hist.count:
-            per_tile = hist.sum / hist.count
-            budget = 0.5 * float(timeout)
-            if per_tile > 0 and per_tile * per_batch > budget:
-                per_batch = max(1, int(budget / per_tile))
-    return [
-        TileBatch(owner, slot, sub)
-        for owner, share in enumerate(shares)
-        for slot, sub in enumerate(
-            round_robin_batches(share, math.ceil(len(share) / per_batch))
-        )
-    ]
 
 
 def _covered_s(spans: list[tuple[float, float]]) -> float:
@@ -344,8 +286,8 @@ def render_viewport_parallel(
     fault_plan:
         Deterministic fault injection for the owners (tests, benchmark
         R1).  Defaults to the ``REPRO_FAULTS`` environment hook; pass an
-        empty plan to override the environment.  Fault job indices
-        address batches (one per owner unless split).
+        empty plan to override the environment.  Fault job ``b`` is
+        owner ``b``'s batch.
     retry_policy:
         Per-batch retry/backoff/timeout policy for the supervisor.
     store:
@@ -379,9 +321,9 @@ def render_viewport_parallel(
         workers = 1
         stage_seconds["render"] = time.perf_counter() - t0
     else:
-        policy = retry_policy or DEFAULT_POLICY
-        batches = _plan_batches(jobs, max_workers, policy)
-        n_batches = len(batches)
+        # share b goes to owner b: the pool runs item i on worker i % max_workers
+        shares = round_robin_batches(jobs, max_workers)
+        n_batches = len(shares)
         handle = store.handle if isinstance(store, SharedArenaStore) else store
         owners = _owners_for(renderer, handle, max_workers)
         if owners.attach_failure:
@@ -391,17 +333,16 @@ def render_viewport_parallel(
             )
             obs.counter_add("render.transport.fallbacks", 1)
         work: list[_FrameWork] = [
-            (batch, canvas, results, renderer.projection, renderer.style)
-            for batch in batches
+            (share, canvas, results, renderer.projection, renderer.style)
+            for share in shares
         ]
         pool = owners.pool
-        pool.policy, pool.fault_plan, pool.report = policy, fault_plan, degradation
+        pool.policy = retry_policy or DEFAULT_POLICY
+        pool.fault_plan, pool.report = fault_plan, degradation
         dispatch_s = time.perf_counter() - t0
         t_map, t_map_mono = time.perf_counter(), time.monotonic()
         outputs = pool.map(
-            _render_batch, work,
-            owners=[batch.owner for batch in batches],
-            serial_fn=lambda w: _render_on(renderer, w),
+            _render_batch, work, serial_fn=lambda w: _render_on(renderer, w),
         )
         t_map_end = time.monotonic()
         map_s = time.perf_counter() - t_map
@@ -409,11 +350,11 @@ def render_viewport_parallel(
         render_s = 0.0
         bases_built = 0
         in_transit: list[tuple[float, float]] = []
-        for batch, out in zip(batches, outputs, strict=True):
+        for share, out in zip(shares, outputs, strict=True):
             bases_built += out.bases_built
             if out.arrived is not None:
                 in_transit.append((max(out.finished, t_map_mono), min(out.arrived, t_map_end)))
-            for job, (fb, job_s) in zip(batch.jobs, out.tiles, strict=True):
+            for job, (fb, job_s) in zip(share, out.tiles, strict=True):
                 render_s += job_s
                 obs.observe("render.tile.seconds", job_s)
                 frames[job.eye][(job.tile.col, job.tile.row)] = fb

@@ -8,14 +8,14 @@ substrate the reproduction's scaling work builds on:
 * :mod:`faults` — a deterministic, seedable fault-injection harness
   (:class:`FaultPlan`) usable from tests and benchmarks, plus the
   ``REPRO_FAULTS`` environment hook;
-* :mod:`retry` — :func:`retry_call` / :func:`retryable` with
-  exponential backoff, deterministic jitter and per-attempt timeouts,
-  governed by a :class:`RetryPolicy`;
-* :mod:`supervisor` — :class:`SupervisedPool`, long-lived worker
-  processes (one channel each, so an item always runs on the same
-  worker) that detect crashes, hangs and corrupt payloads, respawn the
-  failed worker and retry, and fall back to in-process serial execution
-  (bit-identical results) when retries are exhausted;
+* :mod:`retry` — :class:`RetryPolicy`: attempts per item, exponential
+  backoff between retry rounds and the per-attempt timeout;
+* :mod:`supervisor` — :class:`SupervisedPool`, the one process pool:
+  long-lived worker processes (one channel each, so an item always runs
+  on the same worker) that detect crashes, hangs and corrupt payloads,
+  respawn the failed worker and retry under the policy, and fall back
+  to in-process serial execution (bit-identical results) when retries
+  are exhausted;
 * :mod:`health` — :class:`DegradationReport`, the "no silent drops"
   ledger attached to render and query results;
 * :mod:`chaos` — :class:`ChaosHarness` / :class:`ChaosMonkey`, a
@@ -45,15 +45,8 @@ from repro.resilience.faults import (
     run_with_faults,
 )
 from repro.resilience.health import DegradationReport, FaultEvent
-from repro.resilience.retry import (
-    DEFAULT_POLICY,
-    AttemptTimeout,
-    RetryError,
-    RetryPolicy,
-    retry_call,
-    retryable,
-)
-from repro.resilience.supervisor import SupervisedPool, supervised_map
+from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
+from repro.resilience.supervisor import SupervisedPool
 
 __all__ = [
     "ROLLOVER_POINTS",
@@ -70,11 +63,6 @@ __all__ = [
     "DegradationReport",
     "FaultEvent",
     "DEFAULT_POLICY",
-    "AttemptTimeout",
-    "RetryError",
     "RetryPolicy",
-    "retry_call",
-    "retryable",
     "SupervisedPool",
-    "supervised_map",
 ]

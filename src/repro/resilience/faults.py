@@ -167,7 +167,8 @@ class FaultPlan:
     @classmethod
     def crash_fraction(cls, p: float, *, seed: int = 0, kind: str = "crash") -> "FaultPlan":
         """Plan crashing (or ``kind``-ing) a fraction ``p`` of first
-        attempts — the benchmark R1 / acceptance-test shape."""
+        attempts — the seeded shape of the chaos storms (benchmark R6) and
+        the fault-absorption tests."""
         return cls(specs=(FaultSpec(kind, p=p),), seed=seed)
 
     # Evaluation -----------------------------------------------------------

@@ -36,8 +36,8 @@ class FaultEvent:
         quarantine), ``"shm-attach-failure"`` (a shared-memory store
         handle could not be attached — stale epoch or evicted block).
     scope:
-        Which layer observed it: ``"job"``, ``"pool"``, ``"index"``,
-        ``"query"``, ``"io"``, or ``"session"``.
+        Which layer observed it: ``"job"``, ``"worker"``, ``"pool"``,
+        ``"index"``, ``"query"``, ``"io"``, or ``"session"``.
     action:
         What the supervisor did about it: ``"retried"``,
         ``"serial-fallback"``, ``"degraded-brute-force"``,

@@ -1,55 +1,19 @@
-"""Generic retry with exponential backoff and deterministic jitter.
+"""How hard the supervisor tries: the retry policy.
 
-:func:`retry_call` (and the :func:`retryable` decorator) wrap any
-callable in a :class:`RetryPolicy`: up to ``max_attempts`` tries,
-delays growing geometrically from ``base_delay_s`` and capped at
-``max_delay_s``, each delay perturbed by a *deterministic* jitter
-(seeded hash of the attempt number — reproducible runs, yet staggered
-enough that a wall's render nodes don't thunder in lockstep).  Clock
-and sleep are injectable so tests assert exact backoff schedules
-without waiting real time.
-
-Per-attempt timeouts — the orphaned-attempt contract
-----------------------------------------------------
-When ``attempt_timeout_s`` is set, each attempt runs on a fresh
-**daemon** thread.  A timed-out attempt is *abandoned, not killed*:
-Python offers no safe thread cancellation, so the orphan runs to
-completion in the background and its result (or exception) is
-discarded.  Consequences callers must design for:
-
-* ``fn``'s side effects should be idempotent or harmless when
-  duplicated — a retry may overlap an orphan still executing;
-* orphans hold whatever resources ``fn`` acquired until they finish;
-  every abandonment is counted on the ``resilience.retry.orphaned``
-  telemetry counter so a leak shows up as a climbing number, not a
-  mystery;
-* the threads are daemons: a process exit never blocks waiting for an
-  orphaned attempt (the historical failure mode of the pool-based
-  implementation, whose non-daemon workers kept finished processes
-  alive).
-
-Process-level jobs that need true kill-and-respawn timeouts belong in
-:class:`repro.resilience.supervisor.SupervisedPool` instead.
+A :class:`RetryPolicy` governs :class:`repro.resilience.SupervisedPool`:
+up to ``max_attempts`` tries per item, a backoff sleep between retry
+rounds that grows geometrically from ``base_delay_s`` and is capped at
+``max_delay_s``, and an optional per-attempt timeout after which the
+worker running the item is killed and respawned.  The schedule is
+deterministic, so tests assert exact backoff delays through the pool's
+injectable sleep without waiting real time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, TypeVar
+from dataclasses import dataclass
 
-__all__ = [
-    "RetryPolicy",
-    "RetryError",
-    "AttemptTimeout",
-    "retry_call",
-    "retryable",
-    "DEFAULT_POLICY",
-]
-
-R = TypeVar("R")
+__all__ = ["RetryPolicy", "DEFAULT_POLICY"]
 
 
 @dataclass(frozen=True)
@@ -66,23 +30,16 @@ class RetryPolicy:
         Geometric backoff factor per further retry.
     max_delay_s:
         Delay ceiling.
-    jitter:
-        Fractional jitter amplitude: each delay is scaled by a
-        deterministic factor in ``[1 - jitter, 1 + jitter]``.
     attempt_timeout_s:
-        Per-attempt wall-clock budget (None = unbounded).  See the
-        module docstring for the orphaned-attempt contract.
-    seed:
-        Seeds the jitter sequence.
+        Per-attempt wall-clock budget (None = unbounded); the
+        supervisor kills a worker whose attempt outlives it.
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.05
     multiplier: float = 2.0
     max_delay_s: float = 2.0
-    jitter: float = 0.1
     attempt_timeout_s: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -91,183 +48,17 @@ class RetryPolicy:
             raise ValueError("delays must be >= 0")
         if self.multiplier < 1.0:
             raise ValueError("multiplier must be >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError("jitter must lie in [0, 1)")
         if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
             raise ValueError("attempt_timeout_s must be positive")
 
     def delay_for(self, retry_index: int) -> float:
-        """Backoff delay before retry ``retry_index`` (0 = first retry).
-
-        Deterministic: ``min(base * multiplier**i, max) * jitter_factor``
-        where the jitter factor depends only on (seed, retry_index).
-        """
+        """Backoff delay before retry ``retry_index`` (0 = first retry):
+        ``min(base * multiplier**i, max)``."""
         if retry_index < 0:
             raise ValueError("retry_index must be >= 0")
-        raw = min(self.base_delay_s * self.multiplier**retry_index, self.max_delay_s)
-        if self.jitter == 0.0:
-            return raw
-        digest = hashlib.blake2b(
-            f"{self.seed}:{retry_index}".encode("ascii"), digest_size=8
-        ).digest()
-        h = int.from_bytes(digest, "big") / 2**64
-        return raw * (1.0 + self.jitter * (2.0 * h - 1.0))
-
-    def with_seed(self, seed: int) -> "RetryPolicy":
-        """Copy with a different jitter seed."""
-        return replace(self, seed=seed)
+        return min(self.base_delay_s * self.multiplier**retry_index, self.max_delay_s)
 
 
 #: Library-wide defaults: 3 attempts, 50 ms base delay doubling to a
-#: 2 s cap, 10% deterministic jitter, no per-attempt timeout.
+#: 2 s cap, no per-attempt timeout.
 DEFAULT_POLICY = RetryPolicy()
-
-
-class RetryError(RuntimeError):
-    """All attempts exhausted; carries the final failure."""
-
-    def __init__(self, attempts: int, last_exception: BaseException) -> None:
-        super().__init__(
-            f"gave up after {attempts} attempt(s): {last_exception!r}"
-        )
-        self.attempts = attempts
-        self.last_exception = last_exception
-
-
-class AttemptTimeout(RuntimeError):
-    """One attempt exceeded ``attempt_timeout_s``."""
-
-    def __init__(self, timeout_s: float, attempt: int) -> None:
-        super().__init__(f"attempt {attempt} exceeded {timeout_s:.3f}s budget")
-        self.timeout_s = timeout_s
-        self.attempt = attempt
-
-
-def _count_orphan() -> None:
-    """Bump ``resilience.retry.orphaned``, tolerating a missing or
-    broken telemetry layer — abandoning an attempt must never itself
-    fail because the counter could not be written."""
-    try:
-        from repro import obs
-
-        obs.counter_add("resilience.retry.orphaned", 1)
-    except Exception:
-        pass
-
-
-def _attempt_with_timeout(
-    fn: Callable[..., R],
-    args: tuple,
-    kwargs: dict,
-    timeout_s: float,
-    attempt: int,
-) -> R:
-    """Run one attempt on a fresh daemon thread with a wall-clock budget.
-
-    On timeout the thread is *orphaned* (see module docstring): it keeps
-    running detached, its eventual result is dropped, and this call
-    raises :class:`AttemptTimeout`.  Exceptions from ``fn`` re-raise
-    here with their original traceback.
-    """
-    box: list[tuple[str, Any]] = []
-    done = threading.Event()
-
-    def _target() -> None:
-        try:
-            box.append(("ok", fn(*args, **kwargs)))
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            box.append(("err", exc))
-        finally:
-            done.set()
-
-    thread = threading.Thread(
-        target=_target, name=f"retry-attempt-{attempt}", daemon=True
-    )
-    thread.start()
-    if not done.wait(timeout_s):
-        _count_orphan()
-        raise AttemptTimeout(timeout_s, attempt)
-    status, value = box[0]
-    if status == "err":
-        raise value
-    return value  # type: ignore[no-any-return]
-
-
-def retry_call(
-    fn: Callable[..., R],
-    *args: Any,
-    policy: RetryPolicy | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException, float], None] | None = None,
-    **kwargs: Any,
-) -> R:
-    """Call ``fn(*args, **kwargs)``, retrying under ``policy``.
-
-    Parameters
-    ----------
-    policy:
-        Retry policy (defaults to :data:`DEFAULT_POLICY`).
-    retry_on:
-        Exception types that trigger a retry; anything else propagates
-        immediately.
-    sleep:
-        Injectable sleep (tests pass a recorder).
-    on_retry:
-        Optional callback ``(attempt, exception, upcoming_delay_s)``
-        invoked before each backoff sleep.
-
-    Raises
-    ------
-    RetryError
-        When every attempt failed; ``last_exception`` holds the final
-        cause (also chained via ``raise ... from``).
-    """
-    policy = policy or DEFAULT_POLICY
-    last: BaseException | None = None
-    for attempt in range(policy.max_attempts):
-        try:
-            if policy.attempt_timeout_s is None:
-                return fn(*args, **kwargs)
-            return _attempt_with_timeout(
-                fn, args, kwargs, policy.attempt_timeout_s, attempt
-            )
-        except retry_on as exc:
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt)
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            sleep(delay)
-    assert last is not None
-    raise RetryError(policy.max_attempts, last) from last
-
-
-def retryable(
-    policy: RetryPolicy | None = None,
-    *,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-) -> Callable[[Callable[..., R]], Callable[..., R]]:
-    """Decorator form of :func:`retry_call`.
-
-    >>> @retryable(RetryPolicy(max_attempts=2, base_delay_s=0.0))
-    ... def flaky():
-    ...     return 42
-    >>> flaky()
-    42
-    """
-
-    def decorate(fn: Callable[..., R]) -> Callable[..., R]:
-        def wrapper(*args: Any, **kwargs: Any) -> R:
-            return retry_call(
-                fn, *args, policy=policy, retry_on=retry_on, sleep=sleep, **kwargs
-            )
-
-        wrapper.__name__ = getattr(fn, "__name__", "retryable")
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate

@@ -3,10 +3,10 @@
 :class:`SupervisedPool` runs an ordered ``map`` over ``max_workers``
 long-lived worker processes and treats partial failure as the normal
 case.  Each worker has its own channel (a ``Process`` and a ``Pipe``),
-and item ``i`` always runs on the worker ``owners[i]`` names
-(round-robin by default), so a worker can keep state from one ``map``
-to the next: the tile owners of :mod:`repro.parallel.tilerender` keep
-their tiles' retained base layers that way.  Per item it detects
+and item ``i`` always runs on worker ``i % max_workers``, retries
+included, so a worker can keep state from one ``map`` to the next: the
+tile owners of :mod:`repro.parallel.tilerender` keep their tiles'
+retained base layers that way.  Per item it detects
 
 * worker death (end of file on the worker's pipe — e.g. an injected
   ``crash`` fault calling ``os._exit``),
@@ -44,7 +44,7 @@ from repro.resilience.faults import CorruptResult, FaultPlan, InjectedFault, run
 from repro.resilience.health import DegradationReport
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
 
-__all__ = ["SupervisedPool", "supervised_map"]
+__all__ = ["SupervisedPool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -102,9 +102,7 @@ class SupervisedPool:
     Parameters
     ----------
     max_workers:
-        Number of workers; ``<= 1`` runs everything serially in-process
-        (no faults are injected on the serial path — it is the trusted
-        bottom rung of the degradation ladder).
+        Number of workers (>= 1).
     policy:
         Retry policy governing attempts per item, backoff between retry
         rounds and the per-attempt timeout.
@@ -120,14 +118,14 @@ class SupervisedPool:
     sleep:
         Injectable backoff sleep.
 
-    Workers start on the first pooled ``map`` and live until
-    :meth:`close` (or the end of a ``with`` block).  One caller at a
-    time: a ``map`` owns every worker's pipe until it returns.
+    Workers start on the first ``map`` and live until :meth:`close`
+    (or the end of a ``with`` block).  One caller at a time: a ``map``
+    owns every worker's pipe until it returns.
     """
 
     def __init__(
         self,
-        max_workers: int | None = None,
+        max_workers: int,
         *,
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -136,12 +134,8 @@ class SupervisedPool:
         report: DegradationReport | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_workers is None:
-            from repro.parallel.pool import default_workers
-
-            max_workers = default_workers()
-        if max_workers < 0:
-            raise ValueError("max_workers must be >= 0")
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         self.max_workers = int(max_workers)
         self.policy = policy or DEFAULT_POLICY
         self.fault_plan = fault_plan
@@ -153,10 +147,6 @@ class SupervisedPool:
         self._parent_pid = os.getpid()
 
     # Worker lifecycle -----------------------------------------------------
-    @property
-    def serial(self) -> bool:
-        return self.max_workers <= 1
-
     @property
     def pids(self) -> tuple[int | None, ...]:
         """Process ids of the running workers, by ordinal."""
@@ -218,12 +208,12 @@ class SupervisedPool:
         kind: str,
         job: int,
         attempt: int,
-        worker: int,
         retry_next: list[tuple[int, int]],
         fallback: list[int],
         detail: str = "",
     ) -> None:
         """Record one failed attempt and route the item onward."""
+        worker = job % self.max_workers
         spec = self.fault_plan.fires(job, attempt, worker) if self.fault_plan else None
         if spec is not None and "injected" not in kind:
             kind = f"injected-{spec.kind}"
@@ -246,11 +236,13 @@ class SupervisedPool:
         fn: Callable[[T], R],
         items: Sequence[T],
         *,
-        owners: Sequence[int] | None = None,
         serial_fn: Callable[[T], R] | None = None,
         validate: Callable[[R], bool] | None = None,
     ) -> list[R]:
         """Ordered, failure-absorbing map.
+
+        Item ``i`` runs on worker ``i % max_workers``, retries
+        included, and a worker runs its items in order.
 
         Parameters
         ----------
@@ -258,14 +250,10 @@ class SupervisedPool:
             Picklable per-item work function run in the workers (may
             rely on state installed by the initializer, or kept by the
             worker from earlier items).
-        owners:
-            The worker ordinal (``0 <= o < max_workers``) each item runs
-            on, retries included; round-robin when omitted.  A worker
-            runs its items in order.
         serial_fn:
-            In-parent equivalent used for serial mode and last-resort
-            fallback (defaults to ``fn``; pass one when ``fn`` depends
-            on worker-local state).
+            In-parent equivalent used for the last-resort fallback
+            (defaults to ``fn``; pass one when ``fn`` depends on
+            worker-local state).
         validate:
             Optional result predicate; a False verdict counts as a
             ``corrupt`` failure and triggers a retry.
@@ -276,19 +264,10 @@ class SupervisedPool:
         serial_fn = serial_fn if serial_fn is not None else fn
         n = len(items)
         results: list[Any] = [_UNSET] * n
-        if self.serial:
-            for i, item in enumerate(items):
-                results[i] = serial_fn(item)
-            return results
-        if owners is None:
-            owners = [i % self.max_workers for i in range(n)]
-        if any(not 0 <= o < self.max_workers for o in owners):
-            raise ValueError(f"owners must lie in [0, {self.max_workers})")
-
         pending: list[tuple[int, int]] = [(i, 0) for i in range(n)]
         round_index = 0
         while pending:
-            retry_next, fallback = self._round(fn, items, owners, pending, validate, results)
+            retry_next, fallback = self._round(fn, items, pending, validate, results)
 
             # bottom rung: exhausted items run in-process, serially —
             # deterministic work gives bit-identical output
@@ -307,7 +286,6 @@ class SupervisedPool:
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        owners: Sequence[int],
         pending: list[tuple[int, int]],
         validate: Callable[[Any], bool] | None,
         results: list[Any],
@@ -319,11 +297,11 @@ class SupervisedPool:
         fallback: list[int] = []
 
         def fail(kind: str, job: int, attempt: int, detail: str = "") -> None:
-            self._note_failure(kind, job, attempt, owners[job], retry_next, fallback, detail)
+            self._note_failure(kind, job, attempt, retry_next, fallback, detail)
 
         queues: dict[int, deque[tuple[int, int]]] = {}
         for job, attempt in pending:
-            queues.setdefault(owners[job], deque()).append((job, attempt))
+            queues.setdefault(job % self.max_workers, deque()).append((job, attempt))
 
         def lose(ordinal: int, kind: str, detail: str) -> None:
             """The worker died or hung: kill it (its next request
@@ -395,18 +373,3 @@ class SupervisedPool:
             raise
         return retry_next, fallback
 
-
-def supervised_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    max_workers: int | None = None,
-    policy: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> tuple[list[R], DegradationReport]:
-    """One-shot supervised map; returns (results, degradation report)."""
-    with SupervisedPool(
-        max_workers, policy=policy, fault_plan=fault_plan
-    ) as pool:
-        results = pool.map(fn, items)
-    return results, pool.report

@@ -20,7 +20,6 @@ from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.temporal import TimeWindow
-from repro.parallel.pool import WorkerPool
 from repro.resilience.health import DegradationReport
 from repro.store.service import DatasetService
 
@@ -173,13 +172,6 @@ class TestEmission:
         assert snap.gauge("service.snapshot.pins") == 2.0
         assert snap.gauge("service.snapshot.active_epoch") is not None
         assert snap.gauge("service.lock.wait_seconds") is None
-
-    def test_pool_map_emits_call_and_item_counters(self, registry):
-        with WorkerPool(0) as pool:
-            pool.map(str, [1, 2, 3])
-        snap = obs.telemetry_snapshot()
-        assert snap.counter("pool.map.calls", mode="serial") == 1.0
-        assert snap.counter("pool.map.items", mode="serial") == 3.0
 
     def test_resilience_faults_route_through_report(self, registry):
         report = DegradationReport()

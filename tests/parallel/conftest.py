@@ -1,10 +1,10 @@
 """Parallel-render fixtures: no test may leak shared memory.
 
-The pooled render and batch-query paths may publish or attach a shared
-arena store; the autouse fixture snapshots the in-process block
-registry and ``/dev/shm`` around each test and fails on any leftover —
-the same enforcement the store suite applies, covering the parallel
-transports too.
+The pooled render path may publish or attach a shared arena store;
+the autouse fixture snapshots the in-process block registry and
+``/dev/shm`` around each test and fails on any leftover — the same
+enforcement the store suite applies, covering the tile owners' store
+transport too.
 """
 
 from __future__ import annotations

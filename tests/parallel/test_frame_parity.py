@@ -192,7 +192,7 @@ def test_three_transports_bit_identical(
 
 
 POOLED = [spec for spec in SPECS if spec[-1] > 1]
-FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
 
 class Wall:

@@ -1,99 +1,17 @@
-"""Tests for the worker pool wrapper."""
-
-import os
+"""Tests for worker sizing and the round-robin deal."""
 
 import pytest
 
-from repro.parallel.pool import WorkerPool, default_workers, pool_map
+from repro.parallel.pool import default_workers, round_robin_batches
 
 
-def _square(x):
-    return x * x
+def test_default_workers_positive():
+    assert default_workers() >= 1
 
 
-def _pid_of(_):
-    return os.getpid()
-
-
-class TestWorkerPool:
-    def test_serial_mode(self):
-        with WorkerPool(0) as pool:
-            assert pool.serial
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_single_worker_serial(self):
-        with WorkerPool(1) as pool:
-            assert pool.serial
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(-1)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_parallel_matches_serial(self):
-        items = list(range(20))
-        with WorkerPool(2) as pool:
-            parallel = pool.map(_square, items)
-        with WorkerPool(0) as pool:
-            serial = pool.map(_square, items)
-        assert parallel == serial
-
-    def test_parallel_uses_other_processes(self):
-        with WorkerPool(2) as pool:
-            pids = set(pool.map(_pid_of, range(8)))
-        assert os.getpid() not in pids
-
-    def test_order_preserved(self):
-        with WorkerPool(2) as pool:
-            out = pool.map(_square, [3, 1, 2])
-        assert out == [9, 1, 4]
-
-
-class TestChunksizeContract:
-    def test_serial_chunking_preserves_order(self):
-        items = list(range(17))
-        expected = [x * x for x in items]
-        for chunksize in (1, 2, 5, 17, 100):
-            with WorkerPool(0) as pool:
-                assert pool.map(_square, items, chunksize=chunksize) == expected
-
-    def test_serial_and_pooled_agree_for_every_chunksize(self):
-        items = list(range(13))
-        for chunksize in (1, 3, 7):
-            with WorkerPool(2) as pool:
-                pooled = pool.map(_square, items, chunksize=chunksize)
-            assert pooled == WorkerPool(0).map(_square, items, chunksize=chunksize)
-
-    def test_invalid_chunksize_rejected_serially_too(self):
-        # the pooled executor rejects chunksize < 1; the serial path
-        # must not mask that for code tested with max_workers=0
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="chunksize"):
-                WorkerPool(0).map(_square, [1], chunksize=bad)
-            with WorkerPool(2) as pool:
-                with pytest.raises(ValueError, match="chunksize"):
-                    pool.map(_square, [1], chunksize=bad)
-
-
-class TestPoolMap:
-    def test_one_shot(self):
-        assert pool_map(_square, [2, 4], max_workers=0) == [4, 16]
-
-
-class TestLifecycleGuards:
-    def test_map_outside_context_raises(self):
-        pool = WorkerPool(2)
-        with pytest.raises(RuntimeError, match="silently run serial"):
-            pool.map(_square, [1, 2, 3])
-
-    def test_map_after_exit_raises(self):
-        with WorkerPool(2) as pool:
-            pass
-        with pytest.raises(RuntimeError):
-            pool.map(_square, [1])
-
-    def test_serial_pool_needs_no_context(self):
-        # serial mode has no executor to forget: plain calls stay fine
-        assert WorkerPool(0).map(_square, [2]) == [4]
+def test_round_robin_deal():
+    assert round_robin_batches([1, 2, 3, 4, 5], 2) == [(1, 3, 5), (2, 4)]
+    assert round_robin_batches([1], 4) == [(1,)]
+    assert round_robin_batches([], 3) == []
+    with pytest.raises(ValueError):
+        round_robin_batches([1], 0)

@@ -3,8 +3,9 @@
 Every scenario asserts the same two invariants:
 
 * the assembled frame is **byte-identical** to the serial render — a
-  crashed or disavowed worker never leaves a torn, stale, or missing
-  tile: only a surviving attempt's return value reaches assembly;
+  crashed, hung or disavowed worker never leaves a torn, stale, or
+  missing tile: only a surviving attempt's return value reaches
+  assembly;
 * no shared-memory block outlives the frame — the pooled path creates
   none of its own, and a published store survives the pool's death
   and is torn down by its owner, so ``/dev/shm`` holds no ``repro_*``
@@ -26,7 +27,7 @@ from repro.display.viewport import Viewport
 from repro.display.wall import DisplayWall
 from repro.layout.cells import assign_sequential
 from repro.layout.grid import BezelAwareGrid
-from repro.parallel.tilerender import render_viewport_parallel
+from repro.parallel.tilerender import owner_pids, render_viewport_parallel
 from repro.render.pipeline import WallRenderer
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.stereo.camera import Eye
@@ -35,7 +36,7 @@ from repro.synth.arena import Arena
 
 pytestmark = pytest.mark.chaos
 
-FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -135,4 +136,35 @@ class TestShipBackChaos:
             assert report.degraded
             assert not report.degradation.by_kind().get("shm-attach-failure")
             _frames_equal(serial, report)
+        _no_blocks_left()
+
+    def test_hung_owner_is_killed_and_only_it_is_respawned(self, setup):
+        """Owner 0 hangs on a warm frame: the attempt timeout kills it,
+        its batch is retried on a respawned owner 0 (cold: its bases
+        died with it) while owner 1 keeps its process, and the next
+        frame finds every base retained again."""
+        renderer, assignment, canvas, serial = setup
+        warm = WallRenderer(renderer.dataset, renderer.arena, renderer.viewport)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, attempt_timeout_s=2.0)
+
+        def frame(plan):
+            return render_viewport_parallel(
+                warm, assignment, canvas=canvas, max_workers=2,
+                fault_plan=plan, retry_policy=policy,
+            )
+
+        frame(FaultPlan())
+        pids = owner_pids(warm)
+        hung = frame(FaultPlan(specs=(FaultSpec("hang", job=0, times=1, delay_s=60.0),)))
+        _frames_equal(serial, hung)
+        events = [(e.kind, e.scope, e.action) for e in hung.degradation.events]
+        assert events == [
+            ("timeout", "worker", "respawned"), ("injected-hang", "job", "retried"),
+        ]
+        respawned = owner_pids(warm)
+        assert respawned[0] != pids[0] and respawned[1] == pids[1]
+        after = frame(FaultPlan())
+        assert not after.degraded and after.bases_built == 0
+        assert owner_pids(warm) == respawned
+        _frames_equal(serial, after)
         _no_blocks_left()

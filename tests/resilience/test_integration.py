@@ -37,7 +37,7 @@ from repro.synth.arena import Arena
 
 pytestmark = pytest.mark.resilience
 
-FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -1,43 +1,10 @@
-"""Retry/backoff unit tests (mocked clock — no real sleeping)."""
-
-import time
+"""Retry policy unit tests: the backoff schedule and validation."""
 
 import pytest
 
-from repro.resilience.retry import (
-    DEFAULT_POLICY,
-    RetryError,
-    RetryPolicy,
-    retry_call,
-    retryable,
-)
+from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
 
 pytestmark = pytest.mark.resilience
-
-
-class Recorder:
-    """Sleep stub that records requested delays."""
-
-    def __init__(self):
-        self.delays = []
-
-    def __call__(self, s):
-        self.delays.append(s)
-
-
-class Flaky:
-    """Callable failing the first ``n_failures`` times."""
-
-    def __init__(self, n_failures, exc=RuntimeError):
-        self.n_failures = n_failures
-        self.exc = exc
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.calls <= self.n_failures:
-            raise self.exc(f"failure {self.calls}")
-        return "ok"
 
 
 class TestPolicy:
@@ -46,28 +13,15 @@ class TestPolicy:
         assert DEFAULT_POLICY.base_delay_s == 0.05
         assert DEFAULT_POLICY.multiplier == 2.0
         assert DEFAULT_POLICY.max_delay_s == 2.0
-        assert DEFAULT_POLICY.jitter == 0.1
+        assert DEFAULT_POLICY.attempt_timeout_s is None
 
     def test_exponential_schedule_no_jitter(self):
-        p = RetryPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=10.0, jitter=0.0)
+        p = RetryPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=10.0)
         assert [p.delay_for(i) for i in range(4)] == [0.1, 0.2, 0.4, 0.8]
 
     def test_delay_capped(self):
-        p = RetryPolicy(base_delay_s=1.0, multiplier=10.0, max_delay_s=3.0, jitter=0.0)
+        p = RetryPolicy(base_delay_s=1.0, multiplier=10.0, max_delay_s=3.0)
         assert p.delay_for(5) == 3.0
-
-    def test_jitter_bounded_and_deterministic(self):
-        p = RetryPolicy(base_delay_s=1.0, multiplier=1.0, max_delay_s=1.0, jitter=0.2)
-        d = [p.delay_for(i) for i in range(50)]
-        assert d == [p.delay_for(i) for i in range(50)]  # deterministic
-        assert all(0.8 <= x <= 1.2 for x in d)
-        assert len(set(d)) > 10  # actually jittered
-
-    def test_jitter_seed_changes_sequence(self):
-        p = RetryPolicy(jitter=0.5)
-        assert [p.delay_for(i) for i in range(8)] != [
-            p.with_seed(99).delay_for(i) for i in range(8)
-        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,129 +29,6 @@ class TestPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
             RetryPolicy(attempt_timeout_s=0.0)
-
-
-class TestRetryCall:
-    def test_success_first_try_no_sleep(self):
-        rec = Recorder()
-        assert retry_call(lambda: 7, sleep=rec) == 7
-        assert rec.delays == []
-
-    def test_retries_then_succeeds(self):
-        rec = Recorder()
-        fn = Flaky(2)
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.1, jitter=0.0)
-        assert retry_call(fn, policy=policy, sleep=rec) == "ok"
-        assert fn.calls == 3
-        assert rec.delays == [0.1, 0.2]  # exact backoff schedule
-
-    def test_exhaustion_raises_retry_error(self):
-        rec = Recorder()
-        fn = Flaky(10)
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter=0.0)
-        with pytest.raises(RetryError) as ei:
-            retry_call(fn, policy=policy, sleep=rec)
-        assert ei.value.attempts == 3
-        assert isinstance(ei.value.last_exception, RuntimeError)
-        assert isinstance(ei.value.__cause__, RuntimeError)
-        assert fn.calls == 3
-        assert len(rec.delays) == 2  # no sleep after the final failure
-
-    def test_non_retryable_exception_propagates(self):
-        fn = Flaky(1, exc=KeyError)
-        with pytest.raises(KeyError):
-            retry_call(fn, retry_on=(ValueError,), sleep=Recorder())
-        assert fn.calls == 1
-
-    def test_on_retry_callback(self):
-        seen = []
-        retry_call(
-            Flaky(1),
-            policy=RetryPolicy(max_attempts=2, base_delay_s=0.5, jitter=0.0),
-            sleep=Recorder(),
-            on_retry=lambda attempt, exc, delay: seen.append((attempt, delay)),
-        )
-        assert seen == [(0, 0.5)]
-
-    def test_attempt_timeout_triggers_retry(self):
-        calls = []
-
-        def sometimes_slow():
-            calls.append(None)
-            if len(calls) == 1:
-                time.sleep(1.0)
-            return "done"
-
-        policy = RetryPolicy(
-            max_attempts=2, base_delay_s=0.0, jitter=0.0, attempt_timeout_s=0.1
-        )
-        assert retry_call(sometimes_slow, policy=policy, sleep=Recorder()) == "done"
-        assert len(calls) == 2
-
-
-class TestRetryable:
-    def test_decorator_retries(self):
-        rec = Recorder()
-        flaky = Flaky(1)
-
-        @retryable(RetryPolicy(max_attempts=2, base_delay_s=0.3, jitter=0.0), sleep=rec)
-        def work():
-            """Flaky work."""
-            return flaky()
-
-        assert work() == "ok"
-        assert rec.delays == [0.3]
-        assert work.__wrapped__ is not None
-
-
-class TestOrphanedAttempts:
-    """PR 6: a timed-out attempt keeps running on its daemon thread —
-    the contract is that it is *counted*, never joined."""
-
-    def test_orphan_counted_and_retry_succeeds(self):
-        import threading
-
-        from repro import obs
-
-        release = threading.Event()
-        calls = []
-
-        def stuck_once():
-            calls.append(None)
-            if len(calls) == 1:
-                release.wait(5.0)  # outlives the attempt budget
-            return "done"
-
-        policy = RetryPolicy(
-            max_attempts=2, base_delay_s=0.0, jitter=0.0, attempt_timeout_s=0.05
-        )
-        obs.enable()
-        try:
-            assert retry_call(stuck_once, policy=policy, sleep=Recorder()) == "done"
-            snap = obs.telemetry_snapshot()
-            assert snap.counter_total("resilience.retry.orphaned") == 1.0
-        finally:
-            release.set()  # let the orphan drain promptly
-            obs.disable()
-        assert len(calls) == 2
-        # the orphan ran on a daemon thread: it cannot block interpreter
-        # shutdown even if it were still stuck
-        lingering = [
-            t for t in threading.enumerate() if t.name.startswith("retry-attempt-")
-        ]
-        assert all(t.daemon for t in lingering)
-
-    def test_no_counter_when_disabled(self):
-        from repro import obs
-
-        policy = RetryPolicy(
-            max_attempts=2, base_delay_s=0.0, jitter=0.0, attempt_timeout_s=0.05
-        )
-        flaky_slow = Flaky(0)
-        # obs disabled: the guarded facade must swallow, not crash
-        assert retry_call(flaky_slow, policy=policy, sleep=Recorder()) == "ok"
-        snap = obs.telemetry_snapshot()
-        assert snap.counters == {}
+        with pytest.raises(ValueError):
+            RetryPolicy().delay_for(-1)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.supervisor import SupervisedPool, supervised_map
+from repro.resilience.supervisor import SupervisedPool
 
 pytestmark = pytest.mark.resilience
 
-FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+FAST = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
 
 def _square(x):
@@ -22,25 +22,13 @@ def _expected(n):
 
 class TestHealthyPath:
     def test_matches_serial(self):
-        results, report = supervised_map(_square, list(range(10)), max_workers=2,
-                                         policy=FAST)
-        assert results == _expected(10)
-        assert not report.degraded
-
-    def test_serial_mode_uses_serial_fn(self):
-        calls = []
-
-        def serial(x):
-            calls.append(x)
-            return x * x
-
-        with SupervisedPool(0) as pool:
-            assert pool.map(_square, [1, 2], serial_fn=serial) == [1, 4]
-        assert calls == [1, 2]
+        with SupervisedPool(2, policy=FAST) as pool:
+            assert pool.map(_square, list(range(10))) == _expected(10)
+        assert not pool.report.degraded
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SupervisedPool(-1)
+            SupervisedPool(0)
 
     def test_workers_live_across_maps(self):
         with SupervisedPool(2, policy=FAST) as pool:
@@ -104,7 +92,7 @@ class TestFaultAbsorption:
         # a value it does not accept; the retried value is identical so
         # it exhausts and falls back serially
         with SupervisedPool(
-            2, policy=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+            2, policy=RetryPolicy(max_attempts=2, base_delay_s=0.0)
         ) as pool:
             results = pool.map(
                 _square, list(range(4)), validate=lambda v: v != 9
@@ -115,7 +103,7 @@ class TestFaultAbsorption:
     def test_hang_killed_by_timeout(self):
         plan = FaultPlan(specs=(FaultSpec("hang", job=1, times=1, delay_s=30.0),))
         policy = RetryPolicy(
-            max_attempts=3, base_delay_s=0.0, jitter=0.0, attempt_timeout_s=0.5
+            max_attempts=3, base_delay_s=0.0, attempt_timeout_s=0.5
         )
         with SupervisedPool(2, policy=policy, fault_plan=plan) as pool:
             assert pool.map(_square, list(range(4))) == _expected(4)
@@ -133,7 +121,7 @@ class TestFaultAbsorption:
     def test_backoff_uses_policy_schedule(self):
         delays = []
         plan = FaultPlan(specs=(FaultSpec("error", job=0, times=2),))
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.2, jitter=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.2)
         with SupervisedPool(
             2, policy=policy, fault_plan=plan, sleep=delays.append
         ) as pool:

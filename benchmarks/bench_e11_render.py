@@ -19,14 +19,14 @@ Four frames are reported, each compared like with like:
   replacements: each tile owner reuses its tiles' bases (best of 3).
 
 The pool has at least 2 owners, so the pooled arms exercise the pool
-on a 2-CPU host too.  Also reported: the retained bases' bytes and the
-host.  Both retained frames are checked byte for byte against a cold
-render of the same state.
+on a 2-CPU host too.  The frame has one color, so a new stroke changes
+the highlight mask of almost every brushed cell: the retained frames
+reuse footprint layers but hardly any highlight layer.  Also reported: the retained bytes, as base
+layers and overlay layers, and the host.  Both retained frames are
+checked byte for byte against a cold render of the same state.
 """
 
 import hashlib
-import os
-import platform
 
 import numpy as np
 import pytest
@@ -93,7 +93,7 @@ def _digest(report) -> str:
     return h.hexdigest()
 
 
-def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
+def test_e11_render_throughput(setup, viewport, host, report_sink, benchmark):
     renderer, assignment, brushed = setup
     workers = max(2, min(4, default_workers()))
     canvas, results = brushed(0.0)
@@ -139,7 +139,9 @@ def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
     assert tick_digest == _digest(cold), "retained frame differs from a cold render"
     assert pooled_digest == _digest(cold), "retained pooled frame differs from a cold render"
     del cold
-    retained_mb = warm.retained_bytes / 1e6
+    base_mb = sum(base.nbytes for base in warm._bases.values()) / 1e6
+    overlay_mb = sum(layer.nbytes for layer in warm._overlay.values()) / 1e6
+    n_layers = len(warm._overlay)
 
     stereo_mpx = 2 * viewport.megapixels
     speedup = serial_s / parallel_s
@@ -147,8 +149,7 @@ def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
         "E11",
         "wall render throughput (Fig. 3 frame substrate)",
         [
-            f"host: {len(os.sched_getaffinity(0))} usable CPUs, "
-            f"Python {platform.python_version()}, NumPy {np.__version__}",
+            host.line,
             f"frame: 432 cells, stereo, brush + highlights, "
             f"{viewport.px_width}x{viewport.px_height} px per eye",
             f"serial, cold:        {serial_s:6.2f} s "
@@ -163,13 +164,18 @@ def test_e11_render_throughput(setup, viewport, report_sink, benchmark):
             f"{retained_s / pooled_retained_s:.2f}x vs serial retained)",
             f"speedup (parallel vs serial, both cold): {speedup:.2f}x "
             f"({'passes' if speedup > 1.2 else 'fails'} the > 1.2x check)",
-            f"retained bases: {n_jobs} (tile, eye) images, {retained_mb:.1f} MB "
+            f"retained bases: {n_jobs} (tile, eye) images, {base_mb:.1f} MB "
             "of float32 pixels",
+            f"retained overlay: {n_layers} footprint and highlight layers, "
+            f"{overlay_mb:.2f} MB",
             "(a brush tick reuses every base layer and redraws only the",
-            " overlay; both retained frames equal a cold render byte for",
-            " byte.  Tiles are share-nothing render units, as on the real",
-            " cluster-driven wall: each tile owner keeps its tiles' bases",
-            " from frame to frame and ships back only their pixels)",
+            " overlay; with one color a new stroke changes the highlight",
+            " mask of almost every brushed cell, so it reuses footprint",
+            " layers but hardly any highlight layer.  Both retained frames",
+            " equal a cold render byte for byte.  Tiles are share-nothing",
+            " render units, as on the real cluster-driven wall: each tile",
+            " owner keeps its tiles' bases from frame to frame and ships",
+            " back only their pixels)",
         ],
     )
 

@@ -15,7 +15,8 @@ is an observer, not a participant.  Concretely:
 Methodology matches tests/obs/test_overhead_perf.py: one registry
 throughout, interleaved samples with alternating within-pair order,
 min-of-N (for a CPU-bound section every perturbation only adds time).
-Emits machine-readable ``out/BENCH_O5.json`` for CI trend tracking.
+Emits machine-readable ``out/BENCH_O5.json`` for CI trend tracking,
+with a ``host`` block (usable CPUs, Python and NumPy versions).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _interleaved_warm_queries(engine, canvas, registry) -> tuple[list[float], li
     return disabled, enabled
 
 
-def test_o5_telemetry_overhead(full_dataset, canvas, report_sink):
+def test_o5_telemetry_overhead(full_dataset, canvas, host, report_sink):
     engine = CoordinatedBrushingEngine(full_dataset)
     registry = MetricsRegistry()
     disabled, enabled = _interleaved_warm_queries(engine, canvas, registry)
@@ -96,6 +97,7 @@ def test_o5_telemetry_overhead(full_dataset, canvas, report_sink):
     payload = {
         "bench": "O5",
         "title": "telemetry plane overhead (repro.obs)",
+        "host": host._asdict(),
         "dataset": {
             "name": "S1 synthetic ensemble",
             "n_trajectories": len(full_dataset),
@@ -121,6 +123,7 @@ def test_o5_telemetry_overhead(full_dataset, canvas, report_sink):
     (OUT_DIR / "BENCH_O5.json").write_text(json.dumps(payload, indent=2))
 
     lines = [
+        host.line,
         f"dataset: {len(full_dataset)} trajectories / {packed.n_segments} segments",
         f"warm query, telemetry off: min {best_off * 1e6:7.1f} us",
         f"warm query, telemetry on:  min {best_on * 1e6:7.1f} us",

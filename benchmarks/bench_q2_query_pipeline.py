@@ -14,7 +14,9 @@ quantifies it on the S1 synthetic ensemble (the paper-scale
   revisiting.
 
 Besides the human-readable ``out/Q2.txt`` table, the run emits
-machine-readable ``out/BENCH_Q2.json`` for CI trend tracking.
+machine-readable ``out/BENCH_Q2.json`` for CI trend tracking, with a
+``host`` block (usable CPUs, Python and NumPy versions) so runs on
+different machines are not compared blind.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _replay(engine, canvas, positions: list[TimeWindow], *, cold_each: bool) -> 
     }
 
 
-def test_q2_query_pipeline(full_dataset, canvas, report_sink):
+def test_q2_query_pipeline(full_dataset, canvas, host, report_sink):
     engine = CoordinatedBrushingEngine(full_dataset)
     window = TimeWindow.fraction(0.3, 0.5)
 
@@ -124,6 +126,7 @@ def test_q2_query_pipeline(full_dataset, canvas, report_sink):
     payload = {
         "bench": "Q2",
         "title": "staged query-plan pipeline (plan/execute split)",
+        "host": host._asdict(),
         "dataset": {
             "name": "S1 synthetic ensemble",
             "n_trajectories": len(full_dataset),
@@ -138,6 +141,7 @@ def test_q2_query_pipeline(full_dataset, canvas, report_sink):
     (OUT_DIR / "BENCH_Q2.json").write_text(json.dumps(payload, indent=2))
 
     lines = [
+        host.line,
         f"dataset: {len(full_dataset)} trajectories / {packed.n_segments} segments",
         f"cold query median: {cold_median * 1e3:8.2f} ms  (cache emptied per query)",
         f"warm query median: {warm_median * 1e3:8.2f} ms  (all stages cached)",

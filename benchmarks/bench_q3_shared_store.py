@@ -21,7 +21,8 @@ on the paper-scale 500-trajectory dataset:
   ``pooled_retained_s`` are the warm counterparts: a renderer that
   keeps its bases (serial), or whose tile owners keep theirs (pooled),
   re-renders after one color's stroke is replaced, as on an analyst's
-  brush tick;
+  brush tick; the warm serial renderer's retained bytes are reported
+  as base layers and overlay layers (footprints and highlights);
 * **sessions** — the same brushing script run by 1 vs 8 concurrent
   :class:`SessionView` threads over one :class:`DatasetService`
   (one resident copy of the packed arrays, one stage cache).
@@ -39,7 +40,6 @@ import math
 import multiprocessing as mp
 import os
 import pickle
-import platform
 import statistics
 import threading
 import time
@@ -116,7 +116,7 @@ def _drive_session(session, arena, i: int) -> list[float]:
     return latencies
 
 
-def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sink):
+def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, host, report_sink):
     with SharedArenaStore.publish(ship_dataset) as ship_store:
         # --- init payload: what each tile owner's start costs on the wire
         pickle_args = (ship_dataset, arena, viewport)
@@ -257,7 +257,11 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
             # the pool's decision rule: the warm pooled frame must beat
             # the warm serial one (information only; not gated)
             "pooled_retained_s": round(pooled_retained_s, 4),
-            "retained_bytes": warm.retained_bytes,
+            "retained_base_bytes": sum(base.nbytes for base in warm._bases.values()),
+            "retained_overlay_bytes": sum(
+                layer.nbytes for layer in warm._overlay.values()
+            ),
+            "retained_overlay_layers": len(warm._overlay),
             "pooled_shipback_s": round(pooled.elapsed_s, 4),
             "workers": pooled.workers,
             "n_jobs": pooled.n_jobs,
@@ -313,11 +317,7 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
     payload = {
         "bench": "Q3",
         "title": "zero-copy shared-memory data plane",
-        "host": {
-            "n_cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host._asdict(),
         "dataset": {
             "n_trajectories": len(full_dataset),
             "n_segments": int(full_dataset.packed().n_segments),
@@ -335,10 +335,8 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_Q3.json").write_text(json.dumps(payload, indent=2))
 
-    host = payload["host"]
     lines = [
-        f"host: {host['n_cpus']} usable CPUs, Python {host['python']}, "
-        f"NumPy {host['numpy']}",
+        host.line,
         f"ship dataset: {len(ship_dataset)} trajectories "
         f"(sessions/frames: {len(full_dataset)})",
         f"init payload: pickle-ship {pickle_bytes / 1e6:.1f} MB vs "
@@ -366,7 +364,9 @@ def test_q3_shared_store(full_dataset, ship_dataset, viewport, arena, report_sin
         f"assemble {frame['shipback_stages']['assemble_s'] * 1e3:.1f} ms",
         f"retained serial frame (one color's stroke replaced, best of 3): "
         f"{frame['serial_retained_s'] * 1e3:.1f} ms, bit-identical to a cold "
-        f"render; {frame['retained_bytes'] / 1e6:.1f} MB of retained bases",
+        f"render; retained {frame['retained_base_bytes'] / 1e6:.1f} MB of bases "
+        f"and {frame['retained_overlay_bytes'] / 1e6:.2f} MB in "
+        f"{frame['retained_overlay_layers']} overlay layers",
         f"retained pooled frame ({frame['workers']} tile owners, same ticks, "
         f"best of 3): {frame['pooled_retained_s'] * 1e3:.1f} ms, bit-identical "
         f"to a cold render",

@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import statistics
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.brush import stroke_from_rect
@@ -105,7 +103,7 @@ def _slider_median_s(engine, canvas) -> float:
     return statistics.median(walls)
 
 
-def test_q8_aggregate_first(arena, report_sink):
+def test_q8_aggregate_first(arena, host, report_sink):
     canvas = _brush(arena)
     window = TimeWindow.fraction(0.1, 0.8)
     scales: dict[str, dict] = {}
@@ -159,21 +157,15 @@ def test_q8_aggregate_first(arena, report_sink):
     payload = {
         "bench": "Q8",
         "title": "aggregate-first query planning (summary pyramid)",
-        "host": {
-            "n_cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host._asdict(),
         "headline": headline,
         "scales": scales,
     }
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_Q8.json").write_text(json.dumps(payload, indent=2))
 
-    host = payload["host"]
     lines = [
-        f"host: {host['n_cpus']} usable CPUs, Python {host['python']}, "
-        f"NumPy {host['numpy']}",
+        host.line,
     ]
     for label, s in scales.items():
         lines += [

@@ -14,7 +14,8 @@ sub-millisecond baseline cannot fail on scheduler noise), and no query
 blows its deadline.
 
 Outputs ``out/R6.txt`` (human table) and ``out/BENCH_R6.json``
-(machine-readable, CI artifact).
+(machine-readable, CI artifact), with a ``host`` block (usable CPUs,
+Python and NumPy versions).
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _run_scenario(rate_hz: float, monkey, viewport) -> dict:
     }
 
 
-def test_r6_query_latency_under_rollover(viewport, report_sink):
+def test_r6_query_latency_under_rollover(viewport, host, report_sink):
     results = {}
     for label, rate_hz, monkey_factory in SCENARIOS:
         monkey = monkey_factory() if monkey_factory else None
@@ -178,6 +179,7 @@ def test_r6_query_latency_under_rollover(viewport, report_sink):
 
     base, one_hz = results["0hz"], results["1hz"]
     lines = [
+        host.line,
         f"{N_SESSIONS} concurrent sessions, {DEADLINE_S:.1f} s deadline budget, "
         f"{DURATION_S:.0f} s per scenario",
     ]
@@ -210,6 +212,7 @@ def test_r6_query_latency_under_rollover(viewport, report_sink):
 
     OUT_DIR.mkdir(exist_ok=True)
     payload = {
+        "host": host._asdict(),
         "n_sessions": N_SESSIONS,
         "deadline_s": DEADLINE_S,
         "duration_s": DURATION_S,

@@ -10,14 +10,31 @@ the files.
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from repro.display.presets import cyber_commons_wall, paper_viewport
 from repro.synth import AntStudyConfig, Arena, generate_study_dataset
 
 OUT_DIR = Path(__file__).parent / "out"
+
+
+class Host(NamedTuple):
+    """The host a benchmark ran on: its JSON artifact records
+    ``host._asdict()`` and its report prints :attr:`line`."""
+
+    n_cpus: int  # usable CPUs (this process's affinity)
+    python: str
+    numpy: str
+
+    @property
+    def line(self) -> str:
+        return f"host: {self.n_cpus} usable CPUs, Python {self.python}, NumPy {self.numpy}"
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +56,11 @@ def wall():
 @pytest.fixture(scope="session")
 def viewport(wall):
     return paper_viewport(wall)
+
+
+@pytest.fixture(scope="session")
+def host() -> Host:
+    return Host(len(os.sched_getaffinity(0)), platform.python_version(), np.__version__)
 
 
 @pytest.fixture(scope="session")

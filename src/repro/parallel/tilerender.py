@@ -30,7 +30,7 @@ never in the renderer itself.
 
 Jobs are **batched per owner** (one request per owner carrying its
 tile list): a batch amortizes dispatch and shares the renderer's
-footprint cache across the owner's tiles.
+overlay layers across the owner's tiles.
 
 Every path renders its job list through
 :meth:`WallRenderer.render_jobs`: ``max_workers<=1`` renders the whole
@@ -86,7 +86,7 @@ __all__ = ["render_viewport_parallel", "ParallelRenderReport", "owner_pids"]
 _OWNER_STATE: dict[str, Any] = {}
 
 #: One request to a tile owner: its jobs, which it renders as one list
-#: (so they share its footprint cache, see
+#: (so they share its overlay layers, see
 #: :meth:`~repro.render.pipeline.WallRenderer.render_jobs`), and what
 #: they need besides, sent with them every frame.
 _FrameWork = tuple[

@@ -11,9 +11,10 @@ composition.
 Every (tile, eye) job renders in two passes: a base (cell backgrounds,
 arena rims, labels and trajectories) and an overlay (brush footprints
 and highlights) over a copy of it.  :class:`WallRenderer` retains its
-last job list's bases, keyed by value on everything they read, so an
-interaction that changes only the brush, the results or the time
-window redraws only the overlay.
+last job list's bases and overlay layers, keyed by value on everything
+they read, so an interaction that changes only the brush, the results
+or the time window redraws only the overlay, and re-rasterizes only
+the footprints and highlights whose inputs changed.
 
 Rendering uses arc-length point splatting with bilinear coverage: a
 cell's polyline is projected once per eye, resampled at sub-pixel
@@ -21,7 +22,9 @@ spacing, and every (kernel offset, bilinear tap, sample) contribution
 is accumulated with one ``np.bincount`` per channel — one vectorized
 pass per polyline, no per-segment Python loop.  Each coverage layer is
 alpha-composited only over the bounding box of its nonzero pixels, and
-a frame's job list shares one brush-footprint cache.
+overlay layers are kept composite-ready
+(:class:`~repro.render.framebuffer.CoverageLayer`) and shared across a
+frame's job list.
 """
 
 from repro.render.color import Color, HIGHLIGHT_COLORS, named_color, time_gradient

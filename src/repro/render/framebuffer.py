@@ -8,15 +8,68 @@ job returns a new buffer that its caller owns: either a cleared one
 image (:meth:`Framebuffer.from_pixels`, see
 :class:`~repro.render.pipeline.WallRenderer`).  Drawing then writes in
 place.
+
+The composite runs in two steps: :meth:`CoverageLayer.prepare` turns a
+coverage map into a composite-ready layer, and :meth:`Framebuffer.blend`
+blends that layer at a position.  The renderer retains overlay layers
+prepared, so blending one again costs two in-place operations on a
+slice of the buffer.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.render.color import Color
 
-__all__ = ["Framebuffer"]
+__all__ = ["CoverageLayer", "Framebuffer"]
+
+
+@dataclass(frozen=True, eq=False)
+class CoverageLayer:
+    """A coverage map prepared for blending, with no position and no color.
+
+    ``alpha`` is the bounding box of the map's positive coverage,
+    clipped to [0, 1] in float32, and ``keep`` is ``1 - alpha``; both
+    are (h, w, 1) and read-only.  ``top`` and ``left`` place that box
+    in the map, whose (rows, cols) are ``shape``.  An all-zero map
+    yields an empty box.
+    """
+
+    shape: tuple[int, int]
+    top: int
+    left: int
+    alpha: np.ndarray
+    keep: np.ndarray
+
+    @classmethod
+    def prepare(cls, coverage: np.ndarray) -> "CoverageLayer":
+        """The layer of a 2-D coverage map (pure: ``coverage`` is only read).
+
+        A zero-alpha pixel leaves the buffer unchanged (``x * 1 + 0 ==
+        x``; a framebuffer holds no negative zero), so only the bounding
+        box of the positive coverage is kept.  Clip, cast and ``1 - a``
+        are elementwise, so preparing the whole box and cropping it to
+        a buffer later yields the float32 values a crop-first composite
+        computes.
+        """
+        positive = coverage > 0
+        rows = np.flatnonzero(positive.any(axis=1))
+        cols = np.flatnonzero(positive.any(axis=0))
+        r0, r1 = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
+        alpha = np.clip(coverage[r0:r1, c0:c1], 0.0, 1.0).astype(np.float32)[..., None]
+        keep = 1.0 - alpha
+        alpha.setflags(write=False)
+        keep.setflags(write=False)
+        return cls((coverage.shape[0], coverage.shape[1]), r0, c0, alpha, keep)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the layer's pixel arrays."""
+        return self.alpha.nbytes + self.keep.nbytes
 
 
 class Framebuffer:
@@ -70,28 +123,36 @@ class Framebuffer:
         ``out = (1 - a) * out + a * color`` in place, with ``a`` the
         coverage clipped to [0, 1] in float32 and ``color`` one RGB
         triple or an (h, w, 3) per-pixel array the shape of
-        ``coverage``.  The map is clipped to the buffer.  A zero-alpha
-        pixel is left unchanged (``x * 1 + 0 == x``), so only the
+        ``coverage``.  The map is clipped to the buffer.  This is
+        :meth:`blend` of :meth:`CoverageLayer.prepare`: only the
         bounding box of the positive coverage is blended.
         """
+        self.blend(CoverageLayer.prepare(coverage), color, x0, y0)
+
+    def blend(
+        self, layer: CoverageLayer, color: Color | np.ndarray, x0: int = 0, y0: int = 0
+    ) -> None:
+        """Alpha-composite a prepared layer whose map's top-left pixel sits
+        at (x0, y0): crop it to the buffer, then ``out *= keep`` and
+        ``out += alpha * color`` in place.
+
+        ``color`` is one RGB triple or an (h, w, 3) per-pixel array the
+        shape of the layer's map, cropped with it.
+        """
         color = np.asarray(color, dtype=np.float32)
-        if color.ndim == 3 and color.shape[:2] != coverage.shape:
-            raise ValueError(f"color shape {color.shape} != coverage {coverage.shape}")
-        positive = coverage > 0
-        rows = np.flatnonzero(positive.any(axis=1))
-        cols = np.flatnonzero(positive.any(axis=0))
-        if not len(rows):
-            return
-        r0, r1 = max(int(rows[0]), -y0), min(int(rows[-1]) + 1, self.height - y0)
-        c0, c1 = max(int(cols[0]), -x0), min(int(cols[-1]) + 1, self.width - x0)
+        if color.ndim == 3 and color.shape[:2] != layer.shape:
+            raise ValueError(f"color shape {color.shape} != coverage {layer.shape}")
+        h, w = layer.alpha.shape[:2]
+        by, bx = y0 + layer.top, x0 + layer.left  # the box's top-left on the buffer
+        r0, r1 = max(0, -by), min(h, self.height - by)
+        c0, c1 = max(0, -bx), min(w, self.width - bx)
         if r1 <= r0 or c1 <= c0:
             return
-        a = np.clip(coverage[r0:r1, c0:c1], 0.0, 1.0).astype(np.float32)[..., None]
         if color.ndim == 3:
-            color = color[r0:r1, c0:c1]
-        region = self.data[y0 + r0 : y0 + r1, x0 + c0 : x0 + c1]
-        region *= 1.0 - a
-        region += a * color
+            color = color[layer.top + r0 : layer.top + r1, layer.left + c0 : layer.left + c1]
+        region = self.data[by + r0 : by + r1, bx + c0 : bx + c1]
+        region *= layer.keep[r0:r1, c0:c1]
+        region += layer.alpha[r0:r1, c0:c1] * color
 
     def draw_circle_outline(
         self, cx: float, cy: float, radius: float, color: Color, thickness: float = 1.0

@@ -18,10 +18,15 @@ a copy of the base.  The renderer retains the bases of its last job
 list, keyed by value on everything they read (:class:`BaseKey`), so a
 brush or time-window tick copies each (tile, eye) base and redraws only the
 overlay.  A cold job builds its base first and then takes the same
-path; nothing is ever invalidated by hand.  The footprint coverage the
-overlay composites is retained the same way, keyed by value on the
-cell geometry and the stamps, so a tick that replaces one color's
-stroke rasterizes only that color's footprints.
+path; nothing is ever invalidated by hand.  The overlay's layers are
+retained the same way, composite-ready
+(:class:`~repro.render.framebuffer.CoverageLayer`): footprints keyed by
+value on the cell geometry, the stamps and the brush alpha
+(:class:`FootprintKey`),
+highlights on the job's base key, the cell and its segment mask
+(:class:`HighlightKey`).  A tick that replaces one color's stroke
+rasterizes only that color's footprints and splats only the cells
+whose mask for it changed; every other layer is blended as it is.
 """
 
 from __future__ import annotations
@@ -39,20 +44,18 @@ from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
-from repro.render.framebuffer import Framebuffer
+from repro.render.color import named_color
+from repro.render.framebuffer import CoverageLayer, Framebuffer
 from repro.render.raster import CellRenderer, CellStyle, FootprintGeometry
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.synth.arena import Arena
 from repro.trajectory.dataset import TrajectoryDataset
 
-__all__ = ["BaseKey", "RenderJob", "WallRenderer"]
+__all__ = ["BaseKey", "FootprintKey", "HighlightKey", "RenderJob", "WallRenderer"]
 
 Rect = tuple[float, float, float, float]
 ArrayValue = tuple[str, tuple[int, ...], bytes]
-#: A footprint coverage map's key: the cell geometry and one color's
-#: stamp centers and radii, by value — everything the map reads.
-FootprintKey = tuple[FootprintGeometry, ArrayValue, ArrayValue]
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,34 @@ class BaseKey(NamedTuple):
     style: CellStyle
 
 
+class FootprintKey(NamedTuple):
+    """Everything a footprint layer reads, by value: the cell geometry,
+    one color's stamp centers and radii, and the style's brush alpha,
+    which the layer is prepared with.  Cells on any tile with the same
+    geometry share the layer, and so do colors with the same stamps."""
+
+    geometry: FootprintGeometry
+    centers: ArrayValue
+    radii: ArrayValue
+    brush_alpha: float
+
+
+class HighlightKey(NamedTuple):
+    """Everything a highlight layer reads, by value: the job's base key
+    (trajectory, rect, tile, eye, projection and style), the cell's index
+    in the job and its segment mask.  The color only tints the blend, so
+    colors with the same mask on a cell share the layer.  A highlight key
+    never equals a :class:`FootprintKey` (they differ in length), so both
+    live in one overlay dict."""
+
+    base: BaseKey
+    cell: int
+    seg_mask: ArrayValue
+
+
+OverlayKey = FootprintKey | HighlightKey
+
+
 class WallRenderer:
     """Renders the application's state onto a wall viewport.
 
@@ -126,15 +157,15 @@ class WallRenderer:
         self.style = style or CellStyle()
         #: The last job list's base layers by :class:`BaseKey`, read-only.
         self._bases: dict[BaseKey, np.ndarray] = {}
-        #: The last job list's footprint coverage maps, read-only.
-        self._footprints: dict[FootprintKey, np.ndarray] = {}
+        #: The last job list's overlay layers (footprints and highlights).
+        self._overlay: dict[OverlayKey, CoverageLayer] = {}
         #: Base layers this renderer has drawn (one per cold job).
         self.bases_built = 0
 
     def __getstate__(self) -> dict[str, Any]:
         # retained pixels stay in this process: a pickled renderer
-        # carries no bases and no footprints
-        return {**self.__dict__, "_bases": {}, "_footprints": {}}
+        # carries no bases and no overlay layers
+        return {**self.__dict__, "_bases": {}, "_overlay": {}}
 
     # Job construction -----------------------------------------------------
     def _cells_on_tile(
@@ -187,8 +218,10 @@ class WallRenderer:
 
     @property
     def retained_bytes(self) -> int:
-        """Pixel bytes of the retained base layers."""
-        return sum(base.nbytes for base in self._bases.values())
+        """Pixel bytes of the retained base and overlay layers."""
+        return sum(base.nbytes for base in self._bases.values()) + sum(
+            layer.nbytes for layer in self._overlay.values()
+        )
 
     def render_job(
         self,
@@ -196,7 +229,7 @@ class WallRenderer:
         *,
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
-        footprint_cache: dict[FootprintKey, np.ndarray] | None = None,
+        overlay: dict[OverlayKey, CoverageLayer] | None = None,
         bases: dict[BaseKey, np.ndarray] | None = None,
     ) -> Framebuffer:
         """Rasterize one tile/eye job into a fresh framebuffer.
@@ -209,16 +242,15 @@ class WallRenderer:
         top; the caller owns it.  ``bases``, when given, receives the
         base under its key — :meth:`render_jobs` keeps those.
 
-        ``footprint_cache`` maps a :data:`FootprintKey` (cell
-        :class:`~repro.render.raster.FootprintGeometry`, one color's
-        stamp centers and radii) to the footprint coverage of the cell's
-        pixel box.  Coverage is a pure function of that key, so one dict
-        may serve any jobs and any canvas, with bytes identical to any
-        other cache scope.  The job looks a map up there, then among the
-        renderer's retained maps, and rasterizes it only when both miss;
-        every map it uses lands in the dict.  :meth:`render_jobs` shares
-        one across its whole job list and retains it.  Without a dict
-        the job builds its own.
+        ``overlay`` maps an overlay key (:class:`FootprintKey` or
+        :class:`HighlightKey`) to its composite-ready layer.  A layer is
+        a pure function of its key, so one dict may serve any jobs and
+        any canvas or results, with bytes identical to any other scope.
+        The job looks a layer up there, then among the renderer's
+        retained layers, and rasterizes it only when both miss; every
+        layer it uses lands in the dict.  :meth:`render_jobs` shares one
+        across its whole job list and retains it.  Without a dict the
+        job builds its own.
         """
         renderer = CellRenderer(job.tile, self.projection, self.style)
         cells: list[tuple[Rect, CoordinateMapper, int]] = []
@@ -245,8 +277,8 @@ class WallRenderer:
             bases[key] = base
         fb = Framebuffer.from_pixels(base)
         self._draw_overlay(
-            renderer, fb, job, cells, polyline, canvas, results,
-            {} if footprint_cache is None else footprint_cache,
+            renderer, fb, job, key, cells, polyline, canvas, results,
+            {} if overlay is None else overlay,
         )
         return fb
 
@@ -287,13 +319,25 @@ class WallRenderer:
         renderer: CellRenderer,
         fb: Framebuffer,
         job: RenderJob,
+        key: BaseKey,
         cells: list[tuple[Rect, CoordinateMapper, int]],
         polyline: Callable[[int], np.ndarray],
         canvas: BrushCanvas | None,
         results: dict[str, QueryResult] | None,
-        footprint_cache: dict[FootprintKey, np.ndarray],
+        overlay: dict[OverlayKey, CoverageLayer],
     ) -> None:
-        """Every displayed cell's brush footprints, then its highlights."""
+        """Every displayed cell's brush footprints, then its highlights:
+        each layer blended from ``overlay`` or the retained layers, or
+        drawn and added to ``overlay``."""
+
+        def reuse(layer_key: OverlayKey) -> CoverageLayer | None:
+            layer = overlay.get(layer_key)
+            if layer is None:
+                layer = self._overlay.get(layer_key)
+                if layer is not None:
+                    overlay[layer_key] = layer
+            return layer
+
         stamps = []
         for color_name in [] if canvas is None else canvas.colors():
             centers, radii = canvas.stamps_of(color_name)
@@ -304,27 +348,39 @@ class WallRenderer:
             if traj_idx < 0:
                 continue
             if stamps:
-                _, geometry = renderer.footprint_geometry(mapper, rect_t)
+                box, geometry = renderer.footprint_geometry(mapper, rect_t)
                 for color_name, centers, radii, centers_value, radii_value in stamps:
-                    key = (geometry, centers_value, radii_value)
-                    cov = footprint_cache.get(key)
-                    if cov is None:
-                        cov = self._footprints.get(key)
-                    cov = renderer.draw_brush_footprint(
-                        fb, mapper, centers, radii, color_name, rect_t, precomputed=cov,
+                    footprint_key = FootprintKey(
+                        geometry, centers_value, radii_value, self.style.brush_alpha
                     )
-                    if cov is not None and key not in footprint_cache:
-                        cov.setflags(write=False)
-                        footprint_cache[key] = cov
+                    layer = reuse(footprint_key)
+                    if layer is not None:
+                        fb.blend(layer, named_color(color_name), *box)
+                        continue
+                    layer = renderer.draw_brush_footprint(
+                        fb, mapper, centers, radii, color_name, rect_t,
+                    )
+                    if layer is not None:
+                        overlay[footprint_key] = layer
             if results:
                 rows = self.dataset.packed().rows_of(traj_idx)
+                padded: tuple[int, int] | None = None  # the cell's padded box origin
                 for color_name, res in results.items():
                     seg_mask = res.segment_mask[rows]
-                    if seg_mask.any():
-                        renderer.draw_highlights(
-                            fb, self.dataset[traj_idx], mapper, job.eye, seg_mask,
-                            color_name, rect_t, polyline=polyline(k),
-                        )
+                    if not seg_mask.any():
+                        continue
+                    highlight_key = HighlightKey(key, k, _array_value(seg_mask))
+                    layer = reuse(highlight_key)
+                    if layer is not None:
+                        padded = padded or renderer.overlay_origin(rect_t)
+                        fb.blend(layer, named_color(color_name), *padded)
+                        continue
+                    layer = renderer.draw_highlights(
+                        fb, self.dataset[traj_idx], mapper, job.eye, seg_mask,
+                        color_name, rect_t, polyline=polyline(k),
+                    )
+                    if layer is not None:
+                        overlay[highlight_key] = layer
 
     def render_jobs(
         self,
@@ -333,8 +389,8 @@ class WallRenderer:
         canvas: BrushCanvas | None = None,
         results: dict[str, QueryResult] | None = None,
     ) -> list[tuple[Framebuffer, float]]:
-        """Render a job list with one footprint cache across it, and
-        retain its base layers and footprints.
+        """Render a job list with one overlay dict across it, and retain
+        its base layers and overlay layers.
 
         Returns each job's framebuffer and in-process render seconds, in
         job order.  Every render path goes through here: the serial
@@ -345,26 +401,26 @@ class WallRenderer:
 
         Afterwards the renderer retains exactly the bases these jobs
         used or built, one image per (tile, eye), and exactly the
-        footprint maps they used: the next list redraws only the overlay
-        of every job whose :meth:`base_key` is unchanged, and
-        rasterizes only the footprints of strokes that changed.  Bases
-        this list does not use are dropped before it renders, so a
-        layout change holds one frame of bases, not two.
+        overlay layers they used: the next list redraws only the overlay
+        of every job whose :meth:`base_key` is unchanged, rasterizes
+        only the footprints of strokes that changed and splats only the
+        highlights whose mask changed.  Bases this list does not use are
+        dropped before it renders, so a layout change holds one frame of
+        bases, not two.
         """
         keys = {self.base_key(job) for job in jobs}
         self._bases = {key: base for key, base in self._bases.items() if key in keys}
-        footprint_cache: dict[FootprintKey, np.ndarray] = {}
+        overlay: dict[OverlayKey, CoverageLayer] = {}
         bases: dict[BaseKey, np.ndarray] = {}
         out: list[tuple[Framebuffer, float]] = []
         for job in jobs:
             t0 = time.perf_counter()
             fb = self.render_job(
-                job, canvas=canvas, results=results,
-                footprint_cache=footprint_cache, bases=bases,
+                job, canvas=canvas, results=results, overlay=overlay, bases=bases,
             )
             out.append((fb, time.perf_counter() - t0))
         self._bases = bases
-        self._footprints = footprint_cache
+        self._overlay = overlay
         return out
 
     def render_viewport(

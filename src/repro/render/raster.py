@@ -23,7 +23,7 @@ import numpy as np
 from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
 from repro.render.color import Color, named_color, time_gradient
-from repro.render.framebuffer import Framebuffer
+from repro.render.framebuffer import CoverageLayer, Framebuffer
 from repro.render.lines import splat_polylines
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
@@ -56,7 +56,7 @@ class FootprintGeometry(NamedTuple):
     on the sub-pixel phase of the cell's origin — two cells of the same
     box size can carry it on opposite sides.  Brush-footprint coverage
     is a function of these fields and the color's stamps only, so it is
-    the footprint cache key (with the color).
+    the footprint layer's key (with the stamps).
     """
 
     width: int               # pixel box the cell covers
@@ -195,11 +195,15 @@ class CellRenderer:
         cell_rect: tuple[float, float, float, float],
         *,
         polyline: np.ndarray | None = None,
-    ) -> None:
+    ) -> CoverageLayer | None:
         """Overlay the highlighted segments in the brush color.
 
         ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`,
-        projected here when omitted.
+        projected here when omitted.  Returns the highlight coverage as
+        a composite-ready layer of the cell's padded box (origin
+        :meth:`overlay_origin`), or ``None`` when nothing is drawn.  It
+        does not depend on the color, so the pipeline blends it again
+        for any color with the same mask.
         """
         seg_mask = np.asarray(seg_mask, dtype=bool)
         if seg_mask.shape != (traj.n_samples - 1,):
@@ -207,10 +211,10 @@ class CellRenderer:
                 f"seg_mask has {seg_mask.shape}, expected ({traj.n_samples - 1},)"
             )
         if not seg_mask.any():
-            return
+            return None
         x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
-            return
+            return None
         px = self.cell_polyline(traj, mapper, eye, cell_rect) if polyline is None else polyline
         a = px[:-1][seg_mask]
         b = px[1:][seg_mask]
@@ -218,7 +222,15 @@ class CellRenderer:
         splat_polylines(
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
         )
-        fb.composite(coverage, named_color(color_name), x0, y0)
+        layer = CoverageLayer.prepare(coverage)
+        fb.blend(layer, named_color(color_name), x0, y0)
+        return layer
+
+    def overlay_origin(self, cell_rect: tuple[float, float, float, float]) -> tuple[int, int]:
+        """Top-left tile pixel of the cell's padded box, where its
+        highlight layers are blended."""
+        x0, y0, _, _ = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
+        return x0, y0
 
     def footprint_geometry(
         self,
@@ -265,7 +277,7 @@ class CellRenderer:
         Pixel centers are placed in cell-local coordinates from the
         cell's :class:`FootprintGeometry` alone, so the map is a pure
         function of (geometry, stamps): callers cache it per
-        (geometry, color) at any scope — see
+        (geometry, stamps) at any scope — see
         :meth:`WallRenderer.render_job
         <repro.render.pipeline.WallRenderer.render_job>`.  Returns the
         map and the cell's unclipped tile pixel box.
@@ -297,24 +309,21 @@ class CellRenderer:
         radii_arena: np.ndarray,
         color_name: str,
         cell_rect: tuple[float, float, float, float],
-        *,
-        precomputed: np.ndarray | None = None,
-    ) -> np.ndarray | None:
+    ) -> CoverageLayer | None:
         """Translucent discs showing where the brush was painted.
 
-        Returns the coverage map of the cell's whole pixel box so the
-        pipeline can reuse it (``precomputed``) for every cell with the
-        same :meth:`footprint_geometry`; the part off the tile is
-        clipped at composite time.
+        Returns the footprint (coverage times ``brush_alpha``) as a
+        composite-ready layer of the cell's whole pixel box, so the
+        pipeline can blend it again for every cell with the same
+        :meth:`footprint_geometry`, at that cell's box origin; the part
+        off the tile is clipped at blend time.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
             return None
-        if precomputed is None:
-            precomputed, (x0, y0, _, _) = self.brush_footprint_coverage(
-                mapper, cell_rect, centers_arena, radii_arena
-            )
-        else:
-            (x0, y0), _ = self.footprint_geometry(mapper, cell_rect)
-        fb.composite(precomputed * self.style.brush_alpha, named_color(color_name), x0, y0)
-        return precomputed
+        coverage, (x0, y0, _, _) = self.brush_footprint_coverage(
+            mapper, cell_rect, centers_arena, radii_arena
+        )
+        layer = CoverageLayer.prepare(coverage * self.style.brush_alpha)
+        fb.blend(layer, named_color(color_name), x0, y0)
+        return layer

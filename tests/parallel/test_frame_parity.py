@@ -9,9 +9,9 @@ chunky bezel-clipped mullions, and a 4-column wall whose cells round
 to 129 px with the extra pixel on different sides on different tile
 columns), brushed and unbrushed frames, and worker counts 1, 2 and 8.
 
-A pooled batch shares one brush-footprint cache across its tiles while
-the serial path keeps one per tile, so byte equality also proves the
-footprint cache is keyed on everything the coverage depends on.
+A pooled batch shares one overlay dict across its own tiles while the
+serial path shares one across the whole frame, so byte equality also
+proves the overlay layers are keyed on everything they depend on.
 
 The same specs drive the tile owners' lifetime: a renderer keeps its
 owners from frame to frame (no process is spawned after the first
@@ -40,6 +40,7 @@ from repro.layout.cells import assign_sequential
 from repro.layout.grid import BezelAwareGrid
 from repro.parallel.tilerender import owner_pids, render_viewport_parallel
 from repro.render.pipeline import WallRenderer
+from repro.render.raster import CellStyle
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.stereo.camera import Eye
 from repro.store import SharedArenaStore
@@ -287,6 +288,8 @@ def test_owner_frames_equal_fresh_after_every_change(
         wall.window = TimeWindow.end(0.4)
         assert wall.frame(store=store).bases_built == 0
         wall.renderer.projection = wall.renderer.projection.with_controls(depth_offset=0.02)
+        assert wall.frame(store=store).bases_built > 0
+        wall.renderer.style = CellStyle(line_width=2.0, brush_alpha=0.4)
         assert wall.frame(store=store).bases_built > 0
         cols, rows = wall.grid_shape
         wall.assignment = assign_sequential(

@@ -9,7 +9,10 @@ which lives here as the oracle:
 * ``splat_polylines_oracle`` calls ``splat_points_oracle`` once per
   disc-kernel offset, and that issues one ``np.add.at`` per bilinear
   tap (plus one on the RGB accumulator);
-* ``composite_oracle`` blends every on-buffer pixel of the map.
+* ``composite_oracle`` blends every on-buffer pixel of the map; the
+  composite and a prepared layer (``CoverageLayer.prepare``) blended
+  with ``Framebuffer.blend``, once or again at another offset, must
+  match it.
 
 Hypothesis drives random boxes, samples, widths and coverage maps
 through both; directed cases pin the corners a random sweep may
@@ -27,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render.color import time_gradient
-from repro.render.framebuffer import Framebuffer
+from repro.render.framebuffer import CoverageLayer, Framebuffer
 from repro.render.lines import disc_kernel, resample_segments, splat_points, splat_polylines
 
 # -- oracles: the sequential kernels -------------------------------------------
@@ -252,6 +255,24 @@ def _composite_both(buffer_hw, coverage, color, x0, y0):
     return fb.data, want
 
 
+def _blend_both(buffer_hw, coverage, color, offsets):
+    """A buffer with one prepared layer blended at every offset, and the
+    oracle's buffer with the map composited at each."""
+    rng = np.random.default_rng(coverage.size + 1)
+    start = rng.uniform(0.0, 1.0, (*buffer_hw, 3)).astype(np.float32)
+    fb = Framebuffer(buffer_hw[1], buffer_hw[0])
+    fb.data[...] = start
+    before = coverage.copy()
+    layer = CoverageLayer.prepare(coverage)
+    assert coverage.tobytes() == before.tobytes()  # prepare only reads the map
+    assert not layer.alpha.flags.writeable and not layer.keep.flags.writeable
+    want = start.copy()
+    for x0, y0 in offsets:
+        fb.blend(layer, color, x0, y0)
+        composite_oracle(want, coverage, color, x0, y0)
+    return fb.data, want
+
+
 @st.composite
 def coverage_maps(draw) -> np.ndarray:
     """Maps mostly zero, with a few entries below 0, inside (0, 1] and above 1."""
@@ -266,14 +287,45 @@ def coverage_maps(draw) -> np.ndarray:
 @given(
     st.integers(1, 12), st.integers(1, 12), coverage_maps(),
     st.integers(-6, 12), st.integers(-6, 12), st.booleans(),
+    st.integers(-6, 12), st.integers(-6, 12),
 )
 @settings(max_examples=120, deadline=None)
-def test_cropped_composite_matches_full_box(bh, bw, coverage, x0, y0, per_pixel):
+def test_cropped_composite_matches_full_box(bh, bw, coverage, x0, y0, per_pixel, x1, y1):
     rng = np.random.default_rng(7)
     color = (rng.uniform(0, 1, (*coverage.shape, 3)).astype(np.float32) if per_pixel
              else (0.9, 0.2, 0.45))
     got, want = _composite_both((bh, bw), coverage, color, x0, y0)
     assert_same_bytes(got, want)
+    # blend(prepare(map)): once, and the same layer again elsewhere
+    got, want = _blend_both((bh, bw), coverage, color, [(x0, y0)])
+    assert_same_bytes(got, want)
+    got, want = _blend_both((bh, bw), coverage, color, [(x0, y0), (x1, y1)])
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("kind", ["empty", "negative-only", "sparse", "full"])
+def test_prepared_layer_blends_off_every_edge(kind):
+    """One prepared layer blended at offsets off each edge and corner of
+    the buffer, and wholly off it, equals the full-box oracle."""
+    rng = np.random.default_rng(13)
+    cov = np.zeros((7, 9))
+    if kind == "negative-only":
+        cov[2:4, 3:6] = -0.5
+    elif kind == "sparse":
+        cov[0, 2], cov[6, 8], cov[4, 0] = 0.3, 1e-12, 1.7
+    elif kind == "full":
+        cov[:] = rng.uniform(0.01, 1.0, cov.shape)
+    offsets = [(-5, 2), (2, -4), (8, 2), (2, 6), (-6, -5), (9, 7), (-9, 0), (0, 10), (1, 1)]
+    rgb = rng.uniform(0.0, 1.0, (*cov.shape, 3)).astype(np.float32)
+    for color in ((0.2, 0.6, 1.0), rgb):
+        got, want = _blend_both((10, 12), cov, color, offsets)
+        assert_same_bytes(got, want)
+    layer = CoverageLayer.prepare(cov)
+    assert layer.shape == cov.shape
+    if kind in ("empty", "negative-only"):
+        assert layer.alpha.size == 0 and layer.nbytes == 0
+    with pytest.raises(ValueError):
+        Framebuffer(12, 10).blend(layer, np.zeros((3, 3, 3), np.float32))
 
 
 @pytest.mark.parametrize(

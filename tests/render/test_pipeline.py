@@ -94,7 +94,8 @@ class TestProjectOnce:
         self, monkeypatch, study_dataset, small_viewport, small_grid, arena
     ):
         """The trajectory and every highlight color share one projected
-        polyline per (cell, eye) and job."""
+        polyline per (cell, eye) and job, and a retained highlight layer
+        needs none."""
         from repro.stereo.projection import SpaceTimeProjection
 
         asg = assign_sequential(study_dataset, small_grid)
@@ -116,7 +117,24 @@ class TestProjectOnce:
         assert len(calls) == cells  # cold: every trajectory, highlights reuse it
         calls.clear()
         renderer.render_jobs(jobs, canvas=canvas, results=results)
-        assert 0 < len(calls) <= cells  # warm: only cells with highlights
+        assert not calls  # warm, same results: every layer is retained
+
+        # replace red's stroke: only a cell whose new red mask is not
+        # empty and matches no layer the cell already has is projected
+        canvas.clear("red")
+        canvas.add(stroke_from_rect((-0.1, -0.4), (0.4, 0.1), 0.08, "red"))
+        new = {**results, "red": engine.query(canvas, "red", assignment=asg)}
+        packed = study_dataset.packed()
+        changed = 0
+        for job in jobs:
+            for traj in job.cell_traj[job.cell_traj >= 0]:
+                rows = packed.rows_of(traj)
+                mask = new["red"].segment_mask[rows]
+                kept = {res.segment_mask[rows].tobytes() for res in results.values()}
+                changed += bool(mask.any()) and mask.tobytes() not in kept
+        renderer.render_jobs(jobs, canvas=canvas, results=new)
+        assert 0 < changed < cells
+        assert len(calls) == changed
 
 
 class TestRenderViewport:

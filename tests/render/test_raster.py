@@ -5,6 +5,7 @@ import pytest
 
 from repro.display.coords import CoordinateMapper
 from repro.display.tile import Tile
+from repro.render.color import named_color
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import CellRenderer, CellStyle
 from repro.stereo.camera import Eye
@@ -98,22 +99,25 @@ class TestBrushFootprint:
         fb = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
         centers = np.array([[0.0, 0.0]])
         radii = np.array([0.1])
-        cov = renderer.draw_brush_footprint(fb, mapper, centers, radii, "red", cell_rect)
-        assert cov is not None
-        assert cov.max() == pytest.approx(1.0)
+        layer = renderer.draw_brush_footprint(fb, mapper, centers, radii, "red", cell_rect)
+        assert layer is not None
+        # the layer is the coverage (peak 1) times the brush alpha
+        assert layer.alpha.max() == pytest.approx(renderer.style.brush_alpha)
+        np.testing.assert_array_equal(layer.keep, 1.0 - layer.alpha)
         center_px = tile.wall_to_pixel(mapper.arena_to_wall(np.zeros((1, 2))))[0]
         assert fb.data[int(center_px[1]), int(center_px[0]), 0] > 0.1
 
     def test_precomputed_reuse_matches(self, renderer, tile, mapper, cell_rect):
+        """Blending the returned layer again at the cell's box origin
+        redraws the footprint byte for byte."""
         centers = np.array([[0.1, -0.1]])
         radii = np.array([0.08])
         fb1 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
-        cov = renderer.draw_brush_footprint(fb1, mapper, centers, radii, "red", cell_rect)
+        layer = renderer.draw_brush_footprint(fb1, mapper, centers, radii, "red", cell_rect)
         fb2 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
-        renderer.draw_brush_footprint(
-            fb2, mapper, centers, radii, "red", cell_rect, precomputed=cov
-        )
-        np.testing.assert_allclose(fb1.data, fb2.data)
+        origin, _ = renderer.footprint_geometry(mapper, cell_rect)
+        fb2.blend(layer, named_color("red"), *origin)
+        np.testing.assert_array_equal(fb1.data, fb2.data)
 
     def test_empty_centers_none(self, renderer, tile, mapper, cell_rect):
         fb = Framebuffer(tile.px_width, tile.px_height)
@@ -152,15 +156,18 @@ class TestBrushFootprint:
 
     def test_precomputed_clips_at_tile_edge(self, renderer, arena, tile):
         """A cell straddling the tile's left edge composites only its
-        on-tile part, from the cached map of its whole pixel box."""
+        on-tile part, from the retained layer of its whole pixel box."""
         rect = (-0.05, 0.0, 0.15, 0.15)
         m = CoordinateMapper(arena, rect)
         centers, radii = np.array([[0.0, 0.0]]), np.array([2 * arena.radius])
         fb1 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
-        cov = renderer.draw_brush_footprint(fb1, m, centers, radii, "red", rect)
-        assert cov.shape == (150, 200)
+        layer = renderer.draw_brush_footprint(fb1, m, centers, radii, "red", rect)
+        assert layer.shape == (150, 200)
+        assert layer.alpha.shape == (150, 200, 1)  # the whole box, on the tile or not
         fb2 = Framebuffer(tile.px_width, tile.px_height, (0, 0, 0))
-        renderer.draw_brush_footprint(fb2, m, centers, radii, "red", rect, precomputed=cov)
+        origin, _ = renderer.footprint_geometry(m, rect)
+        assert origin == (-50, 0)
+        fb2.blend(layer, named_color("red"), *origin)
         np.testing.assert_array_equal(fb1.data, fb2.data)
         assert fb1.data[75, 0, 0] > 0 and fb1.data[75, 151:, 0].max() == 0
 

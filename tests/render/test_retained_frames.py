@@ -12,8 +12,10 @@ Each step also pins whether it may reuse bases: a change that only
 touches the overlay (stroke, results, window, a subset of the eyes)
 draws no background, rim or trajectory at all, and every other change
 draws them.  The cache always holds exactly the last job list's keys.
-Footprint coverage is retained the same way: a tick that replaces one
-color's stroke rasterizes only that color's footprints.
+Overlay layers are retained the same way, and the retained overlay
+holds exactly the layers a fresh renderer's frame uses: a tick that
+replaces one color's stroke rasterizes only that color's footprints
+and splats only the highlights whose mask changed.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ from repro.core.brush import BrushStroke, stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.temporal import TimeWindow
+from repro.display.coords import CoordinateMapper
 from repro.display.viewport import Viewport
 from repro.layout.cells import assign_groups_to_cells, assign_sequential
 from repro.layout.grid import BezelAwareGrid
 from repro.layout.groups import TrajectoryGroups
+from repro.render import raster
+from repro.render.framebuffer import Framebuffer
 from repro.render.pipeline import WallRenderer
 from repro.render.raster import CellRenderer, CellStyle
 from repro.stereo.camera import Eye
@@ -131,10 +136,13 @@ def test_retained_frame_equals_fresh_after_every_change(
         base_draws.clear()
         got = scene.render(renderer, results)
         drawn = sum(base_draws.values())
-        want = scene.render(_fresh(renderer), results)
+        fresh = _fresh(renderer)
+        want = scene.render(fresh, results)
         _assert_same_frames(got, want, label)
         jobs = renderer.make_jobs(scene.assignment, scene.eyes)
         assert set(renderer._bases) == {renderer.base_key(job) for job in jobs}, label
+        # the retained overlay holds exactly the layers this frame used
+        assert set(renderer._overlay) == set(fresh._overlay), label
         if warm:
             assert drawn == 0, f"{label}: a warm frame drew {dict(base_draws)}"
         else:
@@ -150,6 +158,11 @@ def test_retained_frame_equals_fresh_after_every_change(
     scene.canvas.add(stroke_from_rect((0.0, -0.5 * r), (0.4 * r, 0.5 * r), 0.1 * r, "blue"))
     scene.window = TimeWindow.end(0.4)
     step("results and window", warm=True)
+    scene.canvas.clear("blue")
+    scene.canvas.add(stroke_from_rect((-0.4 * r, -0.5 * r), (0.0, 0.3 * r), 0.1 * r, "blue"))
+    step("results of one color only", warm=True)
+    scene.window = TimeWindow.end(0.7)
+    step("a window change", warm=True)
     scene.assignment = assign_sequential(dataset, grid_b)
     step("layout switch", warm=False)
     scene.assignment = assign_groups_to_cells(
@@ -165,7 +178,8 @@ def test_retained_frame_equals_fresh_after_every_change(
     step("dataset swapped at the same epoch", warm=False)
     renderer.projection = renderer.projection.with_controls(depth_offset=0.02)
     step("projection controls", warm=False)
-    renderer.style = CellStyle(line_width=2.0)
+    # brush_alpha tints every footprint layer: none may outlive it
+    renderer.style = CellStyle(line_width=2.0, brush_alpha=0.4)
     step("style", warm=False)
     one_eye = (Eye.LEFT,)
     warm = Eye.LEFT in scene.eyes
@@ -213,17 +227,107 @@ def test_only_the_changed_colors_footprints_are_rasterized(study_dataset, monkey
     )
 
 
+def _unshared_frame(renderer: WallRenderer, job, canvas, results) -> Framebuffer:
+    """``job``'s frame with every overlay layer drawn afresh, in the
+    pipeline's order, from its retained base: nothing shared or reused."""
+    cell = CellRenderer(job.tile, renderer.projection, renderer.style)
+    fb = Framebuffer.from_pixels(renderer._bases[renderer.base_key(job)])
+    packed = renderer.dataset.packed()
+    for rect, traj in zip(job.cell_rects, job.cell_traj):
+        if traj < 0:
+            continue
+        rect_t = tuple(float(v) for v in rect)
+        mapper = CoordinateMapper(renderer.arena, rect_t)
+        for color in canvas.colors():
+            centers, radii = canvas.stamps_of(color)
+            cell.draw_brush_footprint(fb, mapper, centers, radii, color, rect_t)
+        for color, res in results.items():
+            cell.draw_highlights(
+                fb, renderer.dataset[traj], mapper, job.eye,
+                res.segment_mask[packed.rows_of(traj)], color, rect_t,
+            )
+    return fb
+
+
+def test_only_the_changed_colors_highlights_are_splatted(study_dataset, monkeypatch):
+    viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
+    arena = Arena()
+    renderer = WallRenderer(study_dataset, arena, viewport)
+    assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
+    engine = CoordinatedBrushingEngine(study_dataset)
+    canvas = _seeded_canvas(0, 3, arena)  # one stroke each: red, blue, green
+    results = engine.query_all_colors(canvas, assignment=assignment)
+    jobs = renderer.make_jobs(assignment)
+    renderer.render_jobs(jobs, canvas=canvas, results=results)
+
+    drawn: list[tuple[int, bytes, str]] = []
+    splats: list[int] = []
+    draw, splat = CellRenderer.draw_highlights, raster.splat_polylines
+
+    def spy_draw(self, fb, traj, mapper, eye, seg_mask, color, *args, **kwargs):
+        drawn.append((id(traj), np.asarray(seg_mask).tobytes(), color))
+        return draw(self, fb, traj, mapper, eye, seg_mask, color, *args, **kwargs)
+
+    monkeypatch.setattr(CellRenderer, "draw_highlights", spy_draw)
+    monkeypatch.setattr(
+        raster, "splat_polylines", lambda *a, **kw: splats.append(1) or splat(*a, **kw)
+    )
+    renderer.render_jobs(jobs, canvas=canvas, results=results)
+    assert not drawn and not splats  # nothing changed: every layer is retained
+
+    # replace blue's stroke; only blue is re-queried
+    canvas.clear("blue")
+    r = arena.radius
+    canvas.add(stroke_from_rect((-0.2 * r, -0.6 * r), (0.5 * r, 0.1 * r), 0.1 * r, "blue"))
+    new = {**results, "blue": engine.query(canvas, "blue", assignment=assignment)}
+    packed = study_dataset.packed()
+    want: list[tuple[int, bytes, str]] = []
+    for job in jobs:
+        for traj in job.cell_traj[job.cell_traj >= 0]:
+            rows = packed.rows_of(traj)
+            mask = new["blue"].segment_mask[rows]
+            kept = {res.segment_mask[rows].tobytes() for res in (*results.values(), *new.values())
+                    if res is not new["blue"]}
+            if mask.any() and mask.tobytes() not in kept:
+                want.append((id(study_dataset[traj]), mask.tobytes(), "blue"))
+    got = renderer.render_jobs(jobs, canvas=canvas, results=new)
+    assert want and sorted(drawn) == sorted(want)
+    assert len(splats) == len(want)  # one splat per changed (cell, eye), none other
+    fresh = _fresh(renderer).render_jobs(jobs, canvas=canvas, results=new)
+    for job, (fb, _), (ref, _) in zip(jobs, got, fresh, strict=True):
+        assert np.array_equal(fb.data, ref.data), job
+        assert np.array_equal(fb.data, _unshared_frame(renderer, job, canvas, new).data), job
+
+    # two colors with identical strokes: one layer per (cell, eye) mask
+    canvas.clear("green")
+    [blue] = canvas.strokes("blue")
+    canvas.add(BrushStroke(blue.centers, blue.radius, "green"))
+    new["green"] = engine.query(canvas, "green", assignment=assignment)
+    drawn.clear()
+    got = _fresh(renderer).render_jobs(jobs, canvas=canvas, results=new)
+    assert not [d for d in drawn if d[2] == "green"]  # green reuses blue's layers
+    assert {d for d in drawn if d[2] == "blue"}
+    for job, (fb, _) in zip(jobs, got, strict=True):
+        assert np.array_equal(fb.data, _unshared_frame(renderer, job, canvas, new).data), job
+
+
 def test_renderer_pickles_without_its_bases(study_dataset):
     viewport = Viewport(_make_wall(cols=2, rows=1, panel_px_width=64, panel_px_height=36))
     renderer = WallRenderer(study_dataset, Arena(), viewport)
     size = len(pickle.dumps(renderer))
     assignment = assign_sequential(study_dataset, BezelAwareGrid(viewport, 4, 2))
-    renderer.render_viewport(assignment, canvas=_seeded_canvas(0, 2, renderer.arena))
-    assert renderer.retained_bytes == 4 * 64 * 36 * 3 * 4  # 2 tiles x 2 eyes, float32
-    assert renderer._footprints
+    canvas = _seeded_canvas(0, 2, renderer.arena)
+    results = CoordinatedBrushingEngine(study_dataset).query_all_colors(
+        canvas, assignment=assignment
+    )
+    renderer.render_viewport(assignment, canvas=canvas, results=results)
+    overlay_bytes = sum(layer.nbytes for layer in renderer._overlay.values())
+    assert overlay_bytes > 0
+    # 2 tiles x 2 eyes of float32 bases, plus the footprint and highlight layers
+    assert renderer.retained_bytes == 4 * 64 * 36 * 3 * 4 + overlay_bytes
     assert len(pickle.dumps(renderer)) == size
     copy = pickle.loads(pickle.dumps(renderer))
-    assert copy.retained_bytes == 0 and not copy._footprints
+    assert copy.retained_bytes == 0 and not copy._overlay
 
 
 def test_bases_are_read_only_and_frames_are_the_callers(study_dataset):

@@ -54,7 +54,10 @@ def render_eye(traj, arena, projection, eye, px=540, label=True):
     style = CellStyle(line_width=2.2, step_px=0.5)
     renderer = CellRenderer(tile, projection, style)
     renderer.draw_arena_rim(fb, mapper)
-    renderer.draw_trajectory(fb, traj, mapper, eye, cell_rect)
+    placement = renderer.place(mapper)
+    renderer.draw_trajectory(
+        fb, traj, placement, renderer.cell_polyline(traj, mapper, eye, placement)
+    )
     if label:
         text = "LEFT EYE" if eye is Eye.LEFT else "RIGHT EYE"
         draw_text(fb, 8, 8, text, scale=2, alpha=0.8)

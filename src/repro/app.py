@@ -323,9 +323,3 @@ class TrajectoryExplorer:
         """
         snapshot = obs.telemetry_snapshot()
         return {"enabled": obs.enabled(), **snapshot.as_dict()}
-
-    def last_trace(self, color: str | None = None):
-        """Per-stage trace of the most recent query for ``color``
-        (default: the active brush color); ``None`` if never queried."""
-        result = self._last_results.get(color or self.brush_color)
-        return None if result is None else result.trace

@@ -22,9 +22,9 @@ against without touching raw segments:
   descends coarse → fine, discarding all-out regions wholesale before
   any per-cell work.
 
-Everything is a flat numpy table so the shared arena can pack the
-pyramid as 16B-aligned arrays at publish time; :meth:`from_tables`
-adopts those (read-only, zero-copy) views on attach without rebuilding.
+Everything is a flat, read-only numpy table.  A pyramid lives in the
+engine that built it; a rollover's successor engine builds its own over
+the new epoch's packed view.
 
 Exactness contract: the pyramid itself never decides a boundary case.
 Classification (see :mod:`~repro.core.aggregate.kernels`) claims
@@ -59,11 +59,10 @@ DEFAULT_LEVELS = (8, 16, 32, 64)
 class SummaryPyramid:
     """Immutable supernode statistics over one packed segment view.
 
-    Build with :meth:`build` (vectorized, one counting sort) or adopt
-    shared-arena tables with :meth:`from_tables`.  All arrays are
-    read-only after construction — a pyramid is published into epoch
-    snapshots and read lock-free by concurrent sessions, exactly like
-    the packed view it summarizes.
+    Build with :meth:`build` (vectorized, one counting sort).  All
+    arrays are read-only after construction — a pyramid is published
+    into epoch snapshots and read lock-free by concurrent sessions,
+    exactly like the packed view it summarizes.
 
     Attributes
     ----------
@@ -295,77 +294,6 @@ class SummaryPyramid:
         obs.observe(
             "service.aggregate.build_seconds", time.perf_counter() - t_build
         )
-        return self
-
-    @classmethod
-    def from_tables(
-        cls,
-        packed: PackedSegments,
-        *,
-        res: int,
-        n_tbuckets: int,
-        levels: tuple[int, ...],
-        lo: np.ndarray,
-        cell_size: np.ndarray,
-        node_of: np.ndarray,
-        entries: np.ndarray,
-        offsets: np.ndarray,
-        bbox: np.ndarray,
-        tstats: np.ndarray,
-        bits: np.ndarray,
-        level_bbox: np.ndarray,
-        traj_start: np.ndarray,
-        traj_dur: np.ndarray,
-    ) -> "SummaryPyramid":
-        """Adopt pre-built pyramid tables without re-summarizing.
-
-        The zero-copy rebuild path for shared-memory attachment
-        (:mod:`repro.store`): the tables are taken as-is — typically
-        views into a shared block — validated for mutual consistency,
-        and marked read-only, so attaching a published pyramid costs
-        O(1) instead of a counting sort over every segment.
-        """
-        _validate_shape(res, n_tbuckets, levels)
-        n_nodes = res * res * n_tbuckets
-        if len(offsets) != n_nodes + 1:
-            raise ValueError(
-                f"offsets has {len(offsets)} entries, expected {n_nodes + 1}"
-            )
-        if int(offsets[-1]) != packed.n_segments or len(entries) != packed.n_segments:
-            raise ValueError("pyramid CSR does not cover every segment exactly once")
-        if len(node_of) != packed.n_segments:
-            raise ValueError("node_of does not match the segment count")
-        if bbox.shape != (n_nodes, 4) or tstats.shape != (n_nodes, 8):
-            raise ValueError("per-node stat tables have the wrong shape")
-        total_level = int(sum(lv * lv for lv in levels))
-        if level_bbox.shape != (total_level, 4):
-            raise ValueError("level bbox table does not match the level ladder")
-        if len(traj_start) != len(traj_dur):
-            raise ValueError("trajectory time tables disagree on length")
-        self = cls.__new__(cls)
-        self.packed = packed
-        self.res = int(res)
-        self.n_tbuckets = int(n_tbuckets)
-        self.levels = tuple(int(v) for v in levels)
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.cell_size = np.asarray(cell_size, dtype=np.float64)
-        self.spatial_eps = float(1e-9 * (self.cell_size * self.res).max())
-        self.node_of = node_of
-        self.entries = entries
-        self.offsets = offsets
-        self.bbox = bbox
-        self.tstats = tstats
-        self.bits = bits
-        self.level_bbox = level_bbox
-        self.traj_start = traj_start
-        self.traj_dur = traj_dur
-        self.level_offsets = np.zeros(len(self.levels) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((lv * lv for lv in self.levels), dtype=np.int64),
-            out=self.level_offsets[1:],
-        )
-        self._cell_of_rows = None
-        self._freeze()
         return self
 
     def _freeze(self) -> None:

@@ -1,9 +1,10 @@
 """The coordinated-brushing query engine.
 
 One engine instance binds a dataset (through its packed segment view)
-and optionally its :class:`~repro.core.aggregate.SummaryPyramid`, the
-one spatial index; :meth:`query` evaluates a brush canvas color under a
-time window across *every* trajectory at once.
+and, unless it answers by brute force, the
+:class:`~repro.core.aggregate.SummaryPyramid` it builds over that view,
+the one spatial index; :meth:`query` evaluates a brush canvas color
+under a time window across *every* trajectory at once.
 
 The engine is a thin façade over the :mod:`repro.core.plan` machinery:
 a :class:`QueryPlanner` builds a DAG of named stages and a
@@ -81,11 +82,6 @@ class CoordinatedBrushingEngine:
         the dataset epoch and store token, so old-epoch entries are
         unreachable by new-epoch queries (and age out via LRU) while
         still serving any session pinned to the old epoch.
-    pyramid:
-        A prebuilt :class:`SummaryPyramid` over this dataset's packed
-        view to adopt instead of building one — the shared-memory
-        attach path passes the pyramid rebuilt from shared arena tables
-        here.
 
     Thread safety: the dataset, packed view, and pyramid are immutable
     after construction and queries keep all per-call state on the
@@ -101,7 +97,6 @@ class CoordinatedBrushingEngine:
         use_index: bool = True,
         cache_capacity: int = 128,
         cache: StageCache | None = None,
-        pyramid: SummaryPyramid | None = None,
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
@@ -109,14 +104,7 @@ class CoordinatedBrushingEngine:
         self.packed = dataset.packed()
         self.pyramid: SummaryPyramid | None = None
         self._pyramid_error: str | None = None
-        if pyramid is not None:
-            if pyramid.packed is not self.packed:
-                raise ValueError(
-                    "prebuilt pyramid was not built over this dataset's "
-                    "packed view"
-                )
-            self.pyramid = pyramid
-        elif use_index:
+        if use_index:
             try:
                 self.pyramid = SummaryPyramid.build(self.packed, dataset)
             except Exception as exc:

@@ -254,13 +254,6 @@ class ExplorationSession:
         self._log("groups", scheme="fig3", names=self.groups.names())
         return self.groups
 
-    def set_groups(self, groups: TrajectoryGroups) -> None:
-        """Apply a custom group scheme (resets paging)."""
-        self.groups = groups
-        self.page = 0
-        self._reassign()
-        self._log("groups", scheme="custom", names=groups.names())
-
     @property
     def grid(self) -> BezelAwareGrid:
         assert self._grid is not None

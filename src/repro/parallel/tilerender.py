@@ -59,9 +59,7 @@ from typing import Any, NamedTuple
 
 from repro import obs
 from repro.core.canvas import BrushCanvas
-from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.result import QueryResult
-from repro.core.temporal import TimeWindow
 from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
 from repro.parallel.pool import round_robin_batches
@@ -255,8 +253,6 @@ def render_viewport_parallel(
     eyes: tuple[Eye, ...] = (Eye.LEFT, Eye.RIGHT),
     canvas: BrushCanvas | None = None,
     results: dict[str, QueryResult] | None = None,
-    engine: CoordinatedBrushingEngine | None = None,
-    window: TimeWindow | None = None,
     max_workers: int = 0,
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
@@ -272,15 +268,10 @@ def render_viewport_parallel(
 
     Parameters
     ----------
-    engine:
-        Optional query engine.  When given (and ``results`` is not),
-        the highlight masks for every canvas color are evaluated
-        *once* in the parent — through the engine's stage cache, so an
-        unchanged brush/window costs only cache lookups — and the
-        finished :class:`QueryResult` objects are shipped to the
-        owners, instead of every tile job re-deriving highlights.
-    window:
-        Temporal filter for the ``engine`` evaluation.
+    canvas / results:
+        The brush canvas (footprints) and each color's finished
+        :class:`QueryResult` (highlights), as the serial renderer takes
+        them; owners receive both with every frame.
     max_workers:
         Number of tile owners; ``<= 1`` renders in-process.
     fault_plan:
@@ -297,11 +288,6 @@ def render_viewport_parallel(
         pickled dataset; an unattachable handle degrades to the pickled
         dataset with a ``shm-attach-failure`` event on the report.
     """
-    if results is None and engine is not None and canvas is not None:
-        if not canvas.is_empty():
-            results = engine.query_all_colors(
-                canvas, window=window, assignment=assignment
-            )
     jobs = renderer.make_jobs(assignment, eyes)
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()

@@ -46,7 +46,7 @@ from repro.display.viewport import Viewport
 from repro.layout.cells import CellAssignment
 from repro.render.color import named_color
 from repro.render.framebuffer import CoverageLayer, Framebuffer
-from repro.render.raster import CellRenderer, CellStyle, FootprintGeometry
+from repro.render.raster import CellPlacement, CellRenderer, CellStyle, FootprintGeometry
 from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.synth.arena import Arena
@@ -54,7 +54,6 @@ from repro.trajectory.dataset import TrajectoryDataset
 
 __all__ = ["BaseKey", "FootprintKey", "HighlightKey", "RenderJob", "WallRenderer"]
 
-Rect = tuple[float, float, float, float]
 ArrayValue = tuple[str, tuple[int, ...], bytes]
 
 
@@ -253,31 +252,38 @@ class WallRenderer:
         job builds its own.
         """
         renderer = CellRenderer(job.tile, self.projection, self.style)
-        cells: list[tuple[Rect, CoordinateMapper, int]] = []
+        cells: list[tuple[CoordinateMapper, int]] = []
         for rect, traj_idx in zip(job.cell_rects, job.cell_traj):
             rect_t = (float(rect[0]), float(rect[1]), float(rect[2]), float(rect[3]))
-            cells.append((rect_t, CoordinateMapper(self.arena, rect_t), int(traj_idx)))
+            cells.append((CoordinateMapper(self.arena, rect_t), int(traj_idx)))
+        placements: dict[int, CellPlacement] = {}
         polylines: dict[int, np.ndarray] = {}
+
+        def placement(k: int) -> CellPlacement:
+            """Cell ``k``'s placement on the tile: once per cell per job."""
+            if k not in placements:
+                placements[k] = renderer.place(cells[k][0])
+            return placements[k]
 
         def polyline(k: int) -> np.ndarray:
             """Cell ``k``'s projected polyline: once per (cell, eye) per job."""
             if k not in polylines:
-                rect_t, mapper, traj_idx = cells[k]
+                mapper, traj_idx = cells[k]
                 polylines[k] = renderer.cell_polyline(
-                    self.dataset[traj_idx], mapper, job.eye, rect_t
+                    self.dataset[traj_idx], mapper, job.eye, placement(k)
                 )
             return polylines[k]
 
         key = self.base_key(job)
         base = self._bases.get(key)
         if base is None:
-            base = self._draw_base(renderer, job, cells, polyline)
+            base = self._draw_base(renderer, job, cells, placement, polyline)
             self.bases_built += 1
         if bases is not None:
             bases[key] = base
         fb = Framebuffer.from_pixels(base)
         self._draw_overlay(
-            renderer, fb, job, key, cells, polyline, canvas, results,
+            renderer, fb, key, cells, placement, polyline, canvas, results,
             {} if overlay is None else overlay,
         )
         return fb
@@ -286,30 +292,30 @@ class WallRenderer:
         self,
         renderer: CellRenderer,
         job: RenderJob,
-        cells: list[tuple[Rect, CoordinateMapper, int]],
+        cells: list[tuple[CoordinateMapper, int]],
+        placement: Callable[[int], CellPlacement],
         polyline: Callable[[int], np.ndarray],
     ) -> np.ndarray:
         """Every cell's background, rim, label and trajectory, as a new
         read-only image."""
         fb = Framebuffer(job.tile.px_width, job.tile.px_height, self.style.background)
         labels = job.cell_labels or ("",) * len(cells)
-        for k, ((rect_t, mapper, traj_idx), color, label) in enumerate(
+        for k, ((mapper, traj_idx), color, label) in enumerate(
             zip(cells, job.cell_colors, labels)
         ):
-            renderer.draw_background(fb, rect_t, tuple(color))
+            renderer.draw_background(fb, placement(k), tuple(color))
             renderer.draw_arena_rim(fb, mapper)
             if label:
                 from repro.render.font import draw_text
 
-                x0, y0, _, y1 = renderer._cell_px_rect(rect_t)
+                x0, y0, _, y1 = renderer.pixel_box(placement(k))
                 # scale the label with the cell so it stays legible on
                 # composed (downscaled) wall frames
                 scale = max(1, (y1 - y0) // 60)
                 draw_text(fb, x0 + 3, y0 + 3, label, alpha=0.9, scale=scale)
             if traj_idx >= 0:
                 renderer.draw_trajectory(
-                    fb, self.dataset[traj_idx], mapper, job.eye, rect_t,
-                    polyline=polyline(k),
+                    fb, self.dataset[traj_idx], placement(k), polyline(k)
                 )
         fb.data.setflags(write=False)
         return fb.data
@@ -318,9 +324,9 @@ class WallRenderer:
         self,
         renderer: CellRenderer,
         fb: Framebuffer,
-        job: RenderJob,
         key: BaseKey,
-        cells: list[tuple[Rect, CoordinateMapper, int]],
+        cells: list[tuple[CoordinateMapper, int]],
+        placement: Callable[[int], CellPlacement],
         polyline: Callable[[int], np.ndarray],
         canvas: BrushCanvas | None,
         results: dict[str, QueryResult] | None,
@@ -344,27 +350,26 @@ class WallRenderer:
             if len(centers):
                 stamps.append((color_name, centers, radii,
                                _array_value(centers), _array_value(radii)))
-        for k, (rect_t, mapper, traj_idx) in enumerate(cells):
+        for k, (_, traj_idx) in enumerate(cells):
             if traj_idx < 0:
                 continue
             if stamps:
-                box, geometry = renderer.footprint_geometry(mapper, rect_t)
+                place = placement(k)
                 for color_name, centers, radii, centers_value, radii_value in stamps:
                     footprint_key = FootprintKey(
-                        geometry, centers_value, radii_value, self.style.brush_alpha
+                        place.geometry, centers_value, radii_value, self.style.brush_alpha
                     )
                     layer = reuse(footprint_key)
                     if layer is not None:
-                        fb.blend(layer, named_color(color_name), *box)
+                        fb.blend(layer, named_color(color_name), place.x0, place.y0)
                         continue
                     layer = renderer.draw_brush_footprint(
-                        fb, mapper, centers, radii, color_name, rect_t,
+                        fb, place, centers, radii, color_name
                     )
                     if layer is not None:
                         overlay[footprint_key] = layer
             if results:
                 rows = self.dataset.packed().rows_of(traj_idx)
-                padded: tuple[int, int] | None = None  # the cell's padded box origin
                 for color_name, res in results.items():
                     seg_mask = res.segment_mask[rows]
                     if not seg_mask.any():
@@ -372,12 +377,15 @@ class WallRenderer:
                     highlight_key = HighlightKey(key, k, _array_value(seg_mask))
                     layer = reuse(highlight_key)
                     if layer is not None:
-                        padded = padded or renderer.overlay_origin(rect_t)
-                        fb.blend(layer, named_color(color_name), *padded)
+                        # blended at the cell's padded box origin
+                        x0, y0, _, _ = renderer.pixel_box(
+                            placement(k), pad=self.style.overdraw_px
+                        )
+                        fb.blend(layer, named_color(color_name), x0, y0)
                         continue
                     layer = renderer.draw_highlights(
-                        fb, self.dataset[traj_idx], mapper, job.eye, seg_mask,
-                        color_name, rect_t, polyline=polyline(k),
+                        fb, self.dataset[traj_idx], seg_mask, color_name,
+                        placement(k), polyline(k),
                     )
                     if layer is not None:
                         overlay[highlight_key] = layer

@@ -5,7 +5,9 @@ background, arena rim, the trajectory's per-eye projected space-time
 polyline with a time gradient, brush-highlighted segments in their
 query color, and the translucent brush footprint — into a tile
 framebuffer.  All geometry arrives in wall meters and is converted to
-tile pixels through the owning :class:`~repro.display.tile.Tile`.
+tile pixels through the owning :class:`~repro.display.tile.Tile`: a
+cell's two corners are projected once, into its :class:`CellPlacement`,
+and every draw of the cell takes its pixel box from that placement.
 
 Coverage accumulation happens in *cell-local* scratch buffers (the
 cell's pixel bounding box, not the whole tile), which keeps per-cell
@@ -29,7 +31,7 @@ from repro.stereo.camera import Eye
 from repro.stereo.projection import SpaceTimeProjection
 from repro.trajectory.model import Trajectory
 
-__all__ = ["CellStyle", "CellRenderer", "FootprintGeometry"]
+__all__ = ["CellStyle", "CellRenderer", "CellPlacement", "FootprintGeometry"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,21 @@ class FootprintGeometry(NamedTuple):
     px_per_arena_y: float
 
 
+class CellPlacement(NamedTuple):
+    """A cell's placement on one tile: the unclipped origin of the pixel
+    box it covers and its :class:`FootprintGeometry`.
+
+    One projection of the cell's corners gives both, and every pixel
+    box a draw uses follows from them by integer arithmetic
+    (:meth:`CellRenderer.pixel_box`): ``x0 + geometry.width`` is the
+    ceiling of the cell's right edge.
+    """
+
+    x0: int
+    y0: int
+    geometry: FootprintGeometry
+
+
 class CellRenderer:
     """Draws trajectory cells onto one tile's framebuffer."""
 
@@ -82,20 +99,36 @@ class CellRenderer:
         self.projection = projection
         self.style = style or CellStyle()
 
-    # Helpers ---------------------------------------------------------------
-    def _cell_px_rect(
-        self, cell_rect: tuple[float, float, float, float], pad: int = 0
-    ) -> tuple[int, int, int, int]:
-        """Cell wall-rect -> clipped integer tile pixel rect (x0,y0,x1,y1)."""
-        corners = np.array(
-            [[cell_rect[0], cell_rect[1]], [cell_rect[2], cell_rect[3]]], dtype=np.float64
-        )
+    # Placement -------------------------------------------------------------
+    def place(self, mapper: CoordinateMapper) -> CellPlacement:
+        """The placement of ``mapper``'s cell on this tile."""
+        rect = mapper.cell_rect
+        corners = np.array([[rect[0], rect[1]], [rect[2], rect[3]]], dtype=np.float64)
         px = self.tile.wall_to_pixel(corners)
-        x0 = max(0, int(np.floor(px[0, 0])) - pad)
-        y0 = max(0, int(np.floor(px[0, 1])) - pad)
-        x1 = min(self.tile.px_width, int(np.ceil(px[1, 0])) + pad)
-        y1 = min(self.tile.px_height, int(np.ceil(px[1, 1])) + pad)
-        return x0, y0, x1, y1
+        x0, y0 = int(np.floor(px[0, 0])), int(np.floor(px[0, 1]))
+        sx, sy = self.tile.pixels_per_meter
+        geometry = FootprintGeometry(
+            width=int(np.ceil(px[1, 0])) - x0,
+            height=int(np.ceil(px[1, 1])) - y0,
+            phase_x=float(px[0, 0] - x0),
+            phase_y=float(px[0, 1] - y0),
+            cell_width=float(px[1, 0] - px[0, 0]),
+            cell_height=float(px[1, 1] - px[0, 1]),
+            px_per_arena_x=mapper.scale * sx,
+            px_per_arena_y=mapper.scale * sy,
+        )
+        return CellPlacement(x0, y0, geometry)
+
+    def pixel_box(self, placement: CellPlacement, pad: int = 0) -> tuple[int, int, int, int]:
+        """The cell's pixel box grown by ``pad`` on every side and
+        clipped to the tile, as (x0, y0, x1, y1)."""
+        x0, y0, g = placement
+        return (
+            max(0, x0 - pad),
+            max(0, y0 - pad),
+            min(self.tile.px_width, x0 + g.width + pad),
+            min(self.tile.px_height, y0 + g.height + pad),
+        )
 
     def _dim(self, color: Color) -> Color:
         k = self.style.background_dim
@@ -106,7 +139,7 @@ class CellRenderer:
         traj: Trajectory,
         mapper: CoordinateMapper,
         eye: Eye,
-        cell_rect: tuple[float, float, float, float],
+        placement: CellPlacement,
     ) -> np.ndarray:
         """The trajectory's per-eye projected polyline, in pixels of the
         cell's padded box (read-only).
@@ -115,7 +148,7 @@ class CellRenderer:
         this frame, so one projection serves the trajectory and every
         highlight color of a (cell, eye).
         """
-        x0, y0, _, _ = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
+        x0, y0, _, _ = self.pixel_box(placement, pad=self.style.overdraw_px)
         px = self.tile.wall_to_pixel(self.projection.project(traj, mapper, eye))
         px -= (x0, y0)
         px.setflags(write=False)
@@ -125,11 +158,11 @@ class CellRenderer:
     def draw_background(
         self,
         fb: Framebuffer,
-        cell_rect: tuple[float, float, float, float],
+        placement: CellPlacement,
         group_color: Color | None,
     ) -> None:
         """Fill the cell with its (dimmed) group color."""
-        x0, y0, x1, y1 = self._cell_px_rect(cell_rect)
+        x0, y0, x1, y1 = self.pixel_box(placement)
         color = self._dim(group_color) if group_color is not None else self.style.background
         fb.fill_rect(x0, y0, x1, y1, color)
 
@@ -146,23 +179,18 @@ class CellRenderer:
         self,
         fb: Framebuffer,
         traj: Trajectory,
-        mapper: CoordinateMapper,
-        eye: Eye,
-        cell_rect: tuple[float, float, float, float],
-        *,
-        polyline: np.ndarray | None = None,
+        placement: CellPlacement,
+        polyline: np.ndarray,
     ) -> None:
         """Splat the per-eye projected space-time polyline, time-graded.
 
-        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`,
-        projected here when omitted.
+        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`.
         """
-        x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
+        x0, y0, x1, y1 = self.pixel_box(placement, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
             return
-        px = self.cell_polyline(traj, mapper, eye, cell_rect) if polyline is None else polyline
-        a = px[:-1]
-        b = px[1:]
+        a = polyline[:-1]
+        b = polyline[1:]
         tmid = 0.5 * (traj.times[:-1] + traj.times[1:])
         denom = max(traj.duration, 1e-9)
         t01 = (tmid - traj.times[0]) / denom
@@ -188,22 +216,19 @@ class CellRenderer:
         self,
         fb: Framebuffer,
         traj: Trajectory,
-        mapper: CoordinateMapper,
-        eye: Eye,
         seg_mask: np.ndarray,
         color_name: str,
-        cell_rect: tuple[float, float, float, float],
-        *,
-        polyline: np.ndarray | None = None,
+        placement: CellPlacement,
+        polyline: np.ndarray,
     ) -> CoverageLayer | None:
         """Overlay the highlighted segments in the brush color.
 
-        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`,
-        projected here when omitted.  Returns the highlight coverage as
-        a composite-ready layer of the cell's padded box (origin
-        :meth:`overlay_origin`), or ``None`` when nothing is drawn.  It
-        does not depend on the color, so the pipeline blends it again
-        for any color with the same mask.
+        ``polyline`` is this (cell, eye)'s :meth:`cell_polyline`.
+        Returns the highlight coverage as a composite-ready layer of the
+        cell's padded box (the top-left corner of
+        ``pixel_box(placement, pad=style.overdraw_px)``), or ``None``
+        when nothing is drawn.  It does not depend on the color, so the
+        pipeline blends it again for any color with the same mask.
         """
         seg_mask = np.asarray(seg_mask, dtype=bool)
         if seg_mask.shape != (traj.n_samples - 1,):
@@ -212,12 +237,11 @@ class CellRenderer:
             )
         if not seg_mask.any():
             return None
-        x0, y0, x1, y1 = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
+        x0, y0, x1, y1 = self.pixel_box(placement, pad=self.style.overdraw_px)
         if x1 <= x0 or y1 <= y0:
             return None
-        px = self.cell_polyline(traj, mapper, eye, cell_rect) if polyline is None else polyline
-        a = px[:-1][seg_mask]
-        b = px[1:][seg_mask]
+        a = polyline[:-1][seg_mask]
+        b = polyline[1:][seg_mask]
         coverage = np.zeros((y1 - y0, x1 - x0), dtype=np.float64)
         splat_polylines(
             coverage, a, b, width=self.style.highlight_width, step=self.style.step_px
@@ -226,46 +250,14 @@ class CellRenderer:
         fb.blend(layer, named_color(color_name), x0, y0)
         return layer
 
-    def overlay_origin(self, cell_rect: tuple[float, float, float, float]) -> tuple[int, int]:
-        """Top-left tile pixel of the cell's padded box, where its
-        highlight layers are blended."""
-        x0, y0, _, _ = self._cell_px_rect(cell_rect, pad=self.style.overdraw_px)
-        return x0, y0
-
-    def footprint_geometry(
-        self,
-        mapper: CoordinateMapper,
-        cell_rect: tuple[float, float, float, float],
-    ) -> tuple[tuple[int, int], FootprintGeometry]:
-        """The cell's pixel-box origin on this tile (unclipped) and its
-        :class:`FootprintGeometry`, the cache key of its footprint."""
-        corners = np.array(
-            [[cell_rect[0], cell_rect[1]], [cell_rect[2], cell_rect[3]]], dtype=np.float64
-        )
-        px = self.tile.wall_to_pixel(corners)
-        x0, y0 = int(np.floor(px[0, 0])), int(np.floor(px[0, 1]))
-        sx, sy = self.tile.pixels_per_meter
-        geometry = FootprintGeometry(
-            width=int(np.ceil(px[1, 0])) - x0,
-            height=int(np.ceil(px[1, 1])) - y0,
-            phase_x=float(px[0, 0] - x0),
-            phase_y=float(px[0, 1] - y0),
-            cell_width=float(px[1, 0] - px[0, 0]),
-            cell_height=float(px[1, 1] - px[0, 1]),
-            px_per_arena_x=mapper.scale * sx,
-            px_per_arena_y=mapper.scale * sy,
-        )
-        return (x0, y0), geometry
-
     def brush_footprint_coverage(
         self,
-        mapper: CoordinateMapper,
-        cell_rect: tuple[float, float, float, float],
+        geometry: FootprintGeometry,
         centers_arena: np.ndarray,
         radii_arena: np.ndarray,
         *,
         stamp_chunk: int = 64,
-    ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    ) -> np.ndarray:
         """Coverage map of the brushed region over one cell's pixel box.
 
         Computed as a signed distance field on the cell's pixel grid:
@@ -279,10 +271,10 @@ class CellRenderer:
         function of (geometry, stamps): callers cache it per
         (geometry, stamps) at any scope — see
         :meth:`WallRenderer.render_job
-        <repro.render.pipeline.WallRenderer.render_job>`.  Returns the
-        map and the cell's unclipped tile pixel box.
+        <repro.render.pipeline.WallRenderer.render_job>`.  The map
+        covers the whole box, on the tile or not.
         """
-        (x0, y0), g = self.footprint_geometry(mapper, cell_rect)
+        g = geometry
         # arena coordinates of every pixel center: its pixel offset from
         # the cell center (the arena origin) over pixels per arena meter
         ax = (np.arange(g.width) + 0.5 - (g.phase_x + 0.5 * g.cell_width)) / g.px_per_arena_x
@@ -299,31 +291,30 @@ class CellRenderer:
             np.minimum(signed, (d - r[None, :]).min(axis=1), out=signed)
         soft = 1.0 / g.px_per_arena_x  # 1 px in arena m
         coverage = np.clip(0.5 - signed / soft, 0.0, 1.0)
-        return coverage.reshape(g.height, g.width), (x0, y0, x0 + g.width, y0 + g.height)
+        return coverage.reshape(g.height, g.width)
 
     def draw_brush_footprint(
         self,
         fb: Framebuffer,
-        mapper: CoordinateMapper,
+        placement: CellPlacement,
         centers_arena: np.ndarray,
         radii_arena: np.ndarray,
         color_name: str,
-        cell_rect: tuple[float, float, float, float],
     ) -> CoverageLayer | None:
         """Translucent discs showing where the brush was painted.
 
         Returns the footprint (coverage times ``brush_alpha``) as a
         composite-ready layer of the cell's whole pixel box, so the
         pipeline can blend it again for every cell with the same
-        :meth:`footprint_geometry`, at that cell's box origin; the part
+        :class:`FootprintGeometry`, at that cell's box origin; the part
         off the tile is clipped at blend time.
         """
         centers_arena = np.asarray(centers_arena, dtype=np.float64)
         if len(centers_arena) == 0:
             return None
-        coverage, (x0, y0, _, _) = self.brush_footprint_coverage(
-            mapper, cell_rect, centers_arena, radii_arena
+        coverage = self.brush_footprint_coverage(
+            placement.geometry, centers_arena, radii_arena
         )
         layer = CoverageLayer.prepare(coverage * self.style.brush_alpha)
-        fb.blend(layer, named_color(color_name), x0, y0)
+        fb.blend(layer, named_color(color_name), placement.x0, placement.y0)
         return layer

@@ -12,10 +12,10 @@ substrate the reproduction's scaling work builds on:
   backoff between retry rounds and the per-attempt timeout;
 * :mod:`supervisor` — :class:`SupervisedPool`, the one process pool:
   long-lived worker processes (one channel each, so an item always runs
-  on the same worker) that detect crashes, hangs and corrupt payloads,
-  respawn the failed worker and retry under the policy, and fall back
-  to in-process serial execution (bit-identical results) when retries
-  are exhausted;
+  on the same worker) that detect crashes, errors and hangs, respawn
+  the failed worker and retry under the policy, and fall back to
+  in-process serial execution (bit-identical results) when retries are
+  exhausted;
 * :mod:`health` — :class:`DegradationReport`, the "no silent drops"
   ledger attached to render and query results;
 * :mod:`chaos` — :class:`ChaosHarness` / :class:`ChaosMonkey`, a
@@ -38,7 +38,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.faults import (
     FAULTS_ENV_VAR,
-    CorruptResult,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -55,7 +54,6 @@ __all__ = [
     "ChaosMonkey",
     "ChaosReport",
     "FAULTS_ENV_VAR",
-    "CorruptResult",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",

@@ -87,9 +87,8 @@ class ChaosMonkey:
 
     Fault kinds: ``crash`` raises :class:`ChaosInterrupt`, ``error``
     raises :class:`~repro.resilience.faults.InjectedFault`, ``slow`` /
-    ``hang`` sleep ``delay_s`` (bounded — tests must stay fast),
-    ``corrupt`` is treated as ``error`` (a boundary cannot corrupt
-    a payload, only fail).  Every firing is recorded on :attr:`fired`.
+    ``hang`` sleep ``delay_s`` (bounded — tests must stay fast).  Every
+    firing is recorded on :attr:`fired`.
     """
 
     def __init__(self, plans: Mapping[str, FaultPlan]) -> None:
@@ -116,7 +115,7 @@ class ChaosMonkey:
         obs.counter_add("chaos.fired", 1, point=point, kind=spec.kind)
         if spec.kind == "crash":
             raise ChaosInterrupt(point, ordinal)
-        if spec.kind in ("error", "corrupt"):
+        if spec.kind == "error":
             raise InjectedFault(spec.kind, job=ordinal, attempt=0)
         if spec.kind in ("slow", "hang"):
             import time

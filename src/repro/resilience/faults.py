@@ -17,9 +17,10 @@ Fault kinds:
 * ``"hang"``    — the job sleeps ``delay_s`` (pair with a per-attempt
   timeout to exercise the kill-and-respawn path), then raises;
 * ``"slow"``    — the job sleeps ``delay_s`` and then completes
-  normally (latency injection, results stay correct);
-* ``"corrupt"`` — the job completes but returns a
-  :class:`CorruptResult` marker instead of its value (torn payload).
+  normally (latency injection, results stay correct).
+
+There is no torn-payload kind: a reply torn on the pipe surfaces in the
+parent as end of file or an ``OSError``, which is the ``crash`` case.
 
 Plans also load from the environment (``REPRO_FAULTS`` holding the JSON
 form) so any benchmark or example can run under faults without code
@@ -41,14 +42,13 @@ __all__ = [
     "FAULT_KINDS",
     "FAULTS_ENV_VAR",
     "InjectedFault",
-    "CorruptResult",
     "FaultSpec",
     "FaultPlan",
     "run_with_faults",
 ]
 
 #: Recognized fault kinds.
-FAULT_KINDS = ("crash", "error", "hang", "slow", "corrupt")
+FAULT_KINDS = ("crash", "error", "hang", "slow")
 
 #: Environment variable holding a JSON fault plan.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -73,14 +73,6 @@ class InjectedFault(RuntimeError):
         # unpickle would kill the executor's result thread — a fake
         # pool crash)
         return (type(self), (self.kind, self.job, self.attempt))
-
-
-@dataclass(frozen=True)
-class CorruptResult:
-    """Marker a ``corrupt`` fault returns in place of the real value."""
-
-    job: int
-    attempt: int
 
 
 @dataclass(frozen=True)
@@ -245,9 +237,4 @@ def run_with_faults(
         os._exit(13)
     if spec.kind == "hang":
         time.sleep(spec.delay_s)
-        raise InjectedFault("hang", job, attempt)
-    if spec.kind == "error":
-        raise InjectedFault("error", job, attempt)
-    # corrupt: do the work, return garbage — the torn-payload case
-    fn(item)
-    return CorruptResult(job, attempt)
+    raise InjectedFault(spec.kind, job, attempt)  # error, or a hang's end

@@ -27,9 +27,8 @@ class FaultEvent:
     ----------
     kind:
         What went wrong: ``"crash"`` (worker/pool death), ``"error"``
-        (job raised), ``"timeout"``, ``"corrupt"`` (result failed
-        validation), ``"injected-*"`` (a fault-plan fault observed as
-        such), ``"index-build-failure"`` (the summary pyramid failed to
+        (job raised), ``"timeout"``, ``"injected-*"`` (a fault-plan
+        fault observed as such), ``"index-build-failure"`` (the summary pyramid failed to
         build; queries answer by brute force), ``"deadline-exceeded"``
         (a query ran out of budget), ``"stale-epoch"`` (a session served
         a superseded epoch), ``"io-row"`` / ``"io-trajectory"`` (loader

@@ -12,8 +12,6 @@ retained base layers that way.  Per item it detects
   ``crash`` fault calling ``os._exit``),
 * raised exceptions (including :class:`InjectedFault`),
 * per-attempt timeouts (the hung worker is terminated),
-* corrupt payloads (:class:`CorruptResult` markers, or a caller
-  ``validate`` hook rejecting a value),
 
 and responds by respawning only the failed worker and retrying the
 failed items under a :class:`RetryPolicy` with exponential backoff.
@@ -40,7 +38,7 @@ from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
-from repro.resilience.faults import CorruptResult, FaultPlan, InjectedFault, run_with_faults
+from repro.resilience.faults import FaultPlan, InjectedFault, run_with_faults
 from repro.resilience.health import DegradationReport
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy
 
@@ -237,7 +235,6 @@ class SupervisedPool:
         items: Sequence[T],
         *,
         serial_fn: Callable[[T], R] | None = None,
-        validate: Callable[[R], bool] | None = None,
     ) -> list[R]:
         """Ordered, failure-absorbing map.
 
@@ -254,9 +251,6 @@ class SupervisedPool:
             In-parent equivalent used for the last-resort fallback
             (defaults to ``fn``; pass one when ``fn`` depends on
             worker-local state).
-        validate:
-            Optional result predicate; a False verdict counts as a
-            ``corrupt`` failure and triggers a retry.
 
         The pool's :attr:`policy`, :attr:`fault_plan` and :attr:`report`
         are read when ``map`` runs, so a caller may set them per call.
@@ -267,7 +261,7 @@ class SupervisedPool:
         pending: list[tuple[int, int]] = [(i, 0) for i in range(n)]
         round_index = 0
         while pending:
-            retry_next, fallback = self._round(fn, items, pending, validate, results)
+            retry_next, fallback = self._round(fn, items, pending, results)
 
             # bottom rung: exhausted items run in-process, serially —
             # deterministic work gives bit-identical output
@@ -287,7 +281,6 @@ class SupervisedPool:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         pending: list[tuple[int, int]],
-        validate: Callable[[Any], bool] | None,
         results: list[Any],
     ) -> tuple[list[tuple[int, int]], list[int]]:
         """One attempt of every pending item: one request per worker,
@@ -359,10 +352,6 @@ class SupervisedPool:
                             fail(f"injected-{value.kind}", job, attempt, str(value))
                         else:
                             fail("error", job, attempt, repr(value))
-                    elif isinstance(value, CorruptResult) or (
-                        validate is not None and not validate(value)
-                    ):
-                        fail("corrupt", job, attempt)
                     else:
                         results[job] = value
         except BaseException:

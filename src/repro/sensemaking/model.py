@@ -99,10 +99,6 @@ class SensemakingModel:
             and self.graph.edges[src, dst]["direction"] == "forward"
         )
 
-    def loop_of(self, stage: Stage) -> str:
-        """Which loop (foraging/sensemaking) a stage belongs to."""
-        return stage.loop
-
     def path_coverage(self, visited: list[Stage]) -> float:
         """Fraction of stages a session touched — E8's stage-coverage
         statistic (the paper argues the tool exercised the full

@@ -3,16 +3,17 @@
 The package splits the system the way encube (Vohl et al.) splits a
 cluster-driven display wall and Dataopsy (Hoque & Elmqvist) splits
 aggregate query serving: a **shared immutable data plane** — one
-resident copy of the packed trajectory arrays and summary-pyramid tables,
-published once into ``multiprocessing.shared_memory`` — and **cheap
-per-consumer state** on top of it.
+resident copy of the trajectory samples and packed segment arrays,
+published once into ``multiprocessing.shared_memory`` for the pooled
+renderer's tile owners to map — and **cheap per-consumer state** on top
+of it.
 
 * :mod:`repro.store.shm` — block lifecycle (create/attach/close/unlink,
   atexit safety net, leak registry).
 * :mod:`repro.store.arena` — :class:`SharedArenaStore` (publish),
-  :class:`StoreHandle` (the small picklable address workers receive
-  instead of a pickled dataset), :func:`attach` → :class:`StoreClient`
-  (zero-copy dataset / pyramid / engine rebuilds).
+  :class:`StoreHandle` (the small picklable address tile owners
+  receive instead of a pickled dataset), :func:`attach` →
+  :class:`StoreClient` (a zero-copy dataset rebuild).
 * :mod:`repro.store.snapshot` — :class:`EpochSnapshot` (one immutable
   published epoch: dataset + engine + pyramid + store) and the GIL-atomic
   pin/retire refcounts under it.

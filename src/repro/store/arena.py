@@ -1,18 +1,18 @@
 """The shared-memory arena store: one resident copy of the data plane.
 
-A :class:`SharedArenaStore` materializes everything the query and
-render paths read — the per-trajectory sample arrays, the packed
-columnar segment view (:class:`~repro.trajectory.dataset.PackedSegments`),
-and optionally the :class:`~repro.core.aggregate.SummaryPyramid`
-tables — **once**, into a single ``multiprocessing.shared_memory``
-block.  Consumers receive a :class:`StoreHandle`: a small picklable,
-epoch-tagged address (block name + array table-of-contents) that costs
-O(handle bytes) to ship, against the O(dataset bytes) pickling of the
-trajectories themselves.  :func:`attach` maps the block and rebuilds a
-fully functional :class:`~repro.trajectory.dataset.TrajectoryDataset`
-(and pyramid, and engine) whose arrays are zero-copy views into the
-shared pages — the encube/Dataopsy "shared immutable data plane, cheap
-per-consumer state" split.
+A :class:`SharedArenaStore` materializes what a tile owner reads — the
+per-trajectory sample arrays and the packed columnar segment view
+(:class:`~repro.trajectory.dataset.PackedSegments`) — **once**, into a
+single ``multiprocessing.shared_memory`` block.  Consumers receive a
+:class:`StoreHandle`: a small picklable, epoch-tagged address (block
+name + array table-of-contents) that costs O(handle bytes) to ship,
+against the O(dataset bytes) pickling of the trajectories themselves.
+:func:`attach` maps the block and rebuilds a fully functional
+:class:`~repro.trajectory.dataset.TrajectoryDataset` whose arrays are
+zero-copy views into the shared pages — the encube/Dataopsy "shared
+immutable data plane, cheap per-consumer state" split.  The summary
+pyramid is not in the block: it lives in the engine that built it, and
+an engine over an attached dataset builds its own.
 
 Block layout::
 
@@ -35,7 +35,6 @@ import struct
 import time
 import uuid
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -49,9 +48,6 @@ from repro.store.shm import (
 )
 from repro.trajectory.dataset import PackedSegments, TrajectoryDataset
 from repro.trajectory.model import Trajectory, TrajectoryMeta
-
-if TYPE_CHECKING:
-    from repro.core.engine import CoordinatedBrushingEngine
 
 __all__ = ["ArraySpec", "StoreHandle", "SharedArenaStore", "StoreClient", "attach"]
 
@@ -99,11 +95,6 @@ class StoreHandle:
         Array table-of-contents (key → dtype/shape/offset).
     meta_span:
         (offset, length) of the JSON metadata blob inside the block.
-    pyramid_meta:
-        ``(res, n_tbuckets, levels)`` of the materialized summary
-        pyramid, or ``None`` when published without one.  The shapes of
-        every ``pyr_*`` TOC entry derive from this triple, so the
-        handle stays a few hundred bytes.
     """
 
     block: str
@@ -115,7 +106,6 @@ class StoreHandle:
     n_segments: int
     arrays: tuple[ArraySpec, ...]
     meta_span: tuple[int, int]
-    pyramid_meta: tuple | None = None
 
     @property
     def store_token(self) -> tuple:
@@ -142,10 +132,6 @@ class StoreHandle:
                 return a
         raise KeyError(key)
 
-    def has_array(self, key: str) -> bool:
-        """True when the store materialized an array under ``key``."""
-        return any(a.key == key for a in self.arrays)
-
 
 def _aligned(offset: int) -> int:
     """Round ``offset`` up to the array alignment boundary."""
@@ -168,31 +154,12 @@ class SharedArenaStore:
 
     # Publication ---------------------------------------------------------
     @classmethod
-    def publish(
-        cls,
-        dataset: TrajectoryDataset,
-        *,
-        pyramid: "object | None" = None,
-    ) -> "SharedArenaStore":
-        """Materialize ``dataset`` (and optionally its summary pyramid)
-        into one shared block and return the store.
-
-        Parameters
-        ----------
-        dataset:
-            The trajectory collection to publish (must be non-empty).
-        pyramid:
-            A prebuilt :class:`~repro.core.aggregate.SummaryPyramid`
-            over ``dataset.packed()`` to materialize alongside the
-            segments, so attachers rebuild it zero-copy from the shared
-            tables (no re-summarization).  Omitted → the store has no
-            pyramid and attached engines answer by brute force.
-        """
+    def publish(cls, dataset: TrajectoryDataset) -> "SharedArenaStore":
+        """Materialize ``dataset`` (non-empty) into one shared block and
+        return the store."""
         if len(dataset) == 0:
             raise ValueError("cannot publish an empty dataset")
         packed = dataset.packed()
-        if pyramid is not None and pyramid.packed is not packed:
-            raise ValueError("pyramid was not built over this dataset's packed view")
 
         n_traj = len(dataset)
         sample_offsets = np.zeros(n_traj + 1, dtype=np.int64)
@@ -220,20 +187,6 @@ class SharedArenaStore:
             ("seg_owner", "<i4", (packed.n_segments,)),
             ("seg_offsets", "<i8", (n_traj + 1,)),
         ]
-        if pyramid is not None:
-            plan += [
-                ("pyr_node_of", "<i4", (packed.n_segments,)),
-                ("pyr_entries", "<i8", (packed.n_segments,)),
-                ("pyr_offsets", "<i8", (pyramid.n_nodes + 1,)),
-                ("pyr_bbox", "<f8", (pyramid.n_nodes, 4)),
-                ("pyr_tstats", "<f8", (pyramid.n_nodes, 8)),
-                ("pyr_bits", "<u8", (pyramid.n_cells, pyramid.n_words)),
-                ("pyr_level_bbox", "<f8", (len(pyramid.level_bbox), 4)),
-                ("pyr_lo", "<f8", (2,)),
-                ("pyr_cell_size", "<f8", (2,)),
-                ("pyr_traj_start", "<f8", (n_traj,)),
-                ("pyr_traj_dur", "<f8", (n_traj,)),
-            ]
         specs: list[ArraySpec] = []
         cursor = _HEADER.size
         for key, dtype, shape in plan:
@@ -255,9 +208,6 @@ class SharedArenaStore:
             n_segments=packed.n_segments,
             arrays=tuple(specs),
             meta_span=(meta_offset, len(metas_blob)),
-            pyramid_meta=None if pyramid is None else (
-                pyramid.res, pyramid.n_tbuckets, pyramid.levels
-            ),
         )
 
         # --- fill the block -------------------------------------------------
@@ -277,18 +227,6 @@ class SharedArenaStore:
         views["seg_t1"][:] = packed.t1
         views["seg_owner"][:] = packed.owner
         views["seg_offsets"][:] = packed.offsets
-        if pyramid is not None:
-            views["pyr_node_of"][:] = pyramid.node_of
-            views["pyr_entries"][:] = pyramid.entries
-            views["pyr_offsets"][:] = pyramid.offsets
-            views["pyr_bbox"][:] = pyramid.bbox
-            views["pyr_tstats"][:] = pyramid.tstats
-            views["pyr_bits"][:] = pyramid.bits
-            views["pyr_level_bbox"][:] = pyramid.level_bbox
-            views["pyr_lo"][:] = pyramid.lo
-            views["pyr_cell_size"][:] = pyramid.cell_size
-            views["pyr_traj_start"][:] = pyramid.traj_start
-            views["pyr_traj_dur"][:] = pyramid.traj_dur
         block.buf[meta_offset : meta_offset + len(metas_blob)] = metas_blob
         del views  # drop rw views so close() can release the mapping
         return cls(block, handle)
@@ -434,8 +372,7 @@ def _map_array(block: SharedBlock, spec: ArraySpec, *, writable: bool = False) -
 class StoreClient:
     """One process's zero-copy attachment to a published store.
 
-    Lazily rebuilds the dataset / pyramid / engine as views into the
-    shared pages.  :meth:`close` drops the client's references and
+    Lazily rebuilds the dataset as views into the shared pages.  :meth:`close` drops the client's references and
     releases the mapping — arrays handed out remain valid only while
     some attachment (here or elsewhere) keeps the pages mapped, so drop
     derived objects before closing.
@@ -445,7 +382,6 @@ class StoreClient:
         self.handle = handle
         self._block = block
         self._dataset: TrajectoryDataset | None = None
-        self._pyramid = None
 
     # Zero-copy rebuilds --------------------------------------------------
     @property
@@ -493,58 +429,14 @@ class StoreClient:
             )
         return self._dataset
 
-    def pyramid(self) -> "object | None":
-        """The attached :class:`~repro.core.aggregate.SummaryPyramid`
-        rebuilt zero-copy from the shared tables, or ``None`` when the
-        store was published without one."""
-        if self.handle.pyramid_meta is None:
-            return None
-        if self._pyramid is None:
-            from repro.core.aggregate.pyramid import SummaryPyramid
-
-            h = self.handle
-            res, n_tbuckets, levels = h.pyramid_meta
-            self._pyramid = SummaryPyramid.from_tables(
-                self.dataset.packed(),
-                res=res,
-                n_tbuckets=n_tbuckets,
-                levels=tuple(levels),
-                lo=_map_array(self._block, h.spec("pyr_lo")).copy(),
-                cell_size=_map_array(self._block, h.spec("pyr_cell_size")).copy(),
-                node_of=_map_array(self._block, h.spec("pyr_node_of")),
-                entries=_map_array(self._block, h.spec("pyr_entries")),
-                offsets=_map_array(self._block, h.spec("pyr_offsets")),
-                bbox=_map_array(self._block, h.spec("pyr_bbox")),
-                tstats=_map_array(self._block, h.spec("pyr_tstats")),
-                bits=_map_array(self._block, h.spec("pyr_bits")),
-                level_bbox=_map_array(self._block, h.spec("pyr_level_bbox")),
-                traj_start=_map_array(self._block, h.spec("pyr_traj_start")),
-                traj_dur=_map_array(self._block, h.spec("pyr_traj_dur")),
-            )
-        return self._pyramid
-
-    def engine(self, **engine_kwargs: Any) -> "CoordinatedBrushingEngine":
-        """A :class:`CoordinatedBrushingEngine` over the attached
-        dataset, reusing the shared pyramid tables (no rebuild).  Stores
-        published without a pyramid yield a brute-force engine."""
-        from repro.core.engine import CoordinatedBrushingEngine
-
-        pyramid = self.pyramid()
-        if pyramid is not None:
-            engine_kwargs.setdefault("pyramid", pyramid)
-        else:
-            engine_kwargs.setdefault("use_index", False)
-        return CoordinatedBrushingEngine(self.dataset, **engine_kwargs)
-
     # Lifecycle -----------------------------------------------------------
     def close(self) -> bool:
-        """Drop rebuilt objects and release the mapping.
+        """Drop the rebuilt dataset and release the mapping.
 
         Returns False when arrays handed out earlier are still alive
         (the mapping then stays open and registered — visible to leak
         checks — until those references drop)."""
         self._dataset = None
-        self._pyramid = None
         return self._block.close()
 
     def __enter__(self) -> "StoreClient":

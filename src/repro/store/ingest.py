@@ -15,9 +15,9 @@ the other:
   commit**:
 
   1. *Stage* (outside the service lock): build the successor dataset
-     (old trajectories + batch), pack it, build its engine over the
-     shared stage cache, and publish a fresh
-     :class:`~repro.store.arena.SharedArenaStore`.
+     (old trajectories + batch), pack it, build its engine (and with
+     it the epoch's summary pyramid) over the shared stage cache, and
+     publish a fresh :class:`~repro.store.arena.SharedArenaStore`.
   2. *Validate*: :meth:`SharedArenaStore.validate` re-checks the staged
      block against its handle — a corrupt stage aborts here, with the
      staged block unlinked and the old epoch untouched.
@@ -190,12 +190,6 @@ class IngestBuffer:
         with self._lock:
             return sum(max(0, t.n_samples - 1) for t in self._pending)
 
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next appended trajectory receives."""
-        with self._lock:
-            return self._next_seq
-
     def lag_seconds(self) -> float:
         """Age of the oldest uncommitted trajectory (0.0 when empty) —
         how far the published arena trails the stream."""
@@ -242,9 +236,9 @@ class RolloverCoordinator:
     buffer:
         The staging buffer producers append to.
     publish_store:
-        Also publish the new epoch as a shared-memory store (the
-        multi-process serving path).  Off, the swap is in-process only
-        — cheaper, and what single-process deployments want.
+        Also publish the new epoch as a shared-memory store (the tile
+        owners' input).  Off, the swap is in-process only — cheaper,
+        and what single-process deployments want.
     chaos:
         Test-only hook called at each named rollover point
         (``pre_stage`` / ``post_stage`` / ``pre_swap`` / ``post_swap``)
@@ -297,7 +291,7 @@ class RolloverCoordinator:
 
         store = None
         if self.publish_store:
-            store = _Store.publish(successor, pyramid=engine.pyramid)
+            store = _Store.publish(successor)
             # brand the dataset so stage-cache keys carry the store
             # identity, exactly as the attach path does
             successor.store_token = store.handle.store_token

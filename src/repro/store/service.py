@@ -58,10 +58,10 @@ Typical multi-session use::
     alice.brush(stroke); bob.set_time_window(TimeWindow.end(0.25))
     r_a, r_b = alice.run_query("red"), bob.run_query("red")
 
-and for worker processes::
+and for the tile owners of a pooled renderer::
 
     handle = service.publish_store()          # O(dataset) once
-    pool ships `handle`                       # O(handle bytes) per worker
+    render_viewport_parallel(..., store=handle)  # O(handle bytes) per owner
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from repro.core.session import ExplorationSession
 from repro.display.viewport import Viewport
 from repro.resilience.health import DegradationReport
 from repro.store.arena import SharedArenaStore, StoreHandle
-from repro.store.shm import StaleHandleError
 from repro.store.snapshot import AtomicCounter, EpochSnapshot
 from repro.trajectory.dataset import TrajectoryDataset
 
@@ -157,8 +156,8 @@ class SessionView(ExplorationSession):
         # the pin outlives mistakes: explicit close() releases it, and a
         # view dropped without close() releases it at collection time.
         # The finalizer carries only the epoch *number* — holding the
-        # snapshot object there would pin its arrays (and a from_handle
-        # client mapping) open past the release.
+        # snapshot object there would keep its dataset and engine alive
+        # past the release.
         self._pin = weakref.finalize(
             self, service._detach_session, snapshot.epoch
         )
@@ -241,10 +240,8 @@ class SessionView(ExplorationSession):
         Idempotent.  After close the view is unusable: its epoch may be
         retired (and its shared block unlinked) as soon as the pin is
         released.  The dataset/engine/snapshot references are dropped
-        *before* the pin — if this view is the last holder of a closed
-        service's epoch, the deferred client release fires inside
-        ``self._pin()`` and the mapped block can only be closed once no
-        numpy views (which these attributes transitively hold) remain.
+        *before* the pin, so a retired epoch keeps no arrays alive
+        through this view.
         """
         super().close()
         self.dataset = None  # type: ignore[assignment]
@@ -317,67 +314,24 @@ class DatasetService:
         self._stores: "OrderedDict[str, SharedArenaStore]" = OrderedDict()
         self._n_sessions = 0
         self._closed = False
-        self._client: Any = None
         self._pin_total = AtomicCounter()
         snapshot = EpochSnapshot(dataset.epoch, dataset, engine)
         self._snapshots: dict[int, EpochSnapshot] = {snapshot.epoch: snapshot}
-        self._active: EpochSnapshot | None = snapshot
+        self._active: EpochSnapshot = snapshot
         obs.counter_add("service.snapshot.published", 1)
         obs.gauge_set("service.snapshot.active_epoch", float(snapshot.epoch))
         obs.gauge_set("service.snapshot.live", 1.0)
-
-    # Construction helpers -------------------------------------------------
-    @classmethod
-    def from_handle(cls, handle: StoreHandle, **service_kwargs: Any) -> "DatasetService":
-        """A service over a store *another* process published.
-
-        Attaches zero-copy and reuses the shared pyramid tables, so a
-        render/query node process reaches serving state in O(1) data
-        movement.  The attachment stays open for the service's
-        lifetime; :meth:`close` releases it — deferred, if sessions are
-        still pinned, until the last one detaches (the mapping is what
-        their arrays point into).
-        """
-        from repro.store.arena import attach
-
-        client = attach(handle)
-        use_index = service_kwargs.get("use_index", True)
-        pyramid = client.pyramid()
-        service = cls.__new__(cls)
-        service._lock = threading.RLock()
-        engine_kwargs: dict[str, Any] = dict(service_kwargs)
-        if pyramid is not None and use_index:
-            # zero-copy adoption of the published pyramid tables; stores
-            # without one leave the engine to build (or skip) its own
-            engine_kwargs.setdefault("pyramid", pyramid)
-        engine = SharedQueryEngine(client.dataset, **engine_kwargs)
-        service.keep_stores = 1
-        service._use_index = use_index
-        service._stores = OrderedDict()
-        service._n_sessions = 0
-        service._closed = False
-        service._client = client
-        service._pin_total = AtomicCounter()
-        snapshot = EpochSnapshot(client.dataset.epoch, client.dataset, engine)
-        service._snapshots = {snapshot.epoch: snapshot}
-        service._active = snapshot
-        obs.counter_add("service.snapshot.published", 1)
-        obs.gauge_set("service.snapshot.active_epoch", float(snapshot.epoch))
-        obs.gauge_set("service.snapshot.live", 1.0)
-        return service
 
     # Active-snapshot views --------------------------------------------------
     @property
     def dataset(self) -> TrajectoryDataset:
         """The active snapshot's dataset (atomic read, never assignable)."""
-        snapshot = self._active
-        return snapshot.dataset if snapshot is not None else None  # type: ignore[return-value]
+        return self._active.dataset
 
     @property
     def engine(self) -> SharedQueryEngine:
         """The active snapshot's engine (atomic read, never assignable)."""
-        snapshot = self._active
-        return snapshot.engine if snapshot is not None else None  # type: ignore[return-value]
+        return self._active.engine
 
     # Sessions -------------------------------------------------------------
     def session(
@@ -427,10 +381,7 @@ class DatasetService:
         this sits on the per-query staleness probe, so it must never
         queue behind a publish.
         """
-        snapshot = self._active
-        if snapshot is None:
-            raise RuntimeError("DatasetService is closed")
-        return snapshot.epoch
+        return self._active.epoch
 
     def _pin_active(self) -> EpochSnapshot:
         """Resolve and pin the active snapshot — no lock.
@@ -443,8 +394,6 @@ class DatasetService:
         """
         while True:
             snapshot = self._active
-            if snapshot is None:
-                raise RuntimeError("DatasetService is closed")
             if snapshot.try_pin():
                 self._pin_total.incr()
                 obs.counter_add("service.snapshot.pinned", 1)
@@ -460,12 +409,9 @@ class DatasetService:
         """Release one session's pin on ``epoch``.
 
         The last pin out retires a non-active snapshot (unlinking its
-        store if it is no longer registered) and — when the service is
-        closed — completes any deferred client release once no session
-        anywhere still needs the mapping.  Receives the epoch *number*
-        (what the session finalizer holds): the snapshot object itself
-        must not live in any frame here when the client mapping is
-        released, or its arrays would pin the mapping open.
+        store if it is no longer registered), and on a closed service
+        also the active one.  Receives the epoch *number* (what the
+        session finalizer holds).
         """
         with self._lock:
             snapshot = self._snapshots.get(epoch)
@@ -475,17 +421,9 @@ class DatasetService:
         self._pin_total.decr()
         obs.counter_add("service.snapshot.released", 1)
         obs.gauge_set("service.snapshot.pins", float(self._pin_total.value))
-        victims = self._retire_if_idle(snapshot)
-        # drop the frame's ref before any client release below — a live
-        # snapshot would pin the mapping's buffer open
-        del snapshot
-        release_client = self._release_client_if_drained()
-        for store in victims:
+        for store in self._retire_if_idle(snapshot):
             store.unlink()
             store.close()
-        if release_client is not None:
-            release_client.close()
-            obs.counter_add("service.close.completed", 1)
 
     def _retire_if_idle(self, snapshot: EpochSnapshot) -> list[SharedArenaStore]:
         """Retire one snapshot iff it is unpinned and non-active.
@@ -510,30 +448,6 @@ class DatasetService:
             if store is not None and store.uid not in self._stores:
                 return [store]
         return []
-
-    def _release_client_if_drained(self) -> Any:
-        """The deferred tail of closing a ``from_handle`` service.
-
-        Once the service is closed and no session anywhere pins any
-        snapshot, drop every epoch snapshot (their datasets/engines
-        hold numpy views into the mapping) and hand the client back to
-        the caller to close *outside* the lock.  Pinned snapshots are
-        always in the registry — retirement requires zero pins — so the
-        pin scan under the lock is exhaustive.
-        """
-        if self._client is None or not self._closed:
-            return None
-        with self._lock:
-            if self._client is None:
-                return None
-            if any(s.pins > 0 for s in self._snapshots.values()):
-                return None
-            self._snapshots.clear()
-            self._active = None
-            obs.gauge_set("service.snapshot.live", 0.0)
-            release_client = self._client
-            self._client = None
-        return release_client
 
     def _store_pinned_locked(self, uid: str) -> bool:
         """Is some live session pinned to the snapshot served by ``uid``?"""
@@ -589,11 +503,10 @@ class DatasetService:
             self._check_open()
             epoch = dataset.epoch
             active = self._active
-            if active is None or epoch <= active.epoch:
-                current = "<released>" if active is None else active.epoch
+            if epoch <= active.epoch:
                 raise ValueError(
                     f"rollover epoch {epoch} must exceed active epoch "
-                    f"{current}"
+                    f"{active.epoch}"
                 )
             snapshot = EpochSnapshot(epoch, dataset, engine, store)
             self._snapshots[epoch] = snapshot
@@ -653,13 +566,8 @@ class DatasetService:
                     handle = store.handle
                     break
             if handle is None:
-                pyramid = self.engine.pyramid
-                if pyramid is not None and pyramid.packed is not self.dataset.packed():
-                    # the dataset mutated since the engine bound its
-                    # pyramid: publish the current epoch without one
-                    pyramid = None
                 t_pub = time.perf_counter()
-                store = SharedArenaStore.publish(self.dataset, pyramid=pyramid)
+                store = SharedArenaStore.publish(self.dataset)
                 obs.observe("store.publish.seconds", time.perf_counter() - t_pub)
                 obs.counter_add("store.publishes", 1)
                 self._stores[store.uid] = store
@@ -676,26 +584,6 @@ class DatasetService:
         """Handles of every store currently registered (oldest first)."""
         with self._lock:
             return tuple(s.handle for s in self._stores.values())
-
-    def validate_handle(self, handle: StoreHandle) -> None:
-        """Check a handle against the live registry and dataset epoch.
-
-        Raises :class:`~repro.store.shm.StaleHandleError` when the
-        handle's store was evicted or the dataset has mutated past the
-        handle's epoch — callers should re-fetch via
-        :meth:`publish_store`.
-        """
-        with self._lock:
-            if handle.uid not in self._stores:
-                raise StaleHandleError(
-                    f"store {handle.uid[:8]} is not registered here "
-                    "(evicted or foreign); re-publish"
-                )
-            if handle.epoch != self.dataset.epoch:
-                raise StaleHandleError(
-                    f"handle epoch {handle.epoch} != dataset epoch "
-                    f"{self.dataset.epoch}: dataset mutated after publish"
-                )
 
     def evict_store(
         self, uid: str, *, degradation: DegradationReport | None = None
@@ -753,12 +641,10 @@ class DatasetService:
 
     def __repr__(self) -> str:
         with self._lock:
-            name = self.dataset.name if self._active is not None else "<released>"
-            epoch = self._active.epoch if self._active is not None else -1
             return (
-                f"DatasetService({name!r}, "
+                f"DatasetService({self.dataset.name!r}, "
                 f"sessions={self._n_sessions}, stores={len(self._stores)}, "
-                f"epoch={epoch})"
+                f"epoch={self._active.epoch})"
             )
 
     # Lifecycle --------------------------------------------------------------
@@ -768,13 +654,11 @@ class DatasetService:
 
     def close(self) -> None:
         """Unlink and release every published store (idempotent); the
-        in-process engine and existing sessions stay usable.
+        in-process engine and existing sessions stay usable, and no new
+        session opens.
 
         Stores pinned by live sessions are deregistered now but
-        unlinked only when their last session detaches; likewise a
-        ``from_handle`` client mapping (the pages pinned sessions'
-        arrays point into) is released on the final detach rather than
-        yanked mid-query.
+        unlinked only when their last session detaches.
         """
         if self._closed:
             return
@@ -787,10 +671,6 @@ class DatasetService:
             for snapshot in list(self._snapshots.values()):
                 for store in self._retire_if_idle(snapshot):
                     doomed.setdefault(store.uid, store)
-                # drop the loop ref promptly: a retired snapshot's
-                # shm-backed arrays must be dead before any client
-                # mapping release below
-                del snapshot
             pinned_uids = {
                 s.store.uid
                 for s in self._snapshots.values()
@@ -798,19 +678,16 @@ class DatasetService:
             }
             victims = [s for uid, s in doomed.items() if uid not in pinned_uids]
             deferred = len(doomed) - len(victims)
-        release_client = self._release_client_if_drained()
         for store in victims:
             store.unlink()
             store.close()
         if deferred:
             obs.counter_add("service.close.deferred", deferred)
-        if release_client is not None:
-            release_client.close()
 
     def __enter__(self) -> "DatasetService":
         """Context-manage the service (close on exit)."""
         return self
 
     def __exit__(self, *exc: object) -> None:
-        """Unlink published stores and release attachments."""
+        """Unlink published stores."""
         self.close()

@@ -12,8 +12,8 @@ The lock-free multi-tenant read path rests on two small primitives:
 
 * :class:`EpochSnapshot` — one published dataset epoch and everything a
   query needs: the dataset, its packed view (through the engine), the
-  summary pyramid, the stage cache, and the shared-memory store that
-  backs them.  **Everything queryable on a snapshot is immutable after
+  summary pyramid and the stage cache, plus the shared-memory store
+  published from it for tile owners.  **Everything queryable on a snapshot is immutable after
   publish**; the only mutable field is the pin count.  Sessions resolve
   the active snapshot with a single atomic attribute read on the
   service and pin it — no lock is ever taken on the query path.

@@ -121,31 +121,6 @@ class TestLookups:
 
 
 class TestTableRoundTrip:
-    def test_from_tables_reproduces_build(self, pyramid, study_dataset):
-        clone = SummaryPyramid.from_tables(
-            study_dataset.packed(),
-            res=pyramid.res,
-            n_tbuckets=pyramid.n_tbuckets,
-            levels=pyramid.levels,
-            lo=pyramid.lo.copy(),
-            cell_size=pyramid.cell_size.copy(),
-            node_of=pyramid.node_of.copy(),
-            entries=pyramid.entries.copy(),
-            offsets=pyramid.offsets.copy(),
-            bbox=pyramid.bbox.copy(),
-            tstats=pyramid.tstats.copy(),
-            bits=pyramid.bits.copy(),
-            level_bbox=pyramid.level_bbox.copy(),
-            traj_start=pyramid.traj_start.copy(),
-            traj_dur=pyramid.traj_dur.copy(),
-        )
-        np.testing.assert_array_equal(clone.tstats, pyramid.tstats)
-        np.testing.assert_array_equal(clone.bbox, pyramid.bbox)
-        np.testing.assert_array_equal(clone.node_of, pyramid.node_of)
-        cls_a = classify_temporal(pyramid, TimeWindow.fraction(0.2, 0.7))
-        cls_b = classify_temporal(clone, TimeWindow.fraction(0.2, 0.7))
-        np.testing.assert_array_equal(cls_a, cls_b)
-
     def test_tables_are_frozen(self, pyramid):
         for name in ("node_of", "entries", "offsets", "bbox", "tstats", "bits"):
             arr = getattr(pyramid, name)

@@ -3,9 +3,8 @@
 Every scenario asserts the same two invariants:
 
 * the assembled frame is **byte-identical** to the serial render — a
-  crashed, hung or disavowed worker never leaves a torn, stale, or
-  missing tile: only a surviving attempt's return value reaches
-  assembly;
+  crashed or hung worker never leaves a torn, stale, or missing tile:
+  only a surviving attempt's return value reaches assembly;
 * no shared-memory block outlives the frame — the pooled path creates
   none of its own, and a published store survives the pool's death
   and is torn down by its owner, so ``/dev/shm`` holds no ``repro_*``
@@ -88,22 +87,6 @@ class TestShipBackChaos:
         )
         assert report.degraded
         assert "injected-crash" in report.degradation.by_kind()
-        _frames_equal(serial, report)
-        _no_blocks_left()
-
-    def test_disavowed_result_is_replaced(self, setup):
-        """A ``corrupt`` fault runs the batch to completion, then
-        disavows the result.  The retry's pixels replace it (determinism
-        makes them byte-identical), so the frame shows no trace of the
-        disavowed attempt."""
-        renderer, assignment, canvas, serial = setup
-        plan = FaultPlan(specs=(FaultSpec("corrupt", job=1, times=1),))
-        report = render_viewport_parallel(
-            renderer, assignment, canvas=canvas, max_workers=2,
-            fault_plan=plan, retry_policy=FAST,
-        )
-        assert report.degraded
-        assert "injected-corrupt" in report.degradation.by_kind()
         _frames_equal(serial, report)
         _no_blocks_left()
 

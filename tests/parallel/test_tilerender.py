@@ -98,49 +98,3 @@ class TestSharedStoreTransport:
                 np.testing.assert_array_equal(
                     serial.frames[eye][key].data, report.frames[eye][key].data
                 )
-
-
-class TestEngineResults:
-    def test_engine_evaluates_once_in_parent(self, setup, study_dataset, arena):
-        from repro.core.brush import stroke_from_rect
-        from repro.core.canvas import BrushCanvas
-        from repro.core.engine import CoordinatedBrushingEngine
-
-        renderer, assignment = setup
-        engine = CoordinatedBrushingEngine(study_dataset)
-        canvas = BrushCanvas()
-        r = arena.radius
-        canvas.add(
-            stroke_from_rect((-r, -0.6 * r), (-0.7 * r, 0.6 * r), 0.12 * r, "red")
-        )
-        # explicit results vs engine-computed results: identical frames
-        results = engine.query_all_colors(canvas, assignment=assignment)
-        explicit = render_viewport_parallel(
-            renderer, assignment, eyes=(Eye.LEFT,), canvas=canvas,
-            results=results, max_workers=0,
-        )
-        via_engine = render_viewport_parallel(
-            renderer, assignment, eyes=(Eye.LEFT,), canvas=canvas,
-            engine=engine, max_workers=0,
-        )
-        for key in explicit.frames[Eye.LEFT]:
-            np.testing.assert_array_equal(
-                explicit.frames[Eye.LEFT][key].data,
-                via_engine.frames[Eye.LEFT][key].data,
-            )
-        # the engine path ran through the stage cache: the second render
-        # re-queried with every stage served warm
-        assert engine.cache.stats.hits > 0
-
-    def test_empty_canvas_skips_query(self, setup, study_dataset):
-        from repro.core.canvas import BrushCanvas
-        from repro.core.engine import CoordinatedBrushingEngine
-
-        renderer, assignment = setup
-        engine = CoordinatedBrushingEngine(study_dataset)
-        report = render_viewport_parallel(
-            renderer, assignment, eyes=(Eye.LEFT,), canvas=BrushCanvas(),
-            engine=engine, max_workers=0,
-        )
-        assert set(report.frames) == {Eye.LEFT}
-        assert engine.cache_stats()["misses"] == 0

@@ -136,6 +136,37 @@ class TestProjectOnce:
         assert 0 < changed < cells
         assert len(calls) == changed
 
+    def test_warm_render_places_each_cell_once_per_job(
+        self, monkeypatch, study_dataset, small_viewport, small_grid, arena
+    ):
+        """Every draw of a cell takes its pixel box from one placement:
+        a warm re-render places each displayed cell at most once per job,
+        for its footprints and every highlight color together."""
+        from repro.render.raster import CellRenderer
+
+        asg = assign_sequential(study_dataset, small_grid)
+        canvas = BrushCanvas()
+        canvas.add(stroke_from_rect((-0.4, -0.4), (0.4, 0.4), 0.1, "red"))
+        canvas.add(stroke_from_rect((-0.3, -0.2), (0.3, 0.2), 0.1, "blue"))
+        results = CoordinatedBrushingEngine(study_dataset).query_all_colors(
+            canvas, assignment=asg
+        )
+        renderer = WallRenderer(study_dataset, Arena(), small_viewport)
+        jobs = renderer.make_jobs(asg)
+        renderer.render_jobs(jobs, canvas=canvas, results=results)
+        placed = []  # (the job's CellRenderer, cell rect), kept alive
+        place = CellRenderer.place
+        monkeypatch.setattr(
+            CellRenderer, "place",
+            lambda self, mapper: placed.append((self, mapper.cell_rect))
+            or place(self, mapper),
+        )
+        renderer.render_jobs(jobs, canvas=canvas, results=results)
+        displayed = sum(int((job.cell_traj >= 0).sum()) for job in jobs)
+        assert len({id(cell) for cell, _ in placed}) == len(jobs)
+        assert 0 < len(placed) <= displayed
+        assert len({(id(cell), rect) for cell, rect in placed}) == len(placed)
+
 
 class TestRenderViewport:
     def test_full_structure(self, renderer, study_dataset, small_grid):

@@ -200,10 +200,9 @@ def test_only_the_changed_colors_footprints_are_rasterized(study_dataset, monkey
     calls: list[tuple[object, bytes]] = []
     original = CellRenderer.brush_footprint_coverage
 
-    def spy(self, mapper, cell_rect, centers, radii, **kwargs):
-        calls.append((self.footprint_geometry(mapper, cell_rect)[1],
-                      np.asarray(centers).tobytes()))
-        return original(self, mapper, cell_rect, centers, radii, **kwargs)
+    def spy(self, geometry, centers, radii, **kwargs):
+        calls.append((geometry, np.asarray(centers).tobytes()))
+        return original(self, geometry, centers, radii, **kwargs)
 
     monkeypatch.setattr(CellRenderer, "brush_footprint_coverage", spy)
     renderer.render_viewport(assignment, canvas=canvas)
@@ -236,15 +235,16 @@ def _unshared_frame(renderer: WallRenderer, job, canvas, results) -> Framebuffer
     for rect, traj in zip(job.cell_rects, job.cell_traj):
         if traj < 0:
             continue
-        rect_t = tuple(float(v) for v in rect)
-        mapper = CoordinateMapper(renderer.arena, rect_t)
+        mapper = CoordinateMapper(renderer.arena, tuple(float(v) for v in rect))
+        placement = cell.place(mapper)
         for color in canvas.colors():
             centers, radii = canvas.stamps_of(color)
-            cell.draw_brush_footprint(fb, mapper, centers, radii, color, rect_t)
+            cell.draw_brush_footprint(fb, placement, centers, radii, color)
         for color, res in results.items():
+            traj_obj = renderer.dataset[traj]
             cell.draw_highlights(
-                fb, renderer.dataset[traj], mapper, job.eye,
-                res.segment_mask[packed.rows_of(traj)], color, rect_t,
+                fb, traj_obj, res.segment_mask[packed.rows_of(traj)], color, placement,
+                cell.cell_polyline(traj_obj, mapper, job.eye, placement),
             )
     return fb
 
@@ -264,9 +264,9 @@ def test_only_the_changed_colors_highlights_are_splatted(study_dataset, monkeypa
     splats: list[int] = []
     draw, splat = CellRenderer.draw_highlights, raster.splat_polylines
 
-    def spy_draw(self, fb, traj, mapper, eye, seg_mask, color, *args, **kwargs):
+    def spy_draw(self, fb, traj, seg_mask, color, *args, **kwargs):
         drawn.append((id(traj), np.asarray(seg_mask).tobytes(), color))
-        return draw(self, fb, traj, mapper, eye, seg_mask, color, *args, **kwargs)
+        return draw(self, fb, traj, seg_mask, color, *args, **kwargs)
 
     monkeypatch.setattr(CellRenderer, "draw_highlights", spy_draw)
     monkeypatch.setattr(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.resilience.faults import (
     FAULTS_ENV_VAR,
-    CorruptResult,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -110,12 +109,6 @@ class TestRunWithFaults:
     def test_slow_fault_still_correct(self):
         plan = FaultPlan(specs=(FaultSpec("slow", job=0, delay_s=0.01),))
         assert run_with_faults(_square, 6, 0, 0, plan) == 36
-
-    def test_corrupt_fault_returns_marker(self):
-        plan = FaultPlan(specs=(FaultSpec("corrupt", job=0),))
-        out = run_with_faults(_square, 6, 0, 0, plan)
-        assert isinstance(out, CorruptResult)
-        assert (out.job, out.attempt) == (0, 0)
 
     def test_injected_fault_survives_pickling(self):
         import pickle

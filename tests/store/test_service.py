@@ -1,7 +1,7 @@
 """Tests for the multi-session service layer: N concurrent session
 views over one DatasetService must behave exactly like N independent
 single-user engines, while the process holds one copy of the packed
-arrays — plus the store registry's epoch validation and eviction.
+arrays — plus the store registry's per-epoch publishing and eviction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ from repro.core.brush import stroke_from_rect
 from repro.core.engine import CoordinatedBrushingEngine
 from repro.core.session import ExplorationSession
 from repro.core.temporal import TimeWindow
-from repro.store import DatasetService, SharedQueryEngine, StaleHandleError, attach
+from repro.store import (
+    DatasetService,
+    IngestBuffer,
+    RolloverCoordinator,
+    SharedQueryEngine,
+    StaleHandleError,
+    attach,
+)
 from repro.synth import AntStudyConfig, generate_study_dataset
 from repro.trajectory.model import Trajectory, TrajectoryMeta
 
@@ -128,19 +135,14 @@ class TestStoreRegistry:
             h2 = service.publish_store()
             assert h1 == h2
             assert service.stores() == (h1,)
-            service.validate_handle(h1)  # registered + current: no raise
 
     def test_mutation_staleness_and_attach_after_mutation(self, mutable_dataset):
         with DatasetService(mutable_dataset) as service:
             old = service.publish_store()
             mutable_dataset.append(_extra_traj())
-            # the old handle is epoch-stale even though still registered
-            with pytest.raises(StaleHandleError, match="mutated"):
-                service.validate_handle(old)
             fresh = service.publish_store()
             assert fresh.uid != old.uid
             assert fresh.epoch > old.epoch
-            service.validate_handle(fresh)
             # keep_stores=2 default: the old block still attaches (its
             # header matches its own handle), serving the old epoch
             attach(old).close()
@@ -151,8 +153,6 @@ class TestStoreRegistry:
             mutable_dataset.append(_extra_traj())
             service.publish_store()  # evicts (unlinks) the old store
             assert len(service.stores()) == 1
-            with pytest.raises(StaleHandleError, match="not registered"):
-                service.validate_handle(old)
             with pytest.raises(StaleHandleError):
                 attach(old)  # the block is gone, not just deregistered
 
@@ -187,40 +187,6 @@ class TestStoreRegistry:
             assert "hits" in stats["cache"]
 
 
-def _query_on_service(service, viewport, stroke, window) -> np.ndarray:
-    """Open a session, run one brushed query, return the (copied) mask.
-
-    A helper so no view into an attached store outlives the call —
-    ``DatasetService.close`` can then release the mapping cleanly.
-    """
-    session = service.session(viewport)
-    session.brush(stroke)
-    session.set_time_window(window)
-    return session.run_query("red").traj_mask.copy()
-
-
-class TestFromHandle:
-    def test_service_over_foreign_store(self, small_dataset, viewport, arena):
-        """A second service attached through a handle answers queries
-        identically to the publisher's — zero-copy, shared pyramid."""
-        stroke, window = _session_ops(2, arena)
-        with DatasetService(small_dataset) as origin:
-            handle = origin.publish_store()
-            ref = _query_on_service(origin, viewport, stroke, window)
-            node = DatasetService.from_handle(handle)
-            try:
-                # plain bool so assertion rewriting keeps no dataset ref
-                # alive past node.close() (views would pin the mapping)
-                distinct = node.dataset is not origin.dataset
-                assert distinct
-                adopted = node.engine.pyramid.bits.base is not None
-                assert adopted  # a view into the shared block, not a rebuild
-                got = _query_on_service(node, viewport, stroke, window)
-                np.testing.assert_array_equal(got, ref)
-            finally:
-                node.close()
-
-
 class TestSharedQueryEngine:
     def test_results_match_plain_engine(self, small_dataset, arena):
         from repro.core.canvas import BrushCanvas
@@ -241,61 +207,70 @@ class TestSharedQueryEngine:
 
 
 class TestCloseWithLiveSessions:
-    """PR 6 regression: closing a service (or its node) while sessions
-    are mid-query must defer resource release, never unlink a mapped
-    block out from under a reader."""
+    """Closing a service while sessions are mid-query must defer
+    resource release, never unlink a block out from under a pinned
+    epoch."""
 
-    def test_close_while_querying_defers_client_release(
-        self, small_dataset, viewport, arena
-    ):
-        stroke, window = _session_ops(3, arena)
-        with DatasetService(small_dataset) as origin:
-            handle = origin.publish_store()
-            node = DatasetService.from_handle(handle)
-            session = node.session(viewport)
-            session.brush(stroke)
-            session.set_time_window(window)
-            ref = session.run_query("red").traj_mask.copy()
+    @staticmethod
+    def _pinned_session(service, viewport, arena):
+        """Roll one trajectory in and open a brushed session on the new
+        epoch; return ``(session, handle, ref_mask)``.
 
-            start = threading.Event()
-            failures: list[BaseException] = []
-
-            def hammer() -> None:
-                start.wait()
-                try:
-                    for _ in range(30):
-                        got = session.run_query("red")
-                        np.testing.assert_array_equal(got.traj_mask, ref)
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    failures.append(exc)
-
-            worker = threading.Thread(target=hammer)
-            worker.start()
-            start.set()
-            node.close()  # races the query loop; release must defer
-            worker.join()
-            assert failures == []
-
-            # the pinned session keeps working after the service closed
-            np.testing.assert_array_equal(session.run_query("red").traj_mask, ref)
-            # ... but no new sessions can open
-            with pytest.raises(RuntimeError, match="closed"):
-                node.session(viewport)
-
-            session.close()  # last detach finally releases the mapping
-        # conftest's no_leaked_blocks asserts nothing stayed mapped
-
-    def test_origin_close_defers_unlink_until_sessions_detach(
-        self, small_dataset, viewport, arena
-    ):
+        A rollover publishes a store that backs its epoch's snapshot, so
+        a session pinning that epoch pins the block too.
+        """
         stroke, window = _session_ops(5, arena)
-        service = DatasetService(small_dataset)
-        service.publish_store()
+        buffer = IngestBuffer()
+        buffer.append(_extra_traj())
+        handle = RolloverCoordinator(service, buffer).rollover().handle
         session = service.session(viewport)
         session.brush(stroke)
         session.set_time_window(window)
         ref = session.run_query("red").traj_mask.copy()
+        return session, handle, ref
+
+    def test_close_while_querying_defers_client_release(
+        self, mutable_dataset, viewport, arena
+    ):
+        service = DatasetService(mutable_dataset)
+        session, _, ref = self._pinned_session(service, viewport, arena)
+
+        start = threading.Event()
+        failures: list[BaseException] = []
+
+        def hammer() -> None:
+            start.wait()
+            try:
+                for _ in range(30):
+                    got = session.run_query("red")
+                    np.testing.assert_array_equal(got.traj_mask, ref)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        worker = threading.Thread(target=hammer)
+        worker.start()
+        start.set()
+        service.close()  # races the query loop; release must defer
+        worker.join()
+        assert failures == []
+
+        # the pinned session keeps answering after the service closed
+        np.testing.assert_array_equal(session.run_query("red").traj_mask, ref)
+        # ... but no new sessions can open
+        with pytest.raises(RuntimeError, match="closed"):
+            service.session(viewport)
+        session.close()  # last detach finally releases the block
+        # conftest's no_leaked_blocks asserts nothing stayed mapped
+
+    def test_origin_close_defers_unlink_until_sessions_detach(
+        self, mutable_dataset, viewport, arena
+    ):
+        service = DatasetService(mutable_dataset)
+        session, handle, ref = self._pinned_session(service, viewport, arena)
 
         service.close()
         np.testing.assert_array_equal(session.run_query("red").traj_mask, ref)
-        session.close()
+        attach(handle).close()  # the pinned epoch's block is still there
+        session.close()  # the last detach unlinks it
+        with pytest.raises(StaleHandleError):
+            attach(handle)

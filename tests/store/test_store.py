@@ -20,7 +20,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.aggregate import SummaryPyramid
 from repro.core.brush import stroke_from_rect
 from repro.core.canvas import BrushCanvas
 from repro.core.engine import CoordinatedBrushingEngine
@@ -144,33 +143,22 @@ def _check_zero_copy(client) -> None:
     assert not traj.positions.flags["OWNDATA"]
 
 
-def _check_query_identical(client, original, canvas, window) -> None:
-    """Attached engine answers bit-identically, via the shared pyramid."""
-    ref = CoordinatedBrushingEngine(original, use_index=False).query(
-        canvas, "red", window=window
-    )
-    engine = client.engine()
-    # the shared pyramid tables were adopted, not rebuilt
-    assert engine.pyramid is client.pyramid()
-    assert engine.plan(canvas, "red", window=window).strategy == "aggregate"
-    got = engine.query(canvas, "red", window=window)
-    np.testing.assert_array_equal(got.traj_mask, ref.traj_mask)
-    np.testing.assert_array_equal(got.segment_mask, ref.segment_mask)
-
-
 def _check_store_token(client, token) -> None:
     """The attached dataset carries the store's cache-key token."""
     assert client.dataset.store_token == token
 
 
-def _check_query_unindexed(client, original, canvas) -> None:
-    """Pyramid-less store still answers identically (brute force)."""
-    assert client.pyramid() is None
-    engine = client.engine()
-    assert engine.plan(canvas, "red").strategy == "brute-force"
-    got = engine.query(canvas, "red")
-    ref = CoordinatedBrushingEngine(original, use_index=False).query(canvas, "red")
+def _check_query_over_attached(client, original, canvas, window) -> None:
+    """An engine over the attached dataset builds its own pyramid and
+    answers bit-identically to brute force over the original."""
+    engine = CoordinatedBrushingEngine(client.dataset)
+    assert engine.plan(canvas, "red", window=window).strategy == "aggregate"
+    got = engine.query(canvas, "red", window=window)
+    ref = CoordinatedBrushingEngine(original, use_index=False).query(
+        canvas, "red", window=window
+    )
     np.testing.assert_array_equal(got.traj_mask, ref.traj_mask)
+    np.testing.assert_array_equal(got.segment_mask, ref.segment_mask)
 
 
 class TestPublishAttach:
@@ -184,21 +172,13 @@ class TestPublishAttach:
             with attach(store.handle) as client:
                 _check_zero_copy(client)
 
-    def test_query_bit_identical_and_index_reused(self, small_dataset):
-        pyramid = SummaryPyramid.build(small_dataset.packed(), small_dataset)
-        with SharedArenaStore.publish(small_dataset, pyramid=pyramid) as store:
-            assert store.handle.pyramid_meta is not None
-            with attach(store.handle) as client:
-                _check_query_identical(
-                    client, small_dataset, _canvas(), TimeWindow.end(0.4)
-                )
-
     def test_publish_without_index(self, small_dataset):
         with SharedArenaStore.publish(small_dataset) as store:
-            assert store.handle.pyramid_meta is None
             assert not any(a.key.startswith("pyr_") for a in store.handle.arrays)
             with attach(store.handle) as client:
-                _check_query_unindexed(client, small_dataset, _canvas())
+                _check_query_over_attached(
+                    client, small_dataset, _canvas(), TimeWindow.end(0.4)
+                )
 
     def test_close_refused_while_attached_views_live(self, small_dataset):
         """A client that forgets to drop derived objects cannot release

@@ -59,10 +59,15 @@ DEFAULT_LEVELS = (8, 16, 32, 64)
 class SummaryPyramid:
     """Immutable supernode statistics over one packed segment view.
 
-    Build with :meth:`build` (vectorized, one counting sort).  All
-    arrays are read-only after construction — a pyramid is published
-    into epoch snapshots and read lock-free by concurrent sessions,
-    exactly like the packed view it summarizes.
+    Build with :meth:`build`: vectorized, no Python loop over segments.
+    It bins every segment once, orders the rows by node with one stable
+    sort of the node ids (a radix sort while they fit 16 bits), gathers
+    each statistic's source column into that order once and reduces it
+    per node, and sets each cell's bitset bits from the (cell, owner)
+    pairs that start a run of equal pairs.  All arrays are read-only
+    after construction — a pyramid is published into epoch snapshots
+    and read lock-free by concurrent sessions, exactly like the packed
+    view it summarizes.
 
     Attributes
     ----------
@@ -132,8 +137,8 @@ class SummaryPyramid:
         n_tbuckets: int = DEFAULT_TBUCKETS,
         levels: tuple[int, ...] = DEFAULT_LEVELS,
     ) -> "SummaryPyramid":
-        """Summarize ``packed`` into a fresh pyramid (one pass, no
-        Python loop over segments)."""
+        """Summarize ``packed`` into a fresh pyramid (no Python loop
+        over segments)."""
         t_build = time.perf_counter()
         _validate_shape(res, n_tbuckets, levels)
         if packed.n_segments == 0:
@@ -147,12 +152,18 @@ class SummaryPyramid:
         self.n_tbuckets = int(n_tbuckets)
         self.levels = tuple(int(v) for v in levels)
 
+        # per-segment extents as contiguous x/y columns: the grid
+        # geometry, the cell binning and the node bboxes all read
+        # these, never the strided (S, 2) endpoint arrays
+        ax, ay = packed.a[:, 0], packed.a[:, 1]
+        bx, by = packed.b[:, 0], packed.b[:, 1]
+        lo_x, hi_x = np.minimum(ax, bx), np.maximum(ax, bx)
+        lo_y, hi_y = np.minimum(ay, by), np.maximum(ay, by)
+
         # grid geometry over segment endpoint extents, padded so
         # boundary points land strictly inside
-        seg_lo = np.minimum(packed.a, packed.b)
-        seg_hi = np.maximum(packed.a, packed.b)
-        lo_pt = seg_lo.min(axis=0)
-        hi_pt = seg_hi.max(axis=0)
+        lo_pt = np.array([lo_x.min(), lo_y.min()])
+        hi_pt = np.array([hi_x.max(), hi_y.max()])
         span = np.maximum(hi_pt - lo_pt, 1e-12)
         self.lo = lo_pt - 1e-9 * span
         self.cell_size = (span * (1.0 + 2e-9)) / res
@@ -171,93 +182,114 @@ class SummaryPyramid:
 
         # bin each segment: spatial cell by midpoint, time bucket by the
         # fractional midpoint of its span within the owning trajectory
-        mid = 0.5 * (packed.a + packed.b)
-        cells2 = np.floor((mid - self.lo) / self.cell_size).astype(np.int64)
-        np.clip(cells2, 0, res - 1, out=cells2)
-        cell = cells2[:, 1] * res + cells2[:, 0]
+        cell = _axis_cells(lo_y, hi_y, self.lo[1], self.cell_size[1], res)
+        cell *= res
+        cell += _axis_cells(lo_x, hi_x, self.lo[0], self.cell_size[0], res)
 
-        starts_of = self.traj_start[packed.owner]
-        durs_of = self.traj_dur[packed.owner]
-        tmid = 0.5 * (packed.t0 + packed.t1)
+        frac = packed.t0 + packed.t1
+        frac *= 0.5
+        frac -= self.traj_start[packed.owner]
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (tmid - starts_of) / durs_of
-        tb = np.zeros(packed.n_segments, dtype=np.int64)
+            frac /= self.traj_dur[packed.owner]
         good = np.isfinite(frac)
-        np.floor(frac * n_tbuckets, out=frac, where=good)
-        tb[good] = frac[good].astype(np.int64)
-        np.clip(tb, 0, n_tbuckets - 1, out=tb)
-
-        node = cell * n_tbuckets + tb
+        frac *= n_tbuckets
+        np.floor(frac, out=frac)
+        if not good.all():  # no usable duration: bucket 0
+            frac[~good] = 0.0
+        del good
+        node = frac.astype(np.int64)
+        del frac
+        np.clip(node, 0, n_tbuckets - 1, out=node)
+        node += cell * n_tbuckets
         n_nodes = res * res * n_tbuckets
         self.node_of = node.astype(np.int32)
 
-        # CSR over nodes via one stable counting sort
-        order = np.argsort(node, kind="stable")
-        self.entries = order.astype(np.int64)
+        # per-cell trajectory bitsets (cells, not nodes: at 100x scale
+        # per-node bitsets would be n_tbuckets times larger for no
+        # classification gain).  A trajectory's rows are adjacent and
+        # mostly stay in a cell for many rows, so only the first row of
+        # each run of equal (cell, owner) pairs sets its bit: OR is
+        # idempotent, so the dropped repeats could not change one
+        n_cells = res * res
+        n_words = (n_traj + 63) // 64
+        owner = packed.owner
+        first = np.empty(packed.n_segments, dtype=bool)
+        first[0] = True
+        np.not_equal(cell[1:], cell[:-1], out=first[1:])
+        first[1:] |= owner[1:] != owner[:-1]
+        p_cell = cell[first]
+        p_owner = owner[first]
+        del cell, first
+        bits = np.zeros(n_cells * n_words, dtype=np.uint64)
+        np.bitwise_or.at(
+            bits,
+            p_cell * n_words + (p_owner >> 6),
+            np.uint64(1) << (p_owner.astype(np.uint64) & np.uint64(63)),
+        )
+        del p_cell, p_owner
+        self.bits = bits.reshape(n_cells, n_words)
+
+        # CSR over nodes: a stable sort of the node ids as the narrowest
+        # unsigned type that holds them (NumPy sorts 8- and 16-bit keys
+        # with a radix sort, which the default shape's 32,768 nodes fit)
+        key = node.astype(np.min_scalar_type(n_nodes - 1))
+        order = np.argsort(key, kind="stable")
+        del key
+        self.entries = order
         counts = np.bincount(node, minlength=n_nodes)
+        del node
         self.offsets = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         has = counts > 0
         occ_starts = self.offsets[:-1][has]
 
-        def _stat(arr: np.ndarray, op: np.ufunc, empty: float) -> np.ndarray:
-            # Reduce over occupied nodes only: consecutive occupied
-            # starts tile the sorted positions exactly (empty nodes are
-            # zero-width in CSR) and the final run extends to the end
-            # of the array.  Clamping all offsets into range instead
-            # would hand reduceat a start == stop pair for the last
-            # occupied node, silently dropping its final member.
-            out = np.full(n_nodes, empty, dtype=np.float64)
-            out[has] = op.reduceat(arr[order], occ_starts)
-            return out
+        # Per-node reductions over occupied nodes only: consecutive
+        # occupied starts tile the sorted positions exactly (empty nodes
+        # are zero-width in CSR) and the final run extends to the end
+        # of the array.  Clamping all offsets into range instead would
+        # hand reduceat a start == stop pair for the last occupied node,
+        # silently dropping its final member.  Empty nodes keep the
+        # +inf (min) / -inf (max) sentinels.  Each source column is
+        # gathered into node order once and dropped after its use.
 
         # per-node bbox over full segment extents (not just midpoints)
-        self.bbox = np.column_stack(
-            [
-                _stat(seg_lo[:, 0], np.minimum, np.inf),
-                _stat(seg_lo[:, 1], np.minimum, np.inf),
-                _stat(seg_hi[:, 0], np.maximum, -np.inf),
-                _stat(seg_hi[:, 1], np.maximum, -np.inf),
-            ]
-        )
+        bbox = np.full((n_nodes, 4), np.inf)
+        bbox[:, 2:] = -np.inf
+        bbox[has, 0] = np.minimum.reduceat(lo_x[order], occ_starts)
+        del lo_x
+        bbox[has, 1] = np.minimum.reduceat(lo_y[order], occ_starts)
+        del lo_y
+        bbox[has, 2] = np.maximum.reduceat(hi_x[order], occ_starts)
+        del hi_x
+        bbox[has, 3] = np.maximum.reduceat(hi_y[order], occ_starts)
+        del hi_y
+        self.bbox = bbox
 
         # temporal stats: absolute extents are exact; fractional ones
-        # carry division rounding and are only ever used with margins
+        # carry division rounding and are only ever used with margins.
+        # g0/g1 come from the node-ordered t0/t1 and owners, so no
+        # per-segment column is gathered twice
+        t0 = packed.t0[order]
+        t1 = packed.t1[order]
+        owner_sorted = owner[order]
+        start = self.traj_start[owner_sorted]
+        dur = self.traj_dur[owner_sorted]
+        del owner_sorted
         with np.errstate(divide="ignore", invalid="ignore"):
-            g0 = (packed.t0 - starts_of) / durs_of
-            g1 = (packed.t1 - starts_of) / durs_of
+            g0 = (t0 - start) / dur
+            g1 = (t1 - start) / dur
+        del start, dur
         bad = ~(np.isfinite(g0) & np.isfinite(g1))
-        if bad.any():
-            g0 = np.where(bad, np.nan, g0)
-            g1 = np.where(bad, np.nan, g1)
-        self.tstats = np.column_stack(
-            [
-                _stat(packed.t0, np.minimum, np.inf),
-                _stat(packed.t0, np.maximum, -np.inf),
-                _stat(packed.t1, np.minimum, np.inf),
-                _stat(packed.t1, np.maximum, -np.inf),
-                _stat(g0, np.minimum, np.inf),
-                _stat(g0, np.maximum, -np.inf),
-                _stat(g1, np.minimum, np.inf),
-                _stat(g1, np.maximum, -np.inf),
-            ]
-        )
-
-        # per-cell trajectory bitsets (cells, not nodes: at 100x scale
-        # per-node bitsets would be n_tbuckets times larger for no
-        # classification gain)
-        n_cells = res * res
-        n_words = (n_traj + 63) // 64
-        bits = np.zeros((n_cells, n_words), dtype=np.uint64)
-        pair = np.unique(cell * np.int64(n_traj) + packed.owner)
-        p_cell = pair // n_traj
-        p_owner = pair % n_traj
-        np.bitwise_or.at(
-            bits,
-            (p_cell, p_owner >> 6),
-            np.uint64(1) << (p_owner.astype(np.uint64) & np.uint64(63)),
-        )
-        self.bits = bits
+        g0[bad] = np.nan
+        g1[bad] = np.nan
+        del bad
+        tstats = np.full((n_nodes, 8), np.inf)
+        tstats[:, 1::2] = -np.inf
+        for j, col in enumerate((t0, t1, g0, g1)):
+            tstats[has, 2 * j] = np.minimum.reduceat(col, occ_starts)
+            tstats[has, 2 * j + 1] = np.maximum.reduceat(col, occ_starts)
+        del t0, t1, g0, g1
+        self.tstats = tstats
 
         # the pyramid proper: leaf cell bboxes coarsened per level
         cell_bbox = np.column_stack(
@@ -415,6 +447,23 @@ class SummaryPyramid:
         ) & np.uint64(1)
         out[:] = expanded.ravel()[:n_traj].astype(bool)
         return out
+
+
+def _axis_cells(
+    lo: np.ndarray, hi: np.ndarray, origin: float, size: float, res: int
+) -> np.ndarray:
+    """(S,) int64 leaf-grid index along one axis of each segment's
+    midpoint.  ``lo + hi`` adds the same two endpoint coordinates as
+    ``a + b``, at most swapped, and float addition commutes, so this
+    bins the midpoint ``0.5 * (a + b)`` bit for bit."""
+    mid = lo + hi
+    mid *= 0.5
+    mid -= origin
+    mid /= size
+    np.floor(mid, out=mid)
+    cells = mid.astype(np.int64)
+    np.clip(cells, 0, res - 1, out=cells)
+    return cells
 
 
 def _multi_range_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

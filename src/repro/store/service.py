@@ -408,8 +408,8 @@ class DatasetService:
     def _detach_session(self, epoch: int) -> None:
         """Release one session's pin on ``epoch``.
 
-        The last pin out retires a non-active snapshot (unlinking its
-        store if it is no longer registered), and on a closed service
+        The last pin out retires a non-active snapshot (unlinking each
+        of its stores that is no longer registered), and on a closed service
         also the active one.  Receives the epoch *number* (what the
         session finalizer holds).
         """
@@ -430,9 +430,9 @@ class DatasetService:
 
         Exactly-once: the sealed-zero refcount arbitrates racing
         retirers (and racing pins — see :mod:`repro.store.snapshot`).
-        Returns stores to unlink *outside* any lock (only a store no
-        longer in the registry — registered stores are still attachable
-        and fall to normal eviction).
+        Returns the snapshot's stores to unlink *outside* any lock (only
+        those no longer in the registry — registered stores are still
+        attachable and fall to normal eviction).
         """
         if snapshot.pins > 0:
             return []
@@ -444,20 +444,19 @@ class DatasetService:
         with self._lock:
             self._snapshots.pop(snapshot.epoch, None)
             obs.gauge_set("service.snapshot.live", float(len(self._snapshots)))
-            store = snapshot.store
-            if store is not None and store.uid not in self._stores:
-                return [store]
-        return []
+            return [s for s in snapshot.stores if s.uid not in self._stores]
 
-    def _store_pinned_locked(self, uid: str) -> bool:
-        """Is some live session pinned to the snapshot served by ``uid``?"""
+    def _pinned_uids_locked(self) -> set[str]:
+        """Uids of every store some live session pins: the one rule is
+        that a session pinning a snapshot pins each store published from
+        it, by rollover or by :meth:`publish_store`."""
         with self._lock:
-            return any(
-                s.pins > 0
-                and s.store is not None
-                and s.store.uid == uid
+            return {
+                store.uid
                 for s in self._snapshots.values()
-            )
+                if s.pins > 0
+                for store in s.stores
+            }
 
     def _evict_overflow_locked(self) -> tuple[list[SharedArenaStore], int]:
         """Deregister stores beyond ``keep_stores`` (oldest first).
@@ -470,9 +469,10 @@ class DatasetService:
         victims: list[SharedArenaStore] = []
         deferred = 0
         with self._lock:
+            pinned = self._pinned_uids_locked()
             while len(self._stores) > self.keep_stores:
                 uid, old = self._stores.popitem(last=False)
-                if self._store_pinned_locked(uid):
+                if uid in pinned:
                     deferred += 1
                 else:
                     victims.append(old)
@@ -508,9 +508,10 @@ class DatasetService:
                     f"rollover epoch {epoch} must exceed active epoch "
                     f"{active.epoch}"
                 )
-            snapshot = EpochSnapshot(epoch, dataset, engine, store)
+            snapshot = EpochSnapshot(epoch, dataset, engine)
             self._snapshots[epoch] = snapshot
             if store is not None:
+                snapshot.stores.append(store)
                 self._stores[store.uid] = store
             # the publish: one atomic reference assignment.  Readers
             # (_pin_active, active_epoch) see either the old snapshot
@@ -553,13 +554,16 @@ class DatasetService:
         unchanged return the same handle.  After a mutation, a fresh
         store is materialized and old ones age out of the registry
         (evicted beyond ``keep_stores`` — their handles then fail to
-        attach rather than serving stale segments).
+        attach rather than serving stale segments).  The store belongs
+        to the active snapshot, so sessions pinning it pin the store,
+        exactly like a rollover's store.
         """
         self._check_open()
         victims: list[SharedArenaStore] = []
         deferred = 0
         with self._lock:
-            epoch = self.dataset.epoch
+            active = self._active
+            epoch = active.dataset.epoch
             handle: StoreHandle | None = None
             for store in reversed(self._stores.values()):
                 if store.epoch == epoch:
@@ -567,9 +571,10 @@ class DatasetService:
                     break
             if handle is None:
                 t_pub = time.perf_counter()
-                store = SharedArenaStore.publish(self.dataset)
+                store = SharedArenaStore.publish(active.dataset)
                 obs.observe("store.publish.seconds", time.perf_counter() - t_pub)
                 obs.counter_add("store.publishes", 1)
+                active.stores.append(store)
                 self._stores[store.uid] = store
                 handle = store.handle
                 victims, deferred = self._evict_overflow_locked()
@@ -602,7 +607,7 @@ class DatasetService:
             store = self._stores.get(uid)
             if store is None:
                 return False
-            if self._store_pinned_locked(uid):
+            if uid in self._pinned_uids_locked():
                 pinned = True
             else:
                 self._stores.pop(uid)
@@ -671,11 +676,7 @@ class DatasetService:
             for snapshot in list(self._snapshots.values()):
                 for store in self._retire_if_idle(snapshot):
                     doomed.setdefault(store.uid, store)
-            pinned_uids = {
-                s.store.uid
-                for s in self._snapshots.values()
-                if s.pins > 0 and s.store is not None
-            }
+            pinned_uids = self._pinned_uids_locked()
             victims = [s for uid, s in doomed.items() if uid not in pinned_uids]
             deferred = len(doomed) - len(victims)
         for store in victims:

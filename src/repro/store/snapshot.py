@@ -12,9 +12,10 @@ The lock-free multi-tenant read path rests on two small primitives:
 
 * :class:`EpochSnapshot` — one published dataset epoch and everything a
   query needs: the dataset, its packed view (through the engine), the
-  summary pyramid and the stage cache, plus the shared-memory store
-  published from it for tile owners.  **Everything queryable on a snapshot is immutable after
-  publish**; the only mutable field is the pin count.  Sessions resolve
+  summary pyramid and the stage cache, plus the shared-memory stores
+  published from it for tile owners.  **Everything queryable on a
+  snapshot is immutable after publish**; the only mutable fields are the
+  pin count and the list of stores published from it.  Sessions resolve
   the active snapshot with a single atomic attribute read on the
   service and pin it — no lock is ever taken on the query path.
 
@@ -152,18 +153,20 @@ class EpochSnapshot:
     """One immutable published epoch: what every query reads, lock-free.
 
     Published exactly once by :meth:`DatasetService._swap_active` (or
-    service construction) and never mutated afterwards — the dataset,
-    engine (packed view + summary pyramid + sharded stage cache), and
-    backing store are all epoch-frozen, which is precisely why sessions
-    may read them concurrently without any lock.  The only mutable
-    state is ``refs`` (pin accounting) and the registry that maps
-    epochs to snapshots (mutated under the service lock).
+    service construction) and never mutated afterwards — the dataset and
+    engine (packed view + summary pyramid + sharded stage cache) are
+    epoch-frozen, which is precisely why sessions may read them
+    concurrently without any lock.  The only mutable state is ``refs``
+    (pin accounting), ``stores`` (every shared-memory store published
+    from this epoch, however it was published: a session pinning the
+    snapshot pins each of them) and the registry that maps epochs to
+    snapshots; the last two change under the service lock only.
     """
 
     epoch: int
     dataset: "TrajectoryDataset"
     engine: "CoordinatedBrushingEngine"
-    store: "SharedArenaStore | None" = None
+    stores: "list[SharedArenaStore]" = field(default_factory=list)
     refs: AtomicRefCount = field(default_factory=AtomicRefCount)
 
     def try_pin(self) -> bool:
@@ -188,5 +191,5 @@ class EpochSnapshot:
         return (
             f"EpochSnapshot(epoch={self.epoch}, pins={self.refs.pins}, "
             f"retired={self.refs.sealed}, "
-            f"store={'yes' if self.store is not None else 'no'})"
+            f"stores={len(self.stores)})"
         )

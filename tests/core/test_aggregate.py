@@ -2,9 +2,10 @@
 
 Complements ``test_aggregate_parity.py`` (end-to-end bit-identity of
 the aggregate query route): here the individual pieces are checked
-against brute-force references — CSR structure, per-node statistics,
-cell gathers, the shared-arena table round-trip, and the vectorized
-drill-down hit kernel against its scalar oracle (which lives in
+against brute-force references — every build table byte for byte
+against the straightforward build algorithm, CSR structure, per-node
+statistics, cell gathers, and the vectorized drill-down hit kernel
+against its scalar oracle (which lives in
 ``test_kernel_properties.py``).
 """
 
@@ -23,6 +24,7 @@ from repro.core.aggregate import (
 )
 from repro.core.aggregate.pyramid import _multi_range_indices
 from repro.core.temporal import TimeWindow
+from repro.synth import AntStudyConfig, generate_study_dataset
 from tests.core.test_kernel_properties import brush_hit_rows_scalar
 
 
@@ -86,6 +88,158 @@ class TestBuildInvariants:
             SummaryPyramid.build(packed, study_dataset, res=16, levels=(16, 4, 16))
         with pytest.raises(ValueError, match="res"):
             SummaryPyramid.build(packed, study_dataset, res=0, levels=(1,))
+
+
+PYRAMID_TABLES = (
+    "lo",
+    "cell_size",
+    "node_of",
+    "entries",
+    "offsets",
+    "bbox",
+    "tstats",
+    "bits",
+    "level_bbox",
+    "level_offsets",
+    "traj_start",
+    "traj_dur",
+)
+
+
+def _reference_build(packed, dataset, res, n_tbuckets, levels):
+    """The pyramid's tables by the straightforward algorithm: (S, 2)
+    extents, an int64 stable argsort, one gather per statistic and
+    ``np.unique`` over (cell, owner) pairs.  Returns ``(tables,
+    spatial_eps)``."""
+    seg_lo = np.minimum(packed.a, packed.b)
+    seg_hi = np.maximum(packed.a, packed.b)
+    lo_pt = seg_lo.min(axis=0)
+    span = np.maximum(seg_hi.max(axis=0) - lo_pt, 1e-12)
+    lo = lo_pt - 1e-9 * span
+    cell_size = (span * (1.0 + 2e-9)) / res
+    n_traj = len(dataset)
+    traj_start = np.array([float(t.times[0]) for t in dataset], dtype=np.float64)
+    traj_dur = np.array([t.duration for t in dataset], dtype=np.float64)
+
+    mid = 0.5 * (packed.a + packed.b)
+    cells2 = np.floor((mid - lo) / cell_size).astype(np.int64)
+    np.clip(cells2, 0, res - 1, out=cells2)
+    cell = cells2[:, 1] * res + cells2[:, 0]
+    starts_of = traj_start[packed.owner]
+    durs_of = traj_dur[packed.owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (0.5 * (packed.t0 + packed.t1) - starts_of) / durs_of
+        g0 = (packed.t0 - starts_of) / durs_of
+        g1 = (packed.t1 - starts_of) / durs_of
+    tb = np.zeros(packed.n_segments, dtype=np.int64)
+    good = np.isfinite(frac)
+    tb[good] = np.floor(frac[good] * n_tbuckets).astype(np.int64)
+    np.clip(tb, 0, n_tbuckets - 1, out=tb)
+    node = cell * n_tbuckets + tb
+
+    n_nodes = res * res * n_tbuckets
+    order = np.argsort(node, kind="stable")
+    counts = np.bincount(node, minlength=n_nodes)
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    has = counts > 0
+
+    def stat(arr, op, empty):
+        out = np.full(n_nodes, empty, dtype=np.float64)
+        out[has] = op.reduceat(arr[order], offsets[:-1][has])
+        return out
+
+    bad = ~(np.isfinite(g0) & np.isfinite(g1))
+    g0 = np.where(bad, np.nan, g0)
+    g1 = np.where(bad, np.nan, g1)
+    lowest, highest = (np.minimum, np.inf), (np.maximum, -np.inf)
+    bbox = np.column_stack(
+        [
+            stat(seg_lo[:, 0], *lowest),
+            stat(seg_lo[:, 1], *lowest),
+            stat(seg_hi[:, 0], *highest),
+            stat(seg_hi[:, 1], *highest),
+        ]
+    )
+    tstats = np.column_stack(
+        [stat(col, *ext) for col in (packed.t0, packed.t1, g0, g1) for ext in (lowest, highest)]
+    )
+
+    n_cells = res * res
+    bits = np.zeros((n_cells, (n_traj + 63) // 64), dtype=np.uint64)
+    pair = np.unique(cell * np.int64(n_traj) + packed.owner)
+    p_owner = pair % n_traj
+    np.bitwise_or.at(
+        bits,
+        (pair // n_traj, p_owner >> 6),
+        np.uint64(1) << (p_owner.astype(np.uint64) & np.uint64(63)),
+    )
+
+    cells = bbox.reshape(n_cells, n_tbuckets, 4)
+    cell_bbox = np.concatenate([cells[..., :2].min(axis=1), cells[..., 2:].max(axis=1)], axis=1)
+    parts = []
+    for lv in levels:
+        f = res // lv
+        tiled = cell_bbox.reshape(lv, f, lv, f, 4)
+        coarse = np.concatenate(
+            [tiled[..., :2].min(axis=(1, 3)), tiled[..., 2:].max(axis=(1, 3))], axis=-1
+        )
+        parts.append(coarse.reshape(lv * lv, 4))
+    level_offsets = np.zeros(len(levels) + 1, dtype=np.int64)
+    np.cumsum([lv * lv for lv in levels], out=level_offsets[1:])
+
+    tables = {
+        "lo": lo,
+        "cell_size": cell_size,
+        "node_of": node.astype(np.int32),
+        "entries": order.astype(np.int64),
+        "offsets": offsets,
+        "bbox": bbox,
+        "tstats": tstats,
+        "bits": bits,
+        "level_bbox": np.concatenate(parts, axis=0),
+        "level_offsets": level_offsets,
+        "traj_start": traj_start,
+        "traj_dur": traj_dur,
+    }
+    return tables, float(1e-9 * span.max())
+
+
+def _assert_matches_reference(dataset, **shape):
+    packed = dataset.packed()
+    pyramid = SummaryPyramid.build(packed, dataset, **shape)
+    want, want_eps = _reference_build(
+        packed, dataset, pyramid.res, pyramid.n_tbuckets, pyramid.levels
+    )
+    for name in PYRAMID_TABLES:
+        got = getattr(pyramid, name)
+        assert (got.dtype, got.shape) == (want[name].dtype, want[name].shape), name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert pyramid.spatial_eps == want_eps
+
+
+class TestBuildOracle:
+    """Every table the build makes, and ``spatial_eps``, equals the
+    straightforward algorithm's byte for byte, in dtype and shape too."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"res": 16, "n_tbuckets": 4, "levels": (4, 16)}],
+        ids=["default", "res16"],
+    )
+    def test_study_dataset(self, study_dataset, shape):
+        _assert_matches_reference(study_dataset, **shape)
+
+    @pytest.mark.parametrize("n_traj", [1, 63, 64, 65])
+    def test_bitset_word_boundaries(self, n_traj):
+        dataset = generate_study_dataset(AntStudyConfig(n_trajectories=n_traj, seed=5))
+        _assert_matches_reference(dataset)
+
+    def test_node_ids_wider_than_16_bits(self, study_dataset):
+        # 128 * 128 * 8 = 131,072 nodes: the sort key cannot be uint16
+        _assert_matches_reference(
+            study_dataset, res=128, n_tbuckets=8, levels=(8, 32, 128)
+        )
 
 
 class TestLookups:

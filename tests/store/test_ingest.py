@@ -360,18 +360,26 @@ class TestEpochLifecycle:
         # conftest asserts the deferred block was finally unlinked
 
     def test_evict_store_refuses_while_pinned(self, base_dataset, viewport):
-        with DatasetService(base_dataset) as service:
+        """One pinning rule for every registered store: a session on an
+        epoch pins the store of that epoch, whether a rollover or
+        ``publish_store()`` published it."""
+
+        def by_rollover(service):
             buf = IngestBuffer()
-            coord = RolloverCoordinator(service, buf)
             buf.append(_traj(0))
-            r = coord.rollover()
-            pinned = service.session(viewport)  # pins the rollover epoch
-            assert service.evict_store(r.handle.uid) is False
-            assert r.handle.uid in [h.uid for h in service.stores()]
-            pinned.close()
-            gc.collect()
-            assert service.evict_store(r.handle.uid) is True
-            assert r.handle.uid not in [h.uid for h in service.stores()]
+            return RolloverCoordinator(service, buf).rollover().handle
+
+        for publish in (by_rollover, DatasetService.publish_store):
+            with DatasetService(base_dataset) as service:
+                handle = publish(service)
+                pinned = service.session(viewport)  # pins the store's epoch
+                assert service.evict_store(handle.uid) is False, publish
+                assert handle.uid in [h.uid for h in service.stores()]
+                attach(handle).close()  # still there
+                pinned.close()
+                gc.collect()
+                assert service.evict_store(handle.uid) is True
+                assert handle.uid not in [h.uid for h in service.stores()]
 
     def test_epoch_must_advance(self, base_dataset):
         with DatasetService(base_dataset) as service:

@@ -212,17 +212,22 @@ class TestCloseWithLiveSessions:
     epoch."""
 
     @staticmethod
-    def _pinned_session(service, viewport, arena):
-        """Roll one trajectory in and open a brushed session on the new
-        epoch; return ``(session, handle, ref_mask)``.
-
-        A rollover publishes a store that backs its epoch's snapshot, so
-        a session pinning that epoch pins the block too.
-        """
-        stroke, window = _session_ops(5, arena)
+    def _by_rollover(service):
         buffer = IngestBuffer()
         buffer.append(_extra_traj())
-        handle = RolloverCoordinator(service, buffer).rollover().handle
+        return RolloverCoordinator(service, buffer).rollover().handle
+
+    @classmethod
+    def _pinned_session(cls, service, viewport, arena, publish=None):
+        """Publish a store (by default by rolling one trajectory in)
+        and open a brushed session on its epoch; return ``(session,
+        handle, ref_mask)``.
+
+        A store belongs to the snapshot of the epoch it was published
+        from, so a session pinning that epoch pins the block too.
+        """
+        stroke, window = _session_ops(5, arena)
+        handle = (publish or cls._by_rollover)(service)
         session = service.session(viewport)
         session.brush(stroke)
         session.set_time_window(window)
@@ -265,12 +270,15 @@ class TestCloseWithLiveSessions:
     def test_origin_close_defers_unlink_until_sessions_detach(
         self, mutable_dataset, viewport, arena
     ):
-        service = DatasetService(mutable_dataset)
-        session, handle, ref = self._pinned_session(service, viewport, arena)
+        for publish in (self._by_rollover, DatasetService.publish_store):
+            service = DatasetService(mutable_dataset)
+            session, handle, ref = self._pinned_session(
+                service, viewport, arena, publish
+            )
 
-        service.close()
-        np.testing.assert_array_equal(session.run_query("red").traj_mask, ref)
-        attach(handle).close()  # the pinned epoch's block is still there
-        session.close()  # the last detach unlinks it
-        with pytest.raises(StaleHandleError):
-            attach(handle)
+            service.close()
+            np.testing.assert_array_equal(session.run_query("red").traj_mask, ref)
+            attach(handle).close()  # the pinned epoch's block is still there
+            session.close()  # the last detach unlinks it
+            with pytest.raises(StaleHandleError):
+                attach(handle)

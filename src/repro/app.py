@@ -48,6 +48,14 @@ from repro.trajectory.dataset import TrajectoryDataset
 
 __all__ = ["TrajectoryExplorer"]
 
+#: The eyes each ``render_frame`` mode composes, in composition order.
+_MODE_EYES: dict[str, tuple[Eye, ...]] = {
+    "left": (Eye.LEFT,),
+    "right": (Eye.RIGHT,),
+    "pair": (Eye.LEFT, Eye.RIGHT),
+    "anaglyph": (Eye.LEFT, Eye.RIGHT),
+}
+
 
 class TrajectoryExplorer:
     """The full application.
@@ -257,38 +265,28 @@ class TrajectoryExplorer:
         renderer.projection = self.controls.projection()
         return renderer
 
-    def render_frame(
-        self,
-        *,
-        eyes: tuple[Eye, ...] = (Eye.LEFT, Eye.RIGHT),
-        scale: float = 0.25,
-        mode: str = "left",
-    ) -> np.ndarray:
+    def render_frame(self, *, scale: float = 0.25, mode: str = "left") -> np.ndarray:
         """Render and compose a whole-wall frame.
 
         ``mode``: ``left`` / ``right`` (one eye), ``pair`` (side by
-        side), or ``anaglyph``.
+        side), or ``anaglyph``.  Only the eyes the mode composes are
+        rendered.
         """
+        eyes = _MODE_EYES.get(mode)
+        if eyes is None:
+            raise ValueError(f"unknown mode {mode!r}")
         frames = self.renderer().render_viewport(
             self.session.assignment,
             eyes=eyes,
             canvas=self.session.canvas,
             results=self._last_results or None,
         )
-        wall = self.viewport.wall
-
-        def composed(eye: Eye) -> np.ndarray:
-            return compose_wall(wall, frames[eye], scale=scale)
-
-        if mode == "left":
-            return composed(Eye.LEFT)
-        if mode == "right":
-            return composed(Eye.RIGHT)
+        composed = [compose_wall(self.viewport.wall, frames[eye], scale=scale) for eye in eyes]
         if mode == "pair":
-            return stereo_pair_side_by_side(composed(Eye.LEFT), composed(Eye.RIGHT))
+            return stereo_pair_side_by_side(*composed)
         if mode == "anaglyph":
-            return anaglyph(composed(Eye.LEFT), composed(Eye.RIGHT))
-        raise ValueError(f"unknown mode {mode!r}")
+            return anaglyph(*composed)
+        return composed[0]
 
     def save_frame(self, path: str | Path, **kwargs) -> None:
         """Render and write a PPM frame."""

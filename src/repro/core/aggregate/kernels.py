@@ -268,7 +268,6 @@ def refine_temporal_rows(
     resolve bit-identically to the brute-force temporal stage (without
     that stage's per-trajectory Python iteration).
     """
-    rows = np.asarray(rows, dtype=np.int64)
     if window.is_everything:
         return np.ones(len(rows), dtype=bool)
     if window.fractional:

@@ -21,13 +21,18 @@ or a failed pyramid build) plans brute force:
    over the packed arrays, fractional windows resolved per owner);
 2. ``brush_hit`` — exact capsule hit-testing of every segment against
    the stamps;
-3. ``combine`` — spatial ∧ temporal segment mask.
+3. ``combine`` — the rows set in both the spatial and the temporal
+   mask.
 
-Both routes end in ``aggregate`` — per-trajectory any-highlight flags
-and highlighted time via ``np.bitwise_or.reduceat`` /
-``np.add.reduceat`` over the packed ownership ranges — and, with a
-layout, ``group_support``.  They are bit-identical; brute force is the
-oracle the aggregate route is pinned to.
+The selection stages (``agg_brush``, ``drilldown``, ``combine``)
+carry the sorted ``int32`` rows they select, not full-length masks, so
+a slider tick's ``drilldown`` and ``aggregate`` cost what the brush
+hits.  Both routes end in ``aggregate`` — per-trajectory any-highlight
+flags and highlighted time, reduced over the final rows by one helper
+— and, with a layout, ``group_support``; the engine turns the rows
+into the result's full-length ``segment_mask`` once per query.  The
+routes are bit-identical; brute force is the oracle the aggregate
+route is pinned to.
 
 A slider-only change re-executes just the temporal stages and what
 depends on them; a color-only change reuses the temporal stage
@@ -188,6 +193,9 @@ class CoordinatedBrushingEngine:
             deadline=deadline,
         )
         traj_mask, traj_time = outputs["aggregate"]
+        # the selection stages carry sorted rows; readers get a mask
+        segment_mask = np.zeros(self.executor.packed.n_segments, dtype=bool)
+        segment_mask[outputs[plan.mask_stage]] = True
 
         n_traj = len(self.dataset)
         if assignment is None:
@@ -202,7 +210,7 @@ class CoordinatedBrushingEngine:
         trace.execute_s = time.perf_counter() - t_exec
         result = QueryResult(
             color=color,
-            segment_mask=outputs[plan.mask_stage],
+            segment_mask=segment_mask,
             traj_mask=traj_mask,
             traj_highlight_time=traj_time,
             displayed=displayed,
@@ -212,10 +220,7 @@ class CoordinatedBrushingEngine:
             degradation=degradation if degradation.degraded else None,
             trace=trace,
         )
-        obs.counter_add("query.count", 1, strategy=plan.strategy)
-        obs.observe("query.seconds", trace.total_s, strategy=plan.strategy)
-        if degradation.degraded:
-            obs.counter_add("query.degraded", 1, strategy=plan.strategy)
+        obs.count_query(plan.strategy, trace.total_s, degradation.degraded)
         return result
 
     def query_all_colors(

@@ -26,7 +26,8 @@ set at query entry).  The budget is checked **only between stages** —
 never inside a stage kernel, so every stage output is either complete
 or absent (reprolint rule RL008 pins this).  Once the budget is
 exhausted the executor stops computing: every remaining stage is
-*synthesized* as an empty partial (all-false masks, zero aggregates),
+*synthesized* as an empty partial (all-false masks, no selected rows,
+zero aggregates),
 recorded as degraded via :class:`DeadlineExceeded` →
 ``DegradationReport``, and tainted so nothing partial can ever enter
 the stage cache.  Stages that finished before expiry remain cached —
@@ -176,26 +177,30 @@ class QueryExecutor:
         self.cache = cache
         self.pyramid = pyramid
         self.build_error = build_error
-        # per-trajectory segment-range bounds for reduceat aggregation
-        self._starts = packed.offsets[:-1]
-        self._has_segments = packed.offsets[1:] > packed.offsets[:-1]
 
-    # Aggregation kernels ------------------------------------------------
-    def _per_traj_any(self, segment_mask: np.ndarray) -> np.ndarray:
-        """(T,) any-highlight flag via logical reduceat over owner ranges."""
-        out = np.zeros(len(self.dataset), dtype=bool)
-        if segment_mask.any():
-            red = np.bitwise_or.reduceat(segment_mask, self._starts)
-            # reduceat on an empty range returns the element at the start
-            # index of the *next* range; mask those out
-            out = red & self._has_segments
-        return out
+    # Aggregation kernel -------------------------------------------------
+    def _per_traj_reduce(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T,) any-highlight flags and highlighted seconds of the
+        selected segment rows.
 
-    def _per_traj_time(self, segment_mask: np.ndarray) -> np.ndarray:
-        """(T,) highlighted seconds via add.reduceat of segment dts."""
-        dt = (self.packed.t1 - self.packed.t0) * segment_mask
-        red = np.add.reduceat(dt, self._starts)
-        return np.where(self._has_segments, red, 0.0)
+        ``rows`` is sorted and the packed segments are grouped by owner,
+        so each highlighted trajectory's rows form one run: the flags
+        are the runs' owners, and ``add.reduceat`` sums each run's
+        segment durations (pairwise, over the selected rows only).
+        Every route reduces through here, so their seconds agree bit
+        for bit.
+        """
+        n_traj = len(self.dataset)
+        traj_mask = np.zeros(n_traj, dtype=bool)
+        traj_time = np.zeros(n_traj, dtype=np.float64)
+        if len(rows):
+            owner = self.packed.owner[rows]
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))
+            hit = owner[starts]
+            traj_mask[hit] = True
+            dt = self.packed.t1[rows] - self.packed.t0[rows]
+            traj_time[hit] = np.add.reduceat(dt, starts)
+        return traj_mask, traj_time
 
     # Execution ----------------------------------------------------------
     def run(
@@ -293,10 +298,10 @@ class QueryExecutor:
         if name in ("agg_brush", "drilldown"):
             return self.packed.n_segments
         if name == "aggregate":
-            mask = outputs.get("drilldown")
-            if mask is None:
-                mask = outputs.get("combine")
-            return int(mask.sum()) if mask is not None else 0
+            rows = outputs.get("drilldown")
+            if rows is None:
+                rows = outputs.get("combine")
+            return len(rows) if rows is not None else 0
         if name == "group_support":
             agg = outputs.get("aggregate")
             return int(agg[0].sum()) if agg is not None else 0
@@ -328,24 +333,26 @@ class QueryExecutor:
             return classify_spatial(pyramid, centers, radii), False, ""
 
         if name == "agg_brush":
-            # exact full-length brush mask from the tri-state cells:
-            # IN cells are hit wholesale, OUT cells stay False, and only
-            # the inconclusive cells' rows reach the capsule kernel.
-            # Window-independent, so slider sweeps reuse it from cache.
+            # the brush's exact hit rows, sorted: every row of an IN
+            # cell, none of an OUT cell, and of the inconclusive cells
+            # the rows the capsule kernel hits.  Window-independent, so
+            # slider sweeps reuse it from cache.
             assert pyramid is not None
             scls = outputs["agg_spatial"]
-            mask = np.zeros(self.packed.n_segments, dtype=bool)
-            mask[pyramid.rows_in_cells(np.flatnonzero(scls == AGG_IN))] = True
             centers, radii = canvas.stamps_of(color)
             maybe_rows, hits = brush_hit_cells(
                 pyramid, centers, radii, self.packed,
                 np.flatnonzero(scls == AGG_MAYBE),
             )
-            mask[maybe_rows] = hits
+            rows = np.concatenate((
+                pyramid.rows_in_cells(np.flatnonzero(scls == AGG_IN)),
+                maybe_rows[hits],
+            )).astype(np.int32)
+            rows.sort()
             obs.counter_add(
                 "service.aggregate.drilldown_segments", len(maybe_rows)
             )
-            return mask, False, f"refined {len(maybe_rows)} segments"
+            return rows, False, f"refined {len(maybe_rows)} segments"
 
         if name == "classify":
             assert pyramid is not None
@@ -366,18 +373,19 @@ class QueryExecutor:
             return ncls, False, ""
 
         if name == "drilldown":
-            # combine brush × temporal: the brush mask is already exact;
-            # rows in temporally-inconclusive nodes get the exact window
-            # predicate, everything else resolves from the tri-state.
+            # the window over the brush's hit rows: rows of temporally
+            # OUT nodes drop, rows of IN nodes stay, and only the rows
+            # of inconclusive nodes get the exact window predicate.
             assert pyramid is not None
-            tcls_rows = outputs["agg_temporal"][pyramid.node_of]
-            mask = outputs["agg_brush"] & (tcls_rows != AGG_OUT)
-            need = np.flatnonzero(mask & (tcls_rows == AGG_MAYBE))
+            rows = outputs["agg_brush"]
+            tcls = outputs["agg_temporal"][pyramid.node_of[rows]]
+            keep = tcls != AGG_OUT
+            need = np.flatnonzero(tcls == AGG_MAYBE)
             if len(need):
-                mask[need] = refine_temporal_rows(
-                    pyramid, self.packed, window, need
+                keep[need] = refine_temporal_rows(
+                    pyramid, self.packed, window, rows[need]
                 )
-            return mask, False, f"refined {len(need)} segments"
+            return rows[keep], False, f"refined {len(need)} segments"
 
         if name == "brush_hit":
             if plan.strategy == "empty-brush":
@@ -396,14 +404,11 @@ class QueryExecutor:
             return mask, False, plan.strategy
 
         if name == "combine":
-            return outputs["brush_hit"] & outputs["temporal_mask"], False, ""
+            rows = np.flatnonzero(outputs["brush_hit"] & outputs["temporal_mask"])
+            return rows.astype(np.int32), False, ""
 
         if name == "aggregate":
-            segment_mask = outputs[plan.mask_stage]
-            return (
-                self._per_traj_any(segment_mask),
-                self._per_traj_time(segment_mask),
-            ), False, ""
+            return self._per_traj_reduce(outputs[plan.mask_stage]), False, ""
 
         if name == "group_support":
             traj_mask = outputs["aggregate"][0]
@@ -426,15 +431,17 @@ class QueryExecutor:
         """Synthesize the conservative empty output for one skipped stage.
 
         Used once the query's deadline expired: nothing is highlighted
-        (all-false masks, zero aggregates, zero group support, all-OUT
-        classifications), so a partial result under-reports rather than
-        inventing hits.  The synthesized values are always tainted —
-        they must never reach the stage cache.
+        (all-false masks, no selected rows, zero aggregates, zero group
+        support, all-OUT classifications), so a partial result
+        under-reports rather than inventing hits.  The synthesized
+        values are always tainted — they must never reach the stage
+        cache.
         """
         pyramid = self.pyramid
-        if name in ("temporal_mask", "brush_hit", "combine",
-                    "agg_brush", "drilldown"):
+        if name in ("temporal_mask", "brush_hit"):
             return np.zeros(self.packed.n_segments, dtype=bool)
+        if name in ("combine", "agg_brush", "drilldown"):
+            return np.empty(0, dtype=np.int32)
         if name in ("agg_temporal", "classify"):
             n = pyramid.n_nodes if pyramid is not None else 0
             return np.zeros(n, dtype=np.int8)

@@ -10,16 +10,17 @@ it plans the aggregate-first route
                                   → aggregate → group_support
 
 where the ``agg_*`` stages tri-state supernodes (all-in / all-out /
-inconclusive) from summary statistics and ``drilldown`` assembles the
-final segment mask, running the exact per-segment kernels only over
-inconclusive cells.  Without a pyramid it plans the brute-force route
+inconclusive) from summary statistics, ``agg_brush`` selects the
+brush's hit rows and ``drilldown`` the final rows, running the exact
+per-segment kernels only over inconclusive cells.  Without a pyramid
+it plans the brute-force route
 
     temporal_mask → brush_hit → combine → aggregate → group_support
 
 which scans every segment: the oracle every other route is pinned to,
 and the degradation rung a failed pyramid build lands on.  An empty
 brush short-circuits to the trivial ``empty-brush`` plan over the same
-stages.  Both routes produce bit-identical masks, so the executor
+stages.  Both routes select bit-identical sorted rows, so the executor
 stays a mechanical "run stages through the cache" loop.
 
 Cache-key construction is the heart of the incremental behaviour.
@@ -112,7 +113,7 @@ class QueryPlan:
 
     @property
     def mask_stage(self) -> str:
-        """Name of the stage producing the final segment mask.
+        """Name of the stage producing the final segment rows.
 
         ``drilldown`` on the aggregate route, ``combine`` otherwise —
         downstream consumers (the ``aggregate`` reduction, the engine's

@@ -50,6 +50,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     Snapshot,
+    TimedFamily,
     labels_key,
 )
 from repro.obs.spans import NULL_SPAN, NullSpan, Span, StageSpan
@@ -67,7 +68,7 @@ __all__ = [
     "Span", "NullSpan", "NULL_SPAN", "StageSpan",
     # facade
     "get_registry", "set_registry", "enable", "disable", "enabled",
-    "counter_add", "gauge_set", "observe", "emit_event", "span",
+    "counter_add", "gauge_set", "observe", "count_query", "emit_event", "span",
     "stage_span", "telemetry_snapshot",
 ]
 
@@ -150,6 +151,22 @@ def observe(name: str, value: float, **labels: object) -> None:
         return
     try:
         registry.observe(name, value, labels or None)
+    except Exception:
+        pass
+
+
+#: Each query's latency, count and degradations, by strategy.
+QUERY_METRICS = TimedFamily("query.seconds", "strategy", ("query.count", "query.degraded"))
+
+
+def count_query(strategy: str, seconds: float, degraded: bool) -> None:
+    """The engine's per-query emit: ``query.count``, ``query.seconds``
+    and, when degraded, ``query.degraded``, each labelled by strategy."""
+    registry = _active
+    if not registry.enabled:
+        return
+    try:
+        registry.observe_timed(QUERY_METRICS, strategy, seconds, 0, degraded)
     except Exception:
         pass
 

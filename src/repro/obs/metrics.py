@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -37,6 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "TimedFamily",
     "labels_key",
 ]
 
@@ -87,14 +88,41 @@ class _HistCell:
         self.count += 1
 
 
+class TimedFamily(NamedTuple):
+    """A latency histogram with one label key, and the event counters
+    that go with it, emitted together by
+    :meth:`MetricsRegistry.observe_timed`.  A degraded event also bumps
+    the last counter."""
+
+    seconds: str
+    label: str
+    counters: tuple[str, ...]
+
+
+class _TimedCell:
+    """One (family, label value)'s instruments inside one thread's
+    shard: the latency histogram cell (also in the shard's ``hists``),
+    the bucket a 0.0 observation lands in, and the event counts that
+    :meth:`MetricsRegistry.snapshot` folds into the family's counters."""
+
+    __slots__ = ("family", "hist", "zero_bucket", "counts")
+
+    def __init__(self, family: TimedFamily, hist: _HistCell) -> None:
+        self.family = family
+        self.hist = hist
+        self.zero_bucket = bisect_left(hist.bounds, 0.0)
+        self.counts = [0] * len(family.counters)
+
+
 class _Shard:
     """One thread's private instrument cells (never shared)."""
 
-    __slots__ = ("counters", "hists")
+    __slots__ = ("counters", "hists", "timed")
 
     def __init__(self) -> None:
         self.counters: dict[MetricKey, float] = {}
         self.hists: dict[MetricKey, _HistCell] = {}
+        self.timed: dict[tuple[str, str], _TimedCell] = {}
 
 
 @dataclass(frozen=True)
@@ -322,6 +350,44 @@ class MetricsRegistry:
             cell = hists[key] = _HistCell(bounds)
         cell.observe(float(value))
 
+    def observe_timed(
+        self,
+        family: TimedFamily,
+        label: str,
+        seconds: float,
+        counter: int,
+        degraded: bool,
+    ) -> None:
+        """One timed event: ``seconds`` into the family's histogram,
+        ``+1`` on its counter number ``counter`` and, when degraded,
+        ``+1`` on its last counter, all labelled ``family.label=label``.
+
+        The query path emits one per stage and one per query, so the
+        cells are resolved once per thread and label, and the counts
+        reach the counters only at snapshot time.  A cache hit records
+        exactly 0.0 seconds, which needs no bisect and no sum update.
+        """
+        shard = getattr(self._local, "shard", None) or self._shard()
+        cell = shard.timed.get((family.seconds, label))
+        if cell is None:
+            key = (family.seconds, ((family.label, label),))
+            hist = shard.hists.get(key)
+            if hist is None:
+                bounds = self._hist_bounds.get(family.seconds, DEFAULT_BOUNDS)
+                hist = shard.hists[key] = _HistCell(bounds)
+            cell = shard.timed[(family.seconds, label)] = _TimedCell(family, hist)
+        hist = cell.hist
+        if seconds == 0.0:
+            hist.counts[cell.zero_bucket] += 1
+        else:
+            hist.counts[bisect_left(hist.bounds, seconds)] += 1
+            hist.total += seconds
+        hist.count += 1
+        counts = cell.counts
+        counts[counter] += 1
+        if degraded:
+            counts[-1] += 1
+
     def emit_event(self, event: Mapping[str, Any]) -> None:
         """Forward one discrete event to the configured sink, if any."""
         sink = self.event_sink
@@ -346,6 +412,12 @@ class MetricsRegistry:
             # this merge must not see a resizing dict
             for key, value in dict(shard.counters).items():
                 counters[key] = counters.get(key, 0.0) + value
+            for (_, label), timed in dict(shard.timed).items():
+                family = timed.family
+                for name, n in zip(family.counters, list(timed.counts)):
+                    if n:
+                        key = (name, ((family.label, label),))
+                        counters[key] = counters.get(key, 0.0) + float(n)
             for key, cell in dict(shard.hists).items():
                 snap = HistogramSnapshot(
                     bounds=cell.bounds,
@@ -367,6 +439,7 @@ class MetricsRegistry:
             for shard in self._shards:
                 shard.counters.clear()
                 shard.hists.clear()
+                shard.timed.clear()
             self._gauges.clear()
 
     def __repr__(self) -> str:
@@ -408,6 +481,16 @@ class NullRegistry:
         name: str,
         value: float,
         labels: "Mapping[str, object] | LabelTuple | None" = None,
+    ) -> None:
+        """No-op."""
+
+    def observe_timed(
+        self,
+        family: TimedFamily,
+        label: str,
+        seconds: float,
+        counter: int,
+        degraded: bool,
     ) -> None:
         """No-op."""
 

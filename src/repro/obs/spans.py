@@ -24,10 +24,19 @@ import time
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.obs.metrics import TimedFamily
+
 if TYPE_CHECKING:
     from repro.core.plan.trace import QueryTrace
 
-__all__ = ["Span", "NullSpan", "NULL_SPAN", "StageSpan"]
+__all__ = ["Span", "NullSpan", "NULL_SPAN", "StageSpan", "STAGE_METRICS"]
+
+#: Each stage's latency, and its cache hits, cache misses and taints.
+STAGE_METRICS = TimedFamily(
+    "query.stage.seconds",
+    "stage",
+    ("query.stage.cache_hits", "query.stage.cache_misses", "query.stage.taints"),
+)
 
 
 class NullSpan:
@@ -180,16 +189,10 @@ class StageSpan:
         registry = self.registry
         if registry.enabled:
             try:
-                # pre-canonical label tuple: skips dict build + sort on
-                # every stage of every query (see labels_key)
-                labels = (("stage", self.stage),)
-                registry.observe("query.stage.seconds", self.elapsed_s, labels)
-                if self.cache_hit:
-                    registry.counter_add("query.stage.cache_hits", 1.0, labels)
-                else:
-                    registry.counter_add("query.stage.cache_misses", 1.0, labels)
-                if self.degraded:
-                    registry.counter_add("query.stage.taints", 1.0, labels)
+                registry.observe_timed(
+                    STAGE_METRICS, self.stage, self.elapsed_s,
+                    0 if self.cache_hit else 1, self.degraded,
+                )
             except Exception:
                 pass  # guarded emit: never raise into the query path
         return None

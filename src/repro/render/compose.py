@@ -29,7 +29,7 @@ def compose_wall(
     """Compose per-tile buffers into one (H, W, 3) float image.
 
     ``tile_buffers`` maps (col, row) to that panel's framebuffer;
-    missing tiles render as black.  ``scale`` < 1 downsamples the
+    missing tiles show the bezel color.  ``scale`` < 1 downsamples the
     output by integer striding (for quick previews of ~19 Mpixel
     frames).  Mullions are drawn at their true pixel-equivalent width.
     """
@@ -45,7 +45,10 @@ def compose_wall(
     out_w = (full_w + stride - 1) // stride
     out_h = (full_h + stride - 1) // stride
     out = np.empty((out_h, out_w, 3), dtype=np.float32)
-    out[...] = np.asarray(BEZEL_COLOR, dtype=np.float32)
+    # fill one row with the bezel color and copy it down: broadcasting
+    # the 3-float color over every pixel costs several times more
+    out[0] = BEZEL_COLOR
+    out[1:] = out[0]
 
     for (col, row), fb in tile_buffers.items():
         if not (0 <= col < wall.cols and 0 <= row < wall.rows):

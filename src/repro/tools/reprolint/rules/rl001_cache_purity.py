@@ -70,7 +70,7 @@ class CachePurityChecker(Checker):
         # Functions treated as stage bodies: the executor's dispatch and
         # aggregation kernels, plus anything named like a stage impl.
         "stage_functions": (
-            "_execute_stage", "_per_traj_any", "_per_traj_time", "_freeze",
+            "_execute_stage", "_per_traj_reduce", "_freeze",
         ),
         "stage_prefixes": ("stage_",),
     }

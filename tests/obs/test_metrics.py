@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     Snapshot,
+    TimedFamily,
     labels_key,
 )
 
@@ -130,6 +132,64 @@ def test_reset_clears_all_instruments():
     # the shard survives a reset and keeps working
     reg.counter_add("c")
     assert reg.snapshot().counter("c") == 1.0
+
+
+# Timed families ----------------------------------------------------------
+
+TIMED = TimedFamily("lat", "stage", ("hits", "misses", "taints"))
+TIMED_EVENTS = [  # (label, seconds, counter, degraded)
+    ("a", 0.0, 0, False),
+    ("a", 0.003, 1, True),
+    ("b", 2e-5, 1, False),
+    ("a", 0.0, 0, False),
+    ("b", 30.0, 1, True),
+]
+
+
+def test_observe_timed_snapshots_like_separate_emits():
+    """One timed emit lands exactly what an observe plus its counter
+    adds would, under the same names and labels."""
+    timed, plain = MetricsRegistry(), MetricsRegistry()
+    for label, seconds, counter, degraded in TIMED_EVENTS:
+        timed.observe_timed(TIMED, label, seconds, counter, degraded)
+        labels = {"stage": label}
+        plain.observe("lat", seconds, labels)
+        plain.counter_add(TIMED.counters[counter], 1.0, labels)
+        if degraded:
+            plain.counter_add(TIMED.counters[-1], 1.0, labels)
+    assert timed.snapshot() == plain.snapshot()
+    assert ("hits", (("stage", "b"),)) not in timed.snapshot().counters
+
+
+def test_observe_timed_after_reset_and_across_threads():
+    """Emits from more threads than cores, with snapshots folding the
+    counts while they run, lose nothing."""
+    reg = MetricsRegistry()
+    reg.observe_timed(TIMED, "a", 0.5, 1, False)
+    reg.reset()
+    assert reg.snapshot() == Snapshot()
+    n_threads, per_thread = 8, 300
+
+    def work():
+        for _ in range(per_thread):
+            reg.observe_timed(TIMED, "a", 0.0, 0, False)
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            reg.snapshot()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    snap = reg.snapshot()
+    assert snap.counter("hits", stage="a") == n_threads * per_thread
+    assert snap.histogram("lat", stage="a").counts[0] == n_threads * per_thread
 
 
 # Snapshot rendering helpers ----------------------------------------------

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.display.wall import DisplayWall
-from repro.render.compose import anaglyph, compose_wall, stereo_pair_side_by_side
+from repro.render.compose import (
+    BEZEL_COLOR,
+    anaglyph,
+    compose_wall,
+    stereo_pair_side_by_side,
+)
 from repro.render.framebuffer import Framebuffer
 
 
@@ -14,6 +19,30 @@ def small_wall():
         cols=2, rows=2, panel_width=0.2, panel_height=0.1125,
         panel_px_width=64, panel_px_height=36,
     )
+
+
+def _compose_by_broadcast(wall, tile_buffers, scale):
+    """The whole-image broadcast fill ``compose_wall`` replaced, kept as
+    its oracle."""
+    stride = max(1, int(round(1.0 / scale)))
+    mx = int(round(wall.bezel.horizontal_mullion * wall.panel_px_width / wall.panel_width))
+    my = int(round(wall.bezel.vertical_mullion * wall.panel_px_height / wall.panel_height))
+    full_w = wall.cols * wall.panel_px_width + (wall.cols - 1) * mx
+    full_h = wall.rows * wall.panel_px_height + (wall.rows - 1) * my
+    out_w = (full_w + stride - 1) // stride
+    out_h = (full_h + stride - 1) // stride
+    out = np.empty((out_h, out_w, 3), dtype=np.float32)
+    out[...] = np.asarray(BEZEL_COLOR, dtype=np.float32)
+    for (col, row), fb in tile_buffers.items():
+        x0 = col * (wall.panel_px_width + mx)
+        y0 = row * (wall.panel_px_height + my)
+        sub = fb.data[::stride, ::stride]
+        ox0 = (x0 + stride - 1) // stride
+        oy0 = (y0 + stride - 1) // stride
+        oh = min(sub.shape[0], out_h - oy0)
+        ow = min(sub.shape[1], out_w - ox0)
+        out[oy0 : oy0 + oh, ox0 : ox0 + ow] = sub[:oh, :ow]
+    return out
 
 
 def _buffers(wall, color=(1.0, 0.0, 0.0)):
@@ -58,6 +87,30 @@ class TestComposeWall:
     def test_scale_validation(self, small_wall):
         with pytest.raises(ValueError):
             compose_wall(small_wall, {}, scale=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 2, 1 / 3, 0.3, 1 / 4, 0.1])
+    @pytest.mark.parametrize("tiles", ["every", "one-missing", "none"])
+    def test_bytes_match_whole_image_broadcast(self, scale, tiles):
+        """The row fill is byte-identical to broadcasting the bezel color
+        over every pixel, at every stride and with absent tiles."""
+        wall = DisplayWall(
+            cols=3, rows=2, panel_width=0.2, panel_height=0.1125,
+            panel_px_width=41, panel_px_height=23,
+        )
+        rng = np.random.default_rng(3)
+        buffers = {}
+        for key in _buffers(wall):
+            fb = Framebuffer(wall.panel_px_width, wall.panel_px_height)
+            fb.data[...] = rng.uniform(size=fb.data.shape)
+            buffers[key] = fb
+        if tiles == "one-missing":
+            del buffers[(1, 1)]
+        elif tiles == "none":
+            buffers = {}
+        got = compose_wall(wall, buffers, scale=scale)
+        want = _compose_by_broadcast(wall, buffers, scale)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStereoPair:

@@ -10,6 +10,9 @@ from repro.display.bezel import BezelSpec
 from repro.display.viewport import Viewport
 from repro.display.wall import DisplayWall
 from repro.interaction.events import KeyEvent, PointerEvent, PointerPhase
+from repro.render.compose import compose_wall
+from repro.render.pipeline import WallRenderer
+from repro.stereo.camera import Eye
 
 
 @pytest.fixture()
@@ -108,6 +111,34 @@ class TestRendering:
     def test_unknown_mode(self, app):
         with pytest.raises(ValueError):
             app.render_frame(mode="hologram")
+
+    @pytest.mark.parametrize("mode, eye", [("left", Eye.LEFT), ("right", Eye.RIGHT)])
+    def test_one_eye_mode_renders_only_that_eye(
+        self, app, arena, small_viewport, monkeypatch, mode, eye
+    ):
+        """A one-eye frame renders only that eye's jobs and is, byte for
+        byte, that eye's half of a stereo render."""
+        r = arena.radius
+        app.brush(stroke_from_rect((-r, -0.6 * r), (-0.7 * r, 0.6 * r), 0.12 * r, "red"))
+        results = {"red": app.query("red")}
+        rendered_eyes = []
+        render_jobs = WallRenderer.render_jobs
+
+        def spy(self, jobs, **kwargs):
+            rendered_eyes.extend(job.eye for job in jobs)
+            return render_jobs(self, jobs, **kwargs)
+
+        monkeypatch.setattr(WallRenderer, "render_jobs", spy)
+        frame = app.render_frame(mode=mode, scale=0.5)
+        assert rendered_eyes and set(rendered_eyes) == {eye}
+        stereo = WallRenderer(app.dataset, app.arena, small_viewport)
+        stereo.projection = app.controls.projection()
+        frames = stereo.render_viewport(
+            app.session.assignment, eyes=(Eye.LEFT, Eye.RIGHT),
+            canvas=app.session.canvas, results=results,
+        )
+        want = compose_wall(small_viewport.wall, frames[eye], scale=0.5)
+        assert frame.tobytes() == want.tobytes()
 
     def test_save_frame(self, app, tmp_path):
         from repro.render.image_io import read_ppm

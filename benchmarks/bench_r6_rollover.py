@@ -4,14 +4,16 @@ injected coordinator crashes).
 The crash-safety claim of the streaming-ingest layer (DESIGN.md §11)
 is that epoch rollover is *invisible* to interactive querying: eight
 concurrent sessions keep answering within their deadline budget while
-the coordinator republishes the shared arena underneath them at 0, 1,
-and 4 Hz — and keeps doing so when a seeded :class:`FaultPlan` kills a
-fraction of rollovers mid-flight.
+the coordinator rolls the dataset over to new epochs underneath them at
+0, 1, and 4 Hz — and keeps doing so when a seeded :class:`FaultPlan`
+kills a fraction of rollovers mid-flight.
 
 Headline acceptance: at 1 Hz rollover the 8-session query p95 stays
 within 2x the no-rollover baseline (plus a 50 ms absolute floor so a
 sub-millisecond baseline cannot fail on scheduler noise), and no query
-blows its deadline.
+blows its deadline.  Each scenario also records what a rollover costs:
+the median ``stage_seconds`` and ``swap_seconds`` of its successful
+rollovers (``None`` when it had none).
 
 Outputs ``out/R6.txt`` (human table) and ``out/BENCH_R6.json``
 (machine-readable, CI artifact), with a ``host`` block (usable CPUs,
@@ -89,6 +91,8 @@ def _run_scenario(rate_hz: float, monkey, viewport) -> dict:
     stop = threading.Event()
     stats_lock = threading.Lock()
     latencies: list[float] = []
+    stage_s: list[float] = []
+    swap_s: list[float] = []
     counts = {"queries": 0, "deadline_exceeded": 0, "stale": 0,
               "rollovers": 0, "crashes": 0, "rebinds": 0}
 
@@ -140,12 +144,17 @@ def _run_scenario(rate_hz: float, monkey, viewport) -> dict:
             buffer.extend(stream[fed:fed + take])
             fed += take
             try:
-                if coordinator.rollover() is not None:
-                    with stats_lock:
-                        counts["rollovers"] += 1
+                result = coordinator.rollover()
             except (ChaosInterrupt, InjectedFault):
                 with stats_lock:
                     counts["crashes"] += 1
+                continue
+            if result is not None:
+                with stats_lock:
+                    counts["rollovers"] += 1
+                    if not result.recovered:
+                        stage_s.append(result.stage_seconds)
+                        swap_s.append(result.swap_seconds)
 
     threads = [
         threading.Thread(target=querier, args=(i,), name=f"r6-session-{i}")
@@ -166,6 +175,8 @@ def _run_scenario(rate_hz: float, monkey, viewport) -> dict:
         "rate_hz": rate_hz,
         "p50_ms": statistics.median(latencies) * 1e3,
         "p95_ms": statistics.quantiles(latencies, n=20)[-1] * 1e3,
+        "stage_s_median": statistics.median(stage_s) if stage_s else None,
+        "swap_s_median": statistics.median(swap_s) if swap_s else None,
         "n_final": n_final,
         **counts,
     }
@@ -192,6 +203,13 @@ def test_r6_query_latency_under_rollover(viewport, host, report_sink):
             f"{r['rebinds']} rebinds, "
             f"{r['deadline_exceeded']} over deadline)"
         )
+    for label, r in results.items():
+        if r["stage_s_median"] is not None:
+            lines.append(
+                f"rollover {label:>10}:  median stage "
+                f"{r['stage_s_median'] * 1e3:6.1f} ms   median swap "
+                f"{r['swap_s_median'] * 1e3:6.3f} ms"
+            )
 
     # acceptance: rollover moves latency a bounded amount, never
     # correctness or availability

@@ -11,8 +11,8 @@ a :class:`QueryPlanner` builds a DAG of named stages and a
 :class:`QueryExecutor` runs them through a keyed :class:`StageCache`.
 An engine holding a pyramid (the default, ``use_index=True``) plans the
 aggregate-first route: supernodes are tri-stated from summary
-statistics (``agg_temporal → agg_spatial → agg_brush → classify``) and
-only inconclusive cells drill down to the exact per-segment kernels
+statistics (``agg_temporal → agg_spatial → agg_brush``) and only
+inconclusive cells drill down to the exact per-segment kernels
 (``drilldown``), so cold cost is proportional to the brushed region
 rather than the dataset.  An engine without one (``use_index=False``,
 or a failed pyramid build) plans brute force:
@@ -84,9 +84,10 @@ class CoordinatedBrushingEngine:
         An existing :class:`StageCache` to adopt instead of building a
         private one.  The rollover path (:mod:`repro.store.ingest`)
         hands each successor-epoch engine the *same* cache: keys embed
-        the dataset epoch and store token, so old-epoch entries are
-        unreachable by new-epoch queries (and age out via LRU) while
-        still serving any session pinned to the old epoch.
+        the dataset epoch, which strictly increases across rollovers, so
+        old-epoch entries are unreachable by new-epoch queries (and age
+        out via LRU) while still serving any session pinned to the old
+        epoch.
 
     Thread safety: the dataset, packed view, and pyramid are immutable
     after construction and queries keep all per-call state on the

@@ -18,8 +18,8 @@ explicit plan/execute pipeline:
   so stale entries can never be served;
 * :mod:`planner` — :class:`QueryPlanner`, which plans one of three
   strategies: the aggregate-first route over the engine's summary
-  pyramid (``agg_temporal → agg_spatial → agg_brush → classify →
-  drilldown → aggregate → group_support``), brute force without one
+  pyramid (``agg_temporal → agg_spatial → agg_brush → drilldown →
+  aggregate → group_support``), brute force without one
   (``temporal_mask → brush_hit → combine → aggregate →
   group_support``), or the trivial plan of an empty brush;
 * :mod:`executor` — :class:`QueryExecutor`, which runs planned stages

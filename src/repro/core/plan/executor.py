@@ -291,7 +291,7 @@ class QueryExecutor:
         """Input cardinality feeding one stage."""
         if name in ("temporal_mask", "brush_hit", "combine"):
             return self.packed.n_segments
-        if name in ("agg_temporal", "agg_spatial", "classify"):
+        if name in ("agg_temporal", "agg_spatial"):
             # supernode/cell cardinality — read off the stage's own output
             value = outputs.get(name)
             return len(value) if value is not None else 0
@@ -353,24 +353,6 @@ class QueryExecutor:
                 "service.aggregate.drilldown_segments", len(maybe_rows)
             )
             return rows, False, f"refined {len(maybe_rows)} segments"
-
-        if name == "classify":
-            assert pyramid is not None
-            tcls = outputs["agg_temporal"]
-            scls = outputs["agg_spatial"]
-            ncls = np.minimum(np.repeat(scls, pyramid.n_tbuckets), tcls)
-            occupied = pyramid.node_counts > 0
-            for code, label in (
-                (AGG_IN, "all_in"),
-                (AGG_MAYBE, "inconclusive"),
-                (AGG_OUT, "all_out"),
-            ):
-                obs.counter_add(
-                    "service.aggregate.supernodes",
-                    int(((ncls == code) & occupied).sum()),
-                    **{"class": label},
-                )
-            return ncls, False, ""
 
         if name == "drilldown":
             # the window over the brush's hit rows: rows of temporally
@@ -442,7 +424,7 @@ class QueryExecutor:
             return np.zeros(self.packed.n_segments, dtype=bool)
         if name in ("combine", "agg_brush", "drilldown"):
             return np.empty(0, dtype=np.int32)
-        if name in ("agg_temporal", "classify"):
+        if name == "agg_temporal":
             n = pyramid.n_nodes if pyramid is not None else 0
             return np.zeros(n, dtype=np.int8)
         if name == "agg_spatial":

@@ -6,8 +6,7 @@ planner knows exactly three strategies.  When the engine holds a
 :class:`~repro.core.aggregate.SummaryPyramid` (its one spatial index)
 it plans the aggregate-first route
 
-    agg_temporal → agg_spatial → agg_brush → classify → drilldown
-                                  → aggregate → group_support
+    agg_temporal → agg_spatial → agg_brush → drilldown → aggregate → group_support
 
 where the ``agg_*`` stages tri-state supernodes (all-in / all-out /
 inconclusive) from summary statistics, ``agg_brush`` selects the
@@ -33,10 +32,10 @@ pairs (``("ds", dataset_epoch)``, ``("cv", color_epoch)``,
 * ``brush_hit`` / ``agg_spatial`` / ``agg_brush`` depend on the
   dataset and the *color's own* stroke epoch, never the window — a
   slider-only change reuses the (expensive) capsule hit-tests and
-  re-runs just the cheap temporal stages (``agg_temporal → classify →
-  drilldown → aggregate`` on the aggregate route);
-* ``combine`` / ``classify`` / ``drilldown`` / ``aggregate`` /
-  ``group_support`` depend on both.
+  re-runs just the cheap temporal stages (``agg_temporal → drilldown →
+  aggregate`` on the aggregate route);
+* ``combine`` / ``drilldown`` / ``aggregate`` / ``group_support``
+  depend on both.
 
 Aggregate-route keys additionally embed the pyramid's build token so a
 republished pyramid invalidates every classification derived from it.
@@ -57,7 +56,6 @@ STAGE_ORDER = (
     "agg_temporal",
     "agg_spatial",
     "agg_brush",
-    "classify",
     "drilldown",
     "combine",
     "aggregate",
@@ -153,12 +151,10 @@ class QueryPlanner:
         pyr = (
             pyramid_token if pyramid_token is not None else self.pyramid_token
         )
-        # store-attached datasets carry the store's identity inside the
-        # dataset tag: epochs of two datasets attached from different
-        # shared stores may coincide, the (uid, epoch) store token never
-        # does
-        ds =("ds", spec.dataset_epoch if spec.store_token is None
-              else (spec.dataset_epoch, spec.store_token))
+        # the epoch alone names the dataset: a stage cache is private to
+        # one engine or shared by one service's engines, whose dataset
+        # epochs strictly increase (DatasetService._swap_active)
+        ds = ("ds", spec.dataset_epoch)
         cv = ("cv", (spec.canvas_uid, spec.color_epoch))
         win = ("win", spec.window_key)
 
@@ -189,16 +185,9 @@ class QueryPlanner:
             )
             stages.append(
                 PlannedStage(
-                    "classify",
-                    ("classify", ds, cv, win, spec.color, pyr),
-                    deps=("agg_temporal", "agg_spatial"),
-                )
-            )
-            stages.append(
-                PlannedStage(
                     "drilldown",
                     ("drilldown", ds, cv, win, spec.color, pyr),
-                    deps=("agg_temporal", "agg_brush", "classify"),
+                    deps=("agg_temporal", "agg_brush"),
                 )
             )
             mask_deps = ("drilldown",)

@@ -70,12 +70,6 @@ class QuerySpec:
     n_stamps:
         Stamp count of ``color`` on the canvas (0 = empty brush, which
         plans to a trivial all-false hit mask).
-    store_token:
-        Identity of the shared-memory store the dataset is attached to
-        (``None`` for plain in-process datasets).  Embedded in every
-        stage key so two datasets attached from *different* stores —
-        whose private epoch counters may coincide — can never collide
-        in a shared stage cache.
     deadline_s:
         Per-query wall-clock budget in seconds (``None`` = unbounded).
         Deliberately **excluded** from cache keys: the deadline changes
@@ -98,7 +92,6 @@ class QuerySpec:
     color_epoch: int
     assignment_id: int | None
     n_stamps: int
-    store_token: tuple | None = None
     deadline_s: float | None = None
 
     @classmethod
@@ -123,6 +116,5 @@ class QuerySpec:
             color_epoch=canvas.color_epoch(color),
             assignment_id=assignment_token(assignment),
             n_stamps=len(centers),
-            store_token=getattr(dataset, "store_token", None),
             deadline_s=deadline_s,
         )

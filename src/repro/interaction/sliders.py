@@ -12,7 +12,7 @@ binds a :class:`RangeSlider` to an exploration session so every thumb
 move updates the temporal window *and* re-runs the active queries.
 Because a window move leaves the brush stages' keys unchanged, the
 engine's stage cache turns each drag step into the cheap
-``agg_temporal → classify → drilldown → aggregate`` re-execution,
+``agg_temporal → drilldown → aggregate`` re-execution,
 reusing the expensive brush hit-test outright.
 """
 

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import time
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
+from repro.core.plan.trace import QueryTrace, StageRecord
 from repro.obs.metrics import TimedFamily
-
-if TYPE_CHECKING:
-    from repro.core.plan.trace import QueryTrace
 
 __all__ = ["Span", "NullSpan", "NULL_SPAN", "StageSpan", "STAGE_METRICS"]
 
@@ -147,7 +145,7 @@ class StageSpan:
         "n_in", "n_out", "cache_hit", "degraded", "detail",
     )
 
-    def __init__(self, trace: "QueryTrace", stage: str, registry: Any) -> None:
+    def __init__(self, trace: QueryTrace, stage: str, registry: Any) -> None:
         self.trace = trace
         self.stage = stage
         self.registry = registry
@@ -172,8 +170,6 @@ class StageSpan:
         if exc_type is not None:
             # a raising stage records nothing (pre-telemetry behavior)
             return None
-        from repro.core.plan.trace import StageRecord  # lazy: avoids import cycle
-
         self.elapsed_s = 0.0 if self.cache_hit else time.perf_counter() - self.t0
         self.trace.record(
             StageRecord(

@@ -20,8 +20,9 @@ substrate the reproduction's scaling work builds on:
   ledger attached to render and query results;
 * :mod:`chaos` — :class:`ChaosHarness` / :class:`ChaosMonkey`, a
   seeded storm generator for the streaming-ingest rollover path
-  (crash-at-boundary, attach-during-swap, evict-with-live-sessions)
-  with conservation, stale-read, and shm-leak invariants.
+  (crash-at-boundary, attach-during-swap, stores outliving sessions)
+  with conservation, stale-read, store-lifetime and shm-leak
+  invariants.
 
 The degradation ladder, top to bottom: **aggregate** (pyramid-
 accelerated query) → **brute-force** (full scan, when the pyramid

@@ -12,7 +12,7 @@ boundaries** of the streaming-ingest path (:mod:`repro.store.ingest`):
 
 * :class:`ChaosHarness` — a deterministic, seeded workload generator
   that interleaves producer appends, rollovers (with the monkey
-  wired in), multi-session queries, session churn, store eviction and
+  wired in), multi-session queries, session churn, store publishes and
   foreign attaches over one service, and checks the system's
   invariants after every step:
 
@@ -22,6 +22,9 @@ boundaries** of the streaming-ingest path (:mod:`repro.store.ingest`):
   - **no stale reads** — every session's query equals a fresh
     brute-force engine evaluated over that session's pinned dataset
     (a stale-epoch cache hit or a torn swap would diverge);
+  - **a store lives exactly as long as its epoch** — every handle the
+    run was given attaches exactly while its epoch is live in the
+    service;
   - **no leaked shared memory** — at teardown every block the run
     created is closed and unlinked.
 
@@ -44,6 +47,7 @@ from repro import obs
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 
 if TYPE_CHECKING:
+    from repro.store.arena import StoreHandle
     from repro.store.ingest import IngestBuffer, RolloverCoordinator
     from repro.store.service import DatasetService, SessionView
 
@@ -145,8 +149,8 @@ class ChaosReport:
     sessions_opened: int = 0
     sessions_closed: int = 0
     rebinds: int = 0
-    evict_refused: int = 0
     attaches: int = 0
+    stale_attaches: int = 0
     fired: list[tuple[str, int, str]] = field(default_factory=list)
 
 
@@ -167,9 +171,6 @@ class ChaosHarness:
         chaos hook.  :class:`ChaosInterrupt` / ``InjectedFault`` raised
         mid-rollover are caught and counted — recovery on the next
         rollover is part of what the invariants then check.
-    publish_store:
-        Publish a shared block per epoch (exercises pinning/eviction);
-        off, rollovers are in-process only.
     max_sessions:
         Concurrent session ceiling for the churn schedule.
 
@@ -186,7 +187,6 @@ class ChaosHarness:
         *,
         seed: int = 0,
         monkey: ChaosMonkey | None = None,
-        publish_store: bool = True,
         max_sessions: int = 4,
     ) -> None:
         from repro.display.presets import CYBER_COMMONS, paper_viewport
@@ -205,11 +205,11 @@ class ChaosHarness:
         self.service: "DatasetService" = DatasetService(dataset)
         self.buffer: "IngestBuffer" = IngestBuffer()
         self.coordinator: "RolloverCoordinator" = RolloverCoordinator(
-            self.service,
-            self.buffer,
-            publish_store=publish_store,
-            chaos=monkey,
+            self.service, self.buffer, chaos=monkey
         )
+        # every store handle the run was given, kept past its epoch so
+        # each attach step re-checks the lifetime rule on all of them
+        self._handles: list["StoreHandle"] = []
         self.sessions: list["SessionView"] = [self.service.session(self._viewport)]
         self.report = ChaosReport(sessions_opened=1)
         self._brush_all_sessions()
@@ -301,26 +301,33 @@ class ChaosHarness:
             self._brush(s, step)
             self.report.rebinds += 1
 
-    def _evict_oldest(self) -> None:
-        handles = self.service.stores()
-        if handles and not self.service.evict_store(handles[0].uid):
-            self.report.evict_refused += 1
-
-    def _attach_roundtrip(self) -> None:
-        """Attach the newest published store (a foreign consumer racing
-        the swap machinery) and immediately detach."""
+    def _attach_roundtrip(self, step: int) -> None:
+        """Publish the active epoch's store (a foreign consumer racing
+        the swap machinery), keep its handle, and attach every handle
+        kept so far: one must attach exactly while its epoch is live in
+        the service, and fail as stale once its epoch has retired."""
         from repro.store.arena import attach
-        from repro.store.shm import StoreAttachError
+        from repro.store.shm import StaleHandleError
 
-        handles = self.service.stores()
-        if not handles:
-            return
-        try:
-            with attach(handles[-1]) as client:
-                assert len(client.dataset) == handles[-1].n_traj
-            self.report.attaches += 1
-        except StoreAttachError:
-            pass  # racing an eviction is legal; stale must fail loudly
+        handle = self.service.publish_store()
+        if handle not in self._handles:
+            self._handles.append(handle)
+        live = self.service.stats()["epochs"]
+        for h in self._handles:
+            try:
+                with attach(h) as client:
+                    assert len(client.dataset) == h.n_traj
+                self.report.attaches += 1
+                attached = True
+            except StaleHandleError:
+                self.report.stale_attaches += 1
+                attached = False
+            if attached != (h.epoch in live):
+                raise AssertionError(
+                    f"chaos step {step}: the store of epoch {h.epoch} "
+                    f"{'attaches' if attached else 'does not attach'} while "
+                    f"the live epochs are {sorted(live)}"
+                )
 
     # -- invariants --------------------------------------------------------
     def verify(self, step: int = -1) -> None:
@@ -353,10 +360,8 @@ class ChaosHarness:
             self._churn_sessions(step)
         elif u < 0.88:
             self._rebind_one(step)
-        elif u < 0.95:
-            self._evict_oldest()
         else:
-            self._attach_roundtrip()
+            self._attach_roundtrip(step)
         self.report.steps += 1
         self.verify(step)
 

@@ -21,10 +21,10 @@ Block layout::
     [ JSON metadata blob: name, traj metas ]
 
 Blocks are written once at publish time and never mutated; dataset
-mutation means a *new* store (new uid, new epoch) and eventual eviction
-of the old one — attaching through an outdated handle fails loudly with
-:class:`~repro.store.shm.StaleHandleError` instead of silently serving
-old segments.
+mutation means a *new* store (new uid, new epoch).  A store is unlinked
+when the service epoch that owns it retires — attaching through its
+handle then fails loudly with :class:`~repro.store.shm.StaleHandleError`
+instead of silently serving old segments.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ class StoreHandle:
     n_segments: int
     arrays: tuple[ArraySpec, ...]
     meta_span: tuple[int, int]
-
-    @property
-    def store_token(self) -> tuple:
-        """Identity embedded into query-plan cache keys for datasets
-        served from this store (uid + epoch: a republished or mutated
-        store can never collide with cached stage outputs)."""
-        return ("shm", self.uid, self.epoch)
 
     @property
     def payload_bytes(self) -> int:
@@ -258,78 +251,6 @@ class SharedArenaStore:
             f"{self.handle.n_segments} segs, {self.nbytes}B)"
         )
 
-    def validate(self) -> None:
-        """Verify the published block against its handle.
-
-        The second phase of a rollover's two-phase commit
-        (:mod:`repro.store.ingest`): after staging and before the
-        atomic swap, the coordinator re-checks that the block it is
-        about to publish is exactly what the handle advertises —
-        header (magic, uid, epoch), TOC geometry (aligned,
-        non-overlapping, in-bounds offsets), cardinality cross-links
-        (sample/segment offset tables sum to the advertised counts),
-        and a parseable metadata blob.  Raises
-        :class:`~repro.store.shm.StoreAttachError` on any mismatch so
-        a corrupt stage aborts the rollover instead of being swapped
-        in; the old epoch keeps serving.
-        """
-        h = self.handle
-        if self._block.closed:
-            raise StoreAttachError(f"store {h.uid[:8]}: block already closed")
-
-        def fail(msg: str) -> "StoreAttachError":
-            obs.counter_add("store.validate.failures", 1)
-            return StoreAttachError(f"store {h.uid[:8]}: {msg}")
-
-        magic, uid_hex, epoch = _HEADER.unpack_from(self._block.buf, 0)
-        if magic != _MAGIC:
-            raise fail(f"bad magic {magic!r}")
-        if uid_hex.decode("ascii", "replace") != h.uid:
-            raise fail("header uid does not match handle")
-        if epoch != h.epoch:
-            raise fail(f"header epoch {epoch} != handle epoch {h.epoch}")
-
-        cursor = _HEADER.size
-        for spec in h.arrays:
-            if spec.offset % _ALIGN:
-                raise fail(f"array {spec.key!r} offset {spec.offset} unaligned")
-            if spec.offset < cursor:
-                raise fail(f"array {spec.key!r} overlaps its predecessor")
-            cursor = spec.offset + spec.nbytes
-        meta_offset, meta_len = h.meta_span
-        if meta_offset < cursor or meta_offset + meta_len > self._block.size:
-            raise fail("metadata blob outside the block")
-
-        sample_offsets = _map_array(self._block, h.spec("sample_offsets"))
-        seg_offsets = _map_array(self._block, h.spec("seg_offsets"))
-        try:
-            if len(sample_offsets) != h.n_traj + 1 or len(seg_offsets) != h.n_traj + 1:
-                raise fail("offset tables sized for a different n_traj")
-            if int(sample_offsets[-1]) != h.n_samples:
-                raise fail(
-                    f"sample offsets end at {int(sample_offsets[-1])}, "
-                    f"handle says {h.n_samples} samples"
-                )
-            if int(seg_offsets[-1]) != h.n_segments:
-                raise fail(
-                    f"segment offsets end at {int(seg_offsets[-1])}, "
-                    f"handle says {h.n_segments} segments"
-                )
-        finally:
-            del sample_offsets, seg_offsets
-
-        try:
-            metas = json.loads(
-                bytes(self._block.buf[meta_offset : meta_offset + meta_len])
-            )
-        except ValueError as exc:
-            raise fail(f"metadata blob is not valid JSON: {exc}") from exc
-        if len(metas) != h.n_traj:
-            raise fail(
-                f"metadata lists {len(metas)} trajectories, handle says {h.n_traj}"
-            )
-        obs.counter_add("store.validates", 1)
-
     # Lifecycle -----------------------------------------------------------
     def close(self) -> bool:
         """Release the publisher's local mapping (consumers unaffected)."""
@@ -421,11 +342,7 @@ class StoreClient:
                 offsets=_map_array(self._block, h.spec("seg_offsets")),
             )
             self._dataset = TrajectoryDataset.from_attached(
-                trajs,
-                packed,
-                name=h.name,
-                epoch=h.epoch,
-                store_token=h.store_token,
+                trajs, packed, name=h.name, epoch=h.epoch
             )
         return self._dataset
 
@@ -458,8 +375,8 @@ def attach(handle: StoreHandle) -> StoreClient:
     Raises
     ------
     StaleHandleError
-        The block no longer exists (publisher evicted/unlinked it) or
-        its header epoch/uid disagrees with the handle.
+        The block no longer exists (its publisher unlinked it) or its
+        header epoch/uid disagrees with the handle.
     StoreAttachError
         The block exists but is not a store (corrupt / foreign block).
     """

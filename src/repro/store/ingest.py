@@ -11,33 +11,30 @@ the other:
   below).
 
 * :class:`RolloverCoordinator` — drains the buffer in batches and
-  republishes the service's arena under a new epoch via a **two-phase
-  commit**:
+  publishes the service's dataset under a new epoch in two phases:
 
   1. *Stage* (outside the service lock): build the successor dataset
-     (old trajectories + batch), pack it, build its engine (and with
-     it the epoch's summary pyramid) over the shared stage cache, and
-     publish a fresh :class:`~repro.store.arena.SharedArenaStore`.
-  2. *Validate*: :meth:`SharedArenaStore.validate` re-checks the staged
-     block against its handle — a corrupt stage aborts here, with the
-     staged block unlinked and the old epoch untouched.
-  3. *Swap* (under the service lock): one call to
+     (old trajectories + batch), pack it, and build its engine (and
+     with it the epoch's summary pyramid) over the shared stage cache.
+  2. *Swap* (under the service lock): one call to
      :meth:`DatasetService._swap_active` atomically retargets the
-     service's active dataset/engine/store (the only sanctioned caller
-     of that method — reprolint RL008).
+     service's active dataset/engine (the only sanctioned caller of
+     that method — reprolint RL008).
 
-  In-flight sessions keep querying their pinned epoch; its block stays
-  mapped until the last one detaches.  The shared, epoch-tagged
+  The rollover publishes no shared-memory store: a tile owner that
+  needs one asks :meth:`DatasetService.publish_store`, and the store
+  lives as long as the epoch it was published from.  In-flight
+  sessions keep querying their pinned epoch.  The shared, epoch-tagged
   :class:`~repro.core.plan.cache.StageCache` needs no flush: new-epoch
   keys cannot collide with old-epoch entries.
 
 Crash safety is sequence-number bookkeeping, not magic.  The buffer
 only forgets trajectories when the coordinator *commits* them
 (:meth:`IngestBuffer.commit_through`) — which happens strictly after
-the swap.  A coordinator that dies anywhere in stage→validate→swap
-leaves the buffer intact, so a restarted rollover re-ingests the same
-batch; a coordinator that dies *between* swap and commit would
-double-ingest, so the coordinator records the swapped high-water mark
+the swap.  A coordinator that dies anywhere in stage→swap leaves the
+buffer intact, so a restarted rollover re-ingests the same batch; a
+coordinator that dies *between* swap and commit would double-ingest,
+so the coordinator records the swapped high-water mark
 (``_swapped_seq``) in the same instant the swap returns and trims any
 already-swapped prefix from the next batch.  The chaos harness
 (:mod:`repro.resilience.chaos`) drives exactly these interleavings.
@@ -60,7 +57,6 @@ from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.model import Trajectory
 
 if TYPE_CHECKING:
-    from repro.store.arena import SharedArenaStore, StoreHandle
     from repro.store.service import DatasetService, SharedQueryEngine
 
 __all__ = [
@@ -216,7 +212,6 @@ class RolloverResult:
 
     epoch: int
     n_ingested: int
-    handle: "StoreHandle | None"
     stage_seconds: float
     swap_seconds: float
     recovered: bool = False
@@ -235,10 +230,6 @@ class RolloverCoordinator:
         (reprolint RL008).
     buffer:
         The staging buffer producers append to.
-    publish_store:
-        Also publish the new epoch as a shared-memory store (the tile
-        owners' input).  Off, the swap is in-process only — cheaper,
-        and what single-process deployments want.
     chaos:
         Test-only hook called at each named rollover point
         (``pre_stage`` / ``post_stage`` / ``pre_swap`` / ``post_swap``)
@@ -251,12 +242,10 @@ class RolloverCoordinator:
         service: "DatasetService",
         buffer: IngestBuffer,
         *,
-        publish_store: bool = True,
         chaos: "Callable[[str], None] | None" = None,
     ) -> None:
         self.service = service
         self.buffer = buffer
-        self.publish_store = publish_store
         self._chaos = chaos
         # high-water mark of sequences already swapped into the service;
         # set in the same instant a swap returns, consulted at the next
@@ -272,14 +261,12 @@ class RolloverCoordinator:
 
     def _stage(
         self, batch: IngestBatch
-    ) -> "tuple[TrajectoryDataset, SharedQueryEngine, SharedArenaStore | None]":
+    ) -> "tuple[TrajectoryDataset, SharedQueryEngine]":
         """Phase 1: build the successor epoch entirely off to the side.
 
         Nothing here holds the service lock or is visible to sessions;
         an exception at any point leaves the service exactly as it was.
         """
-        from repro.store.arena import SharedArenaStore as _Store
-
         base = self.service.dataset
         successor = TrajectoryDataset(
             list(base) + list(batch.trajectories), name=base.name
@@ -288,23 +275,16 @@ class RolloverCoordinator:
         # strictly monotone mutation counter across rollovers
         successor._epoch = base.epoch + len(batch)
         engine = self.service._engine_for_epoch(successor)
-
-        store = None
-        if self.publish_store:
-            store = _Store.publish(successor)
-            # brand the dataset so stage-cache keys carry the store
-            # identity, exactly as the attach path does
-            successor.store_token = store.handle.store_token
-        return successor, engine, store
+        return successor, engine
 
     def rollover(self) -> RolloverResult | None:
         """Drain the buffer and publish one new epoch.
 
         Returns ``None`` when there was nothing to ingest, otherwise a
-        :class:`RolloverResult`.  On any staging/validation/swap error
-        the staged store is unlinked, the buffer keeps the batch, and
-        the exception propagates — the service continues serving the
-        old epoch and a later call retries the same trajectories.
+        :class:`RolloverResult`.  On any staging or swap error the
+        buffer keeps the batch and the exception propagates — the
+        service continues serving the old epoch and a later call
+        retries the same trajectories.
         """
         batch = self.buffer.snapshot()
         if batch is None:
@@ -319,7 +299,6 @@ class RolloverCoordinator:
             return RolloverResult(
                 epoch=self.service.active_epoch(),
                 n_ingested=0,
-                handle=None,
                 stage_seconds=0.0,
                 swap_seconds=0.0,
                 recovered=True,
@@ -327,27 +306,21 @@ class RolloverCoordinator:
 
         self._at("pre_stage")
         t_stage = time.perf_counter()
-        successor, engine, store = self._stage(fresh)
+        successor, engine = self._stage(fresh)
         stage_s = time.perf_counter() - t_stage
         try:
             self._at("post_stage")
-            if store is not None:
-                store.validate()
             self._at("pre_swap")
             t_swap = time.perf_counter()
-            epoch = self.service._swap_active(successor, engine, store)
+            epoch = self.service._swap_active(successor, engine)
             # the swap is now durable: record the high-water mark before
             # anything else can fail, so a crash before commit_through
             # trims (not re-ingests) this batch on the next rollover
             self._swapped_seq = fresh.seq_hi - 1
             swap_s = time.perf_counter() - t_swap
         except BaseException:
-            # abort: the staged block must not outlive the failed
-            # rollover (the buffer still holds the batch, so nothing
-            # is lost — the next rollover restages it)
-            if store is not None:
-                store.unlink()
-                store.close()
+            # abort: the buffer still holds the batch, so nothing is
+            # lost — the next rollover restages it
             obs.counter_add("rollover.aborted", 1)
             raise
 
@@ -359,7 +332,6 @@ class RolloverCoordinator:
         return RolloverResult(
             epoch=epoch,
             n_ingested=len(fresh),
-            handle=None if store is None else store.handle,
             stage_seconds=stage_s,
             swap_seconds=swap_s,
         )

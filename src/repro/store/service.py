@@ -5,9 +5,11 @@ The multi-session split of the former one-user application object:
 * :class:`DatasetService` owns what is expensive and immutable-ish —
   **one** dataset, **one** packed segment view, **one** summary
   pyramid, **one** sharded stage cache — published as immutable per-epoch
-  :class:`~repro.store.snapshot.EpochSnapshot` objects, plus a registry
-  of shared-memory stores (:class:`~repro.store.arena.SharedArenaStore`)
-  with epoch validation and eviction.
+  :class:`~repro.store.snapshot.EpochSnapshot` objects.  Each
+  shared-memory store (:class:`~repro.store.arena.SharedArenaStore`)
+  that :meth:`~DatasetService.publish_store` makes belongs to the
+  snapshot that was active when it was published, and lives exactly as
+  long as that snapshot.
 
 * :class:`SessionView` is what is cheap and per-user — a brush canvas,
   a time window, a layout/paging state, an event journal — layered over
@@ -18,8 +20,8 @@ The multi-session split of the former one-user application object:
 
 Lock discipline (the multi-tenant tentpole).  **Queries never take the
 service lock.**  Everything a query reads is epoch-immutable between
-publishes — the dataset, the packed arrays, the summary pyramid, the
-read-only arena views — so the read path is:
+publishes — the dataset, the packed arrays, the summary pyramid — so
+the read path is:
 
 1. resolve the active snapshot with one atomic attribute read
    (``service._active``; sessions do this once, at pin time);
@@ -28,7 +30,7 @@ read-only arena views — so the read path is:
    :class:`~repro.core.plan.cache.StageCache`).
 
 The service's re-entrant lock survives **only for mutations**: store
-publish/evict, epoch rollover (the atomic snapshot swap), and session
+publish, epoch rollover (the atomic snapshot swap), and session
 lifecycle registry bookkeeping.  Pin/retire accounting itself is
 lock-free (GIL-atomic refcounts, :mod:`repro.store.snapshot`), so even
 session open/rebind touches the lock only to read the snapshot
@@ -38,14 +40,13 @@ under it.
 
 Epoch lifecycle (streaming ingest, :mod:`repro.store.ingest`): a
 session *pins* the active snapshot at creation and keeps querying that
-epoch's dataset/engine even after a rollover republishes the arena
-under a new epoch — its results stay exact, merely flagged
-``stale-epoch`` on the :class:`DegradationReport` so callers know a
-fresher epoch exists (call :meth:`SessionView.rebind` to move up).  An
-epoch's shared-memory block is never unlinked while a session pins it;
-the last unpin (explicit :meth:`SessionView.close` or garbage
-collection) retires the snapshot — exactly once, via the sealed-zero
-refcount — and releases the block.  The swap itself
+epoch's dataset/engine even after a rollover publishes a new epoch —
+its results stay exact, merely flagged ``stale-epoch`` on the
+:class:`DegradationReport` so callers know a fresher epoch exists (call
+:meth:`SessionView.rebind` to move up).  An epoch's shared-memory
+stores are never unlinked while a session pins it: a snapshot retires
+— exactly once, via the sealed-zero refcount — when it is neither
+active nor pinned, and its stores are unlinked then.  The swap itself
 (:meth:`DatasetService._swap_active`) is the commit point of the
 two-phase rollover and is only ever called by
 :class:`~repro.store.ingest.RolloverCoordinator` (reprolint RL008).
@@ -60,7 +61,7 @@ Typical multi-session use::
 
 and for the tile owners of a pooled renderer::
 
-    handle = service.publish_store()          # O(dataset) once
+    handle = service.publish_store()          # O(dataset) once per epoch
     render_viewport_parallel(..., store=handle)  # O(handle bytes) per owner
 """
 
@@ -69,7 +70,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -213,7 +213,7 @@ class SessionView(ExplorationSession):
         happened); False when it was already current.  Moving re-derives
         the layout assignment over the new dataset and releases the old
         snapshot's pin — if this view was the last one holding the old
-        epoch, its shared block is unlinked.
+        epoch, its stores are unlinked.
         """
         snapshot = self.service._pin_active()
         if snapshot.epoch == self.epoch:
@@ -238,7 +238,7 @@ class SessionView(ExplorationSession):
         """Close the journal and release this view's snapshot pin.
 
         Idempotent.  After close the view is unusable: its epoch may be
-        retired (and its shared block unlinked) as soon as the pin is
+        retired (and its stores unlinked) as soon as the pin is
         released.  The dataset/engine/snapshot references are dropped
         *before* the pin, so a retired epoch keeps no arrays alive
         through this view.
@@ -273,12 +273,6 @@ class DatasetService:
     cache_shards:
         Stripe count of the shared :class:`StageCache`; more shards,
         less contention between concurrent sessions' stage lookups.
-    keep_stores:
-        How many published shared-memory stores to retain; publishing
-        beyond this evicts (closes + unlinks) the oldest, and handles
-        to evicted stores fail to attach with a stale-handle error.
-        A store pinned by live sessions is deregistered but its block
-        survives until the last session detaches.
 
     Attributes
     ----------
@@ -296,12 +290,9 @@ class DatasetService:
         use_index: bool = True,
         cache_capacity: int = 512,
         cache_shards: int = 8,
-        keep_stores: int = 2,
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot serve an empty dataset")
-        if keep_stores < 1:
-            raise ValueError("keep_stores must be >= 1")
         self._lock = threading.RLock()
         engine = SharedQueryEngine(
             dataset,
@@ -309,9 +300,7 @@ class DatasetService:
             cache_capacity=cache_capacity,
             cache_shards=cache_shards,
         )
-        self.keep_stores = int(keep_stores)
         self._use_index = use_index
-        self._stores: "OrderedDict[str, SharedArenaStore]" = OrderedDict()
         self._n_sessions = 0
         self._closed = False
         self._pin_total = AtomicCounter()
@@ -408,10 +397,9 @@ class DatasetService:
     def _detach_session(self, epoch: int) -> None:
         """Release one session's pin on ``epoch``.
 
-        The last pin out retires a non-active snapshot (unlinking each
-        of its stores that is no longer registered), and on a closed service
-        also the active one.  Receives the epoch *number* (what the
-        session finalizer holds).
+        The last pin out retires a non-active snapshot (unlinking its
+        stores), and on a closed service also the active one.  Receives
+        the epoch *number* (what the session finalizer holds).
         """
         with self._lock:
             snapshot = self._snapshots.get(epoch)
@@ -430,9 +418,8 @@ class DatasetService:
 
         Exactly-once: the sealed-zero refcount arbitrates racing
         retirers (and racing pins — see :mod:`repro.store.snapshot`).
-        Returns the snapshot's stores to unlink *outside* any lock (only
-        those no longer in the registry — registered stores are still
-        attachable and fall to normal eviction).
+        Returns the snapshot's stores, which it owns, for the caller to
+        unlink *outside* any lock.
         """
         if snapshot.pins > 0:
             return []
@@ -444,58 +431,22 @@ class DatasetService:
         with self._lock:
             self._snapshots.pop(snapshot.epoch, None)
             obs.gauge_set("service.snapshot.live", float(len(self._snapshots)))
-            return [s for s in snapshot.stores if s.uid not in self._stores]
-
-    def _pinned_uids_locked(self) -> set[str]:
-        """Uids of every store some live session pins: the one rule is
-        that a session pinning a snapshot pins each store published from
-        it, by rollover or by :meth:`publish_store`."""
-        with self._lock:
-            return {
-                store.uid
-                for s in self._snapshots.values()
-                if s.pins > 0
-                for store in s.stores
-            }
-
-    def _evict_overflow_locked(self) -> tuple[list[SharedArenaStore], int]:
-        """Deregister stores beyond ``keep_stores`` (oldest first).
-
-        Returns (victims to unlink outside the lock, count deferred):
-        a store pinned by live sessions is deregistered — its handle
-        stops validating — but its block survives, referenced by the
-        pinning snapshot, until the last session detaches.
-        """
-        victims: list[SharedArenaStore] = []
-        deferred = 0
-        with self._lock:
-            pinned = self._pinned_uids_locked()
-            while len(self._stores) > self.keep_stores:
-                uid, old = self._stores.popitem(last=False)
-                if uid in pinned:
-                    deferred += 1
-                else:
-                    victims.append(old)
-        return victims, deferred
+            return list(snapshot.stores)
 
     def _swap_active(
-        self,
-        dataset: TrajectoryDataset,
-        engine: SharedQueryEngine,
-        store: SharedArenaStore | None = None,
+        self, dataset: TrajectoryDataset, engine: SharedQueryEngine
     ) -> int:
         """Commit point of a rollover: atomically publish a new snapshot.
 
         **Only** :class:`~repro.store.ingest.RolloverCoordinator` may
         call this (reprolint RL008): the coordinator owns the staging
-        and validation phases that make the swap safe.  Under the lock:
-        the staged (dataset, engine, store) are registered as a new
+        phase that makes the swap safe.  Under the lock: the staged
+        (dataset, engine) are registered as a new
         :class:`EpochSnapshot` and the active reference is retargeted
         with a single atomic assignment — from that instant every new
         pin lands on the successor, while in-flight sessions keep their
         pinned snapshot and finish there.  Zero-pin old snapshots
-        retire, the store registry evicts overflow, and slow work
-        (unlinking) happens outside the lock.
+        retire, and their stores are unlinked outside the lock.
         """
         t_swap = time.perf_counter()
         victims: list[SharedArenaStore] = []
@@ -510,9 +461,6 @@ class DatasetService:
                 )
             snapshot = EpochSnapshot(epoch, dataset, engine)
             self._snapshots[epoch] = snapshot
-            if store is not None:
-                snapshot.stores.append(store)
-                self._stores[store.uid] = store
             # the publish: one atomic reference assignment.  Readers
             # (_pin_active, active_epoch) see either the old snapshot
             # or this one, never anything in between.
@@ -524,11 +472,7 @@ class DatasetService:
                 s for s in list(self._snapshots.values()) if s is not snapshot
             ]:
                 victims.extend(self._retire_if_idle(old))
-            overflow, deferred = self._evict_overflow_locked()
-            victims.extend(overflow)
         obs.observe("rollover.swap_seconds", time.perf_counter() - t_swap)
-        if deferred:
-            obs.counter_add("store.evict.deferred", deferred)
         for old_store in victims:
             old_store.unlink()
             old_store.close()
@@ -545,90 +489,42 @@ class DatasetService:
             cache = self.engine.cache
         return SharedQueryEngine(dataset, cache=cache, use_index=self._use_index)
 
-    # Store registry ---------------------------------------------------------
+    # Stores -------------------------------------------------------------
     def publish_store(self) -> StoreHandle:
-        """Publish (or reuse) a shared-memory store of the current
+        """Publish (or reuse) a shared-memory store of the active
         dataset epoch and return its handle.
 
-        Idempotent per epoch: repeated calls while the dataset is
-        unchanged return the same handle.  After a mutation, a fresh
-        store is materialized and old ones age out of the registry
-        (evicted beyond ``keep_stores`` — their handles then fail to
-        attach rather than serving stale segments).  The store belongs
-        to the active snapshot, so sessions pinning it pin the store,
-        exactly like a rollover's store.
+        Idempotent per dataset epoch: repeated calls while the dataset
+        is unchanged return the same handle.  The store belongs to the
+        active snapshot and lives exactly as long as it: a session
+        pinning the snapshot keeps the store attachable, and the store
+        is unlinked when the snapshot retires (its handle then fails to
+        attach with a stale-handle error rather than serving stale
+        segments).
         """
-        self._check_open()
-        victims: list[SharedArenaStore] = []
-        deferred = 0
         with self._lock:
+            # checked under the lock: a publish racing close() either
+            # lands first, and close() then retires its store with the
+            # snapshot, or raises here
+            self._check_open()
             active = self._active
             epoch = active.dataset.epoch
-            handle: StoreHandle | None = None
-            for store in reversed(self._stores.values()):
+            for store in reversed(active.stores):
                 if store.epoch == epoch:
-                    handle = store.handle
-                    break
-            if handle is None:
-                t_pub = time.perf_counter()
-                store = SharedArenaStore.publish(active.dataset)
-                obs.observe("store.publish.seconds", time.perf_counter() - t_pub)
-                obs.counter_add("store.publishes", 1)
-                active.stores.append(store)
-                self._stores[store.uid] = store
-                handle = store.handle
-                victims, deferred = self._evict_overflow_locked()
-        for old in victims:
-            old.unlink()
-            old.close()
-        if deferred:
-            obs.counter_add("store.evict.deferred", deferred)
-        return handle
-
-    def stores(self) -> tuple[StoreHandle, ...]:
-        """Handles of every store currently registered (oldest first)."""
-        with self._lock:
-            return tuple(s.handle for s in self._stores.values())
-
-    def evict_store(
-        self, uid: str, *, degradation: DegradationReport | None = None
-    ) -> bool:
-        """Explicitly unlink and drop one registered store by uid;
-        returns True when something was evicted.
-
-        Refuses (returns False, bumps ``store.evict.refused``, records
-        on ``degradation`` when given) while live sessions are pinned
-        to the store's epoch — evicting would unlink a block those
-        sessions' epoch contract says stays attachable until they
-        detach.
-        """
-        pinned = False
-        with self._lock:
-            store = self._stores.get(uid)
-            if store is None:
-                return False
-            if uid in self._pinned_uids_locked():
-                pinned = True
-            else:
-                self._stores.pop(uid)
-        if pinned:
-            obs.counter_add("store.evict.refused", 1)
-            if degradation is not None:
-                degradation.record(
-                    "evict-refused",
-                    scope="session",
-                    action="skipped",
-                    detail=f"store {uid[:8]} pinned by live sessions",
-                )
-            return False
-        store.unlink()
-        store.close()
-        return True
+                    return store.handle
+            t_pub = time.perf_counter()
+            store = SharedArenaStore.publish(active.dataset)
+            obs.observe("store.publish.seconds", time.perf_counter() - t_pub)
+            obs.counter_add("store.publishes", 1)
+            active.stores.append(store)
+            return store.handle
 
     # Introspection ----------------------------------------------------------
     def stats(self) -> dict:
-        """Service health: sessions, snapshots, shared-cache counters."""
+        """Service health: sessions, snapshots, the stores of live
+        snapshots, shared-cache counters."""
         with self._lock:
+            stores = [st for snap in self._snapshots.values() for st in snap.stores]
             return {
                 "dataset": self.dataset.name,
                 "n_traj": len(self.dataset),
@@ -639,16 +535,17 @@ class DatasetService:
                 },
                 "pins": self._pin_total.value,
                 "sessions": self._n_sessions,
-                "stores": [s.uid[:8] for s in self._stores.values()],
-                "store_bytes": sum(s.nbytes for s in self._stores.values()),
+                "stores": [s.uid[:8] for s in stores],
+                "store_bytes": sum(s.nbytes for s in stores),
                 "cache": self.engine.cache_stats(),
             }
 
     def __repr__(self) -> str:
         with self._lock:
+            count = sum(len(s.stores) for s in self._snapshots.values())
             return (
                 f"DatasetService({self.dataset.name!r}, "
-                f"sessions={self._n_sessions}, stores={len(self._stores)}, "
+                f"sessions={self._n_sessions}, stores={count}, "
                 f"epoch={self._active.epoch})"
             )
 
@@ -658,27 +555,21 @@ class DatasetService:
             raise RuntimeError("DatasetService is closed")
 
     def close(self) -> None:
-        """Unlink and release every published store (idempotent); the
-        in-process engine and existing sessions stay usable, and no new
-        session opens.
+        """Retire every idle snapshot and unlink its stores
+        (idempotent); the in-process engine and existing sessions stay
+        usable, and no new session opens and no store is published.
 
-        Stores pinned by live sessions are deregistered now but
-        unlinked only when their last session detaches.
+        A pinned snapshot retires, and its stores are unlinked, at its
+        last detach.
         """
         if self._closed:
             return
         self._closed = True
         victims: list[SharedArenaStore] = []
-        deferred = 0
         with self._lock:
-            doomed: "OrderedDict[str, SharedArenaStore]" = OrderedDict(self._stores)
-            self._stores.clear()
             for snapshot in list(self._snapshots.values()):
-                for store in self._retire_if_idle(snapshot):
-                    doomed.setdefault(store.uid, store)
-            pinned_uids = self._pinned_uids_locked()
-            victims = [s for uid, s in doomed.items() if uid not in pinned_uids]
-            deferred = len(doomed) - len(victims)
+                victims.extend(self._retire_if_idle(snapshot))
+            deferred = sum(len(s.stores) for s in self._snapshots.values())
         for store in victims:
             store.unlink()
             store.close()
@@ -690,5 +581,5 @@ class DatasetService:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        """Unlink published stores."""
+        """Close the service."""
         self.close()

@@ -60,7 +60,7 @@ class StoreAttachError(RuntimeError):
 
 class StaleHandleError(StoreAttachError):
     """A handle references a store the publisher has since outgrown
-    (dataset mutated / store evicted); re-fetch a fresh handle."""
+    (dataset mutated / owning epoch retired); re-fetch a fresh handle."""
 
 
 # Per-process registry of open blocks, keyed by object identity — one

@@ -13,9 +13,10 @@ The lock-free multi-tenant read path rests on two small primitives:
 * :class:`EpochSnapshot` — one published dataset epoch and everything a
   query needs: the dataset, its packed view (through the engine), the
   summary pyramid and the stage cache, plus the shared-memory stores
-  published from it for tile owners.  **Everything queryable on a
-  snapshot is immutable after publish**; the only mutable fields are the
-  pin count and the list of stores published from it.  Sessions resolve
+  published while it was active, which it owns: they are unlinked when
+  it retires.  **Everything queryable on a snapshot is immutable after
+  publish**; the only mutable fields are the pin count and the list of
+  stores it owns.  Sessions resolve
   the active snapshot with a single atomic attribute read on the
   service and pin it — no lock is ever taken on the query path.
 
@@ -157,10 +158,12 @@ class EpochSnapshot:
     engine (packed view + summary pyramid + sharded stage cache) are
     epoch-frozen, which is precisely why sessions may read them
     concurrently without any lock.  The only mutable state is ``refs``
-    (pin accounting), ``stores`` (every shared-memory store published
-    from this epoch, however it was published: a session pinning the
-    snapshot pins each of them) and the registry that maps epochs to
-    snapshots; the last two change under the service lock only.
+    (pin accounting), ``stores`` (every shared-memory store
+    :meth:`DatasetService.publish_store` made while this snapshot was
+    active: the snapshot owns them, a session pinning it keeps them
+    attachable, and its retirement unlinks them) and the registry that
+    maps epochs to snapshots; the last two change under the service
+    lock only.
     """
 
     epoch: int

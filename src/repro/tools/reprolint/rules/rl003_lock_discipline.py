@@ -4,8 +4,8 @@ Since the lock-free snapshot refactor the service's concurrency story
 has two halves, and RL003 machine-checks both:
 
 1. **Mutations only under the lock.**  Methods of guarded classes that
-   touch the shared mutable registries (store registry, snapshot
-   registry, session counter) must do so inside ``with self._lock``,
+   touch the shared mutable registries (snapshot registry, session
+   counter) must do so inside ``with self._lock``,
    and the atomically-published active-snapshot reference may be
    *written* only under the lock (reads are the lock-free path and are
    deliberately unrestricted).  Nothing *blocking* — sleeps, file I/O,
@@ -22,8 +22,8 @@ has two halves, and RL003 machine-checks both:
    live in :mod:`repro.core.plan.cache`, outside this rule's scope, by
    design).
 
-``__init__`` (and alternate constructors) are exempt from half 1: the
-object is not yet shared while it is being built.
+``__init__`` is exempt from half 1: the object is not yet shared
+while it is being built.
 """
 
 from __future__ import annotations
@@ -56,11 +56,7 @@ class LockDisciplineChecker(Checker):
         # class name -> shared attributes every access to which must be
         # inside `with self.<lock_attr>`
         "classes": {
-            "DatasetService": (
-                "_stores",
-                "_snapshots",
-                "_n_sessions",
-            ),
+            "DatasetService": ("_snapshots", "_n_sessions"),
             "SharedQueryEngine": (),
         },
         # class name -> attributes whose *writes* must be locked while
@@ -76,7 +72,7 @@ class LockDisciplineChecker(Checker):
             "SessionView": ("run_query",),
         },
         "lock_attr": "_lock",
-        "exempt_methods": ("__init__", "from_handle"),
+        "exempt_methods": ("__init__",),
     }
 
     def check(self, tree: ast.AST) -> list:

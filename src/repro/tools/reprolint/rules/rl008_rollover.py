@@ -5,14 +5,14 @@ safety rests on three structural facts:
 
 1. The **swap is single-entry**: only
    :class:`~repro.store.ingest.RolloverCoordinator` calls
-   ``DatasetService._swap_active`` — it owns the staging and
-   validation phases that make the swap safe.  A swap call anywhere
-   else publishes an unvalidated epoch.
+   ``DatasetService._swap_active`` — it owns the staging phase and the
+   buffer commit that make the swap safe.  A swap call anywhere else
+   publishes an epoch the ingest buffer does not know about.
 2. The service's **active handle is never mutated directly**:
    assignments like ``service.dataset = ...``, ``service.engine =
    ...`` or ``service._active = ...`` outside the service/ingest
    modules bypass epoch-snapshot registration, session pinning, and
-   store eviction in one line.  (Inside the service, ``_active`` is
+   snapshot retirement in one line.  (Inside the service, ``_active`` is
    the atomically-published snapshot reference — the single write the
    swap performs; RL003 additionally requires that write to happen
    under the service lock.)
@@ -86,7 +86,7 @@ class RolloverDisciplineChecker(Checker):
                     node,
                     f"call to {swap}() outside the service/ingest modules: "
                     "epoch swaps must go through RolloverCoordinator, which "
-                    "stages and validates the new epoch before committing it",
+                    "stages the new epoch and commits the ingest buffer",
                 )
 
     # 2. direct mutation of the active handle -------------------------------
@@ -109,8 +109,8 @@ class RolloverDisciplineChecker(Checker):
                         target,
                         f"direct assignment to {base}.{target.attr}: "
                         "retargeting a service's active handle bypasses "
-                        "epoch registration, session pinning and store "
-                        "eviction — ingest through RolloverCoordinator",
+                        "epoch registration, session pinning and snapshot "
+                        "retirement — ingest through RolloverCoordinator",
                     )
 
     # 3. deadline checks inside stage bodies --------------------------------

@@ -9,10 +9,9 @@ them yields silently-wrong answers (the exact bug class the mid-rollover
 chaos test hunts dynamically).
 
 This rule checks it statically: taint tags are seeded at snapshot
-resolution sites (``_pin_active()``, ``arena.attach()``,
-``from_handle()``), propagated through assignments, attribute loads,
-calls, and returns (per-function summaries make the flow
-interprocedural), and a finding fires wherever one operation sees two
+resolution sites (``_pin_active()``, ``arena.attach()``), propagated
+through assignments, attribute loads, calls, and returns (per-function
+summaries make the flow interprocedural), and a finding fires wherever one operation sees two
 or more distinct tags.  ``.epoch`` attribute loads strip taint — the
 epoch *number* is identity, and comparing it is the legitimate
 staleness probe — and comparisons never mix.
@@ -52,7 +51,7 @@ class EpochProvenanceChecker(ProgramChecker):
     )
     default_options = {
         # method names / canonical callables that resolve a snapshot
-        "seed_methods": ("_pin_active", "from_handle"),
+        "seed_methods": ("_pin_active",),
         "seed_calls": ("repro.store.arena.attach",),
         # identity attributes whose loads strip taint
         "strip_attrs": ("epoch",),

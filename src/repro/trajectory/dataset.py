@@ -120,11 +120,6 @@ class TrajectoryDataset:
         self._trajs: list[Trajectory] = []
         self._packed: PackedSegments | None = None
         self._epoch = 0
-        #: Identity of the shared-memory store this dataset is a view
-        #: of (set by :mod:`repro.store` attachment, ``None`` for plain
-        #: in-process datasets); embedded in query-plan cache keys and
-        #: cleared by any mutation.
-        self.store_token: tuple | None = None
         for t in trajectories:
             self.append(t)
 
@@ -136,15 +131,13 @@ class TrajectoryDataset:
         *,
         name: str,
         epoch: int,
-        store_token: tuple | None,
     ) -> "TrajectoryDataset":
         """Assemble a dataset around pre-built (typically shared-memory
         view) trajectories and packed arrays without re-packing.
 
         Used by :mod:`repro.store` attachment: ``epoch`` restores the
-        publisher's mutation epoch so stage-cache keys line up, and
-        ``store_token`` brands the dataset with the store's identity.
-        Appending to the result invalidates both, like any mutation.
+        publisher's mutation epoch.  Appending to the result bumps it,
+        like any mutation.
         """
         if len(trajectories) + 1 != len(packed.offsets):
             raise ValueError(
@@ -156,7 +149,6 @@ class TrajectoryDataset:
         ds._trajs = list(trajectories)
         ds._packed = packed
         ds._epoch = int(epoch)
-        ds.store_token = store_token
         return ds
 
     # Container protocol ------------------------------------------------
@@ -184,8 +176,6 @@ class TrajectoryDataset:
         self._trajs.append(traj)
         self._packed = None
         self._epoch += 1
-        # a mutated dataset no longer mirrors any published store
-        self.store_token = None
 
     @property
     def epoch(self) -> int:

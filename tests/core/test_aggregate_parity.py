@@ -2,7 +2,7 @@
 
 The acceptance contract of the summary-pyramid refactor: for every
 query the aggregate plan (``agg_temporal → agg_spatial → agg_brush →
-classify → drilldown``) must return **bit-identical** results to the
+drilldown``) must return **bit-identical** results to the
 brute-force route — same ``segment_mask``, same ``traj_mask``, same
 ``traj_highlight_time``, same ``group_support``.  The pyramid is
 allowed to skip work (supernodes classified all-in/all-out), never to

@@ -244,7 +244,7 @@ class TestCachedHitRows:
         assert moved.trace["agg_spatial"].cache_hit
         assert moved.trace["agg_brush"].cache_hit
         assert moved.trace.executed_stages() == [
-            "agg_temporal", "classify", "drilldown", "aggregate",
+            "agg_temporal", "drilldown", "aggregate",
         ]
         assert _cached(agg, canvas, "red", TimeWindow.all(), "agg_brush") is rows
         want = brute.query(canvas, "red", window=TimeWindow.fraction(0.3, 0.9))

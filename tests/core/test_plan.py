@@ -19,7 +19,7 @@ from repro.layout.configs import preset
 from repro.layout.groups import TrajectoryGroups
 
 
-AGG_STAGES = ["agg_temporal", "agg_spatial", "agg_brush", "classify", "drilldown"]
+AGG_STAGES = ["agg_temporal", "agg_spatial", "agg_brush", "drilldown"]
 
 
 @pytest.fixture()
@@ -169,7 +169,7 @@ class TestPlanner:
         key = {s.name: s.key for s in a.stages}
         key2 = {s.name: s.key for s in b.stages}
         # window-dependent stages re-key; spatial stages do not
-        for name in ("agg_temporal", "classify", "drilldown", "aggregate"):
+        for name in ("agg_temporal", "drilldown", "aggregate"):
             assert key[name] != key2[name]
         assert key["agg_spatial"] == key2["agg_spatial"]
         assert key["agg_brush"] == key2["agg_brush"]
@@ -197,7 +197,7 @@ class TestIncrementalExecution:
         engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         res = engine.query(west_canvas, "red", window=TimeWindow.end(0.25))
         assert res.trace.executed_stages() == [
-            "agg_temporal", "classify", "drilldown", "aggregate",
+            "agg_temporal", "drilldown", "aggregate",
         ]
         assert res.trace["agg_spatial"].cache_hit
         assert res.trace["agg_brush"].cache_hit
@@ -346,7 +346,7 @@ class TestTraceAndResult:
         text = repr(res)
         assert "QueryResult[red]" in text
         assert f"{res.n_highlighted}/{res.n_displayed}" in text
-        assert "stages=6" in text
+        assert f"stages={len(AGG_STAGES) + 1}" in text
         assert "degraded" not in text
 
     def test_repr_shows_degradation(self, unbuilt_engine, west_canvas):
@@ -405,7 +405,7 @@ class TestSessionTraceJournal:
         ]
         # the slider-only second query is incremental in the journal too
         assert queries[1]["detail"]["stages_executed"] == [
-            "agg_temporal", "classify", "drilldown", "aggregate", "group_support",
+            "agg_temporal", "drilldown", "aggregate", "group_support",
         ]
         assert "trace" in queries[0]["detail"]
 

@@ -109,7 +109,7 @@ class TestIncrementalRequery:
         slider.set_low(0.6)   # scrub: only temporal stages re-run
         trace = driver.last_traces["red"]
         assert trace.executed_stages() == [
-            "agg_temporal", "classify", "drilldown", "aggregate", "group_support",
+            "agg_temporal", "drilldown", "aggregate", "group_support",
         ]
         assert trace["agg_brush"].cache_hit
 

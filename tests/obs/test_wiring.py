@@ -29,7 +29,6 @@ STAGES = [
     "agg_temporal",
     "agg_spatial",
     "agg_brush",
-    "classify",
     "drilldown",
     "aggregate",
 ]
@@ -209,35 +208,32 @@ class TestEmission:
 
 
 class TestAggregateEmission:
-    """The aggregate route's documented metrics: pyramid build time,
-    per-class supernode counts, and drill-down workload size."""
+    """The aggregate route's documented metrics: pyramid build time and
+    drill-down workload size."""
 
     def test_build_and_classification_metrics(
         self, registry, study_dataset, west_canvas
     ):
         engine = CoordinatedBrushingEngine(study_dataset)
-        engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
+        res = engine.query(west_canvas, "red", window=TimeWindow.end(0.2))
         snap = obs.telemetry_snapshot()
         build = snap.histogram("service.aggregate.build_seconds")
         assert build is not None and build.count == 1
         assert snap.counter("query.count", strategy="aggregate") == 1.0
-        # the three classes partition the occupied supernodes exactly
-        per_class = {
-            label: snap.counter("service.aggregate.supernodes", **{"class": label})
-            for label in ("all_in", "inconclusive", "all_out")
-        }
-        occupied = int((engine.pyramid.node_counts > 0).sum())
-        assert sum(per_class.values()) == occupied
-        assert any(
-            name == "service.aggregate.drilldown_segments"
-            for name, _ in snap.counters
-        )
+        # the capsule kernel refined exactly the inconclusive cells' rows
+        refined = snap.counter_total("service.aggregate.drilldown_segments")
+        assert res.trace["agg_brush"].detail == f"refined {int(refined)} segments"
 
     def test_warm_query_does_not_recount(self, registry, study_dataset, west_canvas):
         engine = CoordinatedBrushingEngine(study_dataset)
         w = TimeWindow.end(0.2)
         engine.query(west_canvas, "red", window=w)
-        cold = obs.telemetry_snapshot().counter_total("service.aggregate.supernodes")
+        cold = obs.telemetry_snapshot().counter_total(
+            "service.aggregate.drilldown_segments"
+        )
         engine.query(west_canvas, "red", window=w)  # all stages cache-hit
-        warm = obs.telemetry_snapshot().counter_total("service.aggregate.supernodes")
+        warm = obs.telemetry_snapshot().counter_total(
+            "service.aggregate.drilldown_segments"
+        )
+        assert cold > 0
         assert warm == cold

@@ -7,6 +7,8 @@ Every run checks, continuously:
   for everything fed in (no lost or duplicated segments);
 * **oracle agreement** — each session's query matches a brute-force
   engine over that session's pinned epoch (no stale-epoch cache hits);
+* **store lifetime** — every store handle the run was given attaches
+  exactly while its epoch is live in the service;
 * **no leaks** — harness close asserts zero leftover shared blocks.
 
 Runs are small (tier-1 executes these); the CI ``chaos`` job re-runs
@@ -77,6 +79,9 @@ class TestChaosHarness:
         assert report.crashes == 0
         assert report.queries > 0
         assert report.rollovers > 0
+        # the store lifetime rule was checked both ways: kept handles of
+        # live epochs attached, those of retired epochs were stale
+        assert report.attaches > 0 and report.stale_attaches > 0
 
     @pytest.mark.parametrize("point", ROLLOVER_POINTS)
     def test_targeted_crash_at_every_point(self, point):
@@ -106,16 +111,6 @@ class TestChaosHarness:
             report = harness.run(30)
         assert report.crashes > 0  # the storm actually fired
         assert report.queries > 0  # and queries kept answering correctly
-
-    def test_in_process_mode_no_shared_blocks(self):
-        from repro.store import live_blocks
-
-        before = set(live_blocks())
-        with ChaosHarness(
-            _dataset(), _stream(), seed=9, publish_store=False
-        ) as harness:
-            harness.run(20)
-            assert set(live_blocks()) == before
 
     def test_same_seed_reproduces_schedule(self):
         def run(seed: int):

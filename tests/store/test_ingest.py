@@ -1,14 +1,13 @@
 """Streaming-ingest tests: buffer semantics, two-phase rollover,
-session pinning across epochs, crash recovery, and cache isolation.
+session pinning across epochs, crash recovery, cache isolation, and
+the store lifetime rule: a store lives exactly as long as its epoch.
 
 The autouse ``no_leaked_blocks`` fixture (conftest) closes the loop on
-every test here: any rollover path that leaks a staged or retired
-shared block fails its test.
+every test here: any path that leaks a retired epoch's shared block
+fails its test.
 """
 
 from __future__ import annotations
-
-import gc
 
 import numpy as np
 import pytest
@@ -23,10 +22,13 @@ from repro.store import (
     IngestBatch,
     IngestBuffer,
     RolloverCoordinator,
+    StaleHandleError,
     attach,
+    live_blocks,
 )
 from repro.synth import AntStudyConfig, generate_study_dataset
 from repro.trajectory.model import Trajectory, TrajectoryMeta
+from tests.store.test_store import _check_roundtrip
 
 
 def _traj(i: int, n: int = 6) -> Trajectory:
@@ -111,18 +113,20 @@ class TestRollover:
             buf = IngestBuffer()
             coord = RolloverCoordinator(service, buf)
             epoch0 = service.active_epoch()
-            buf.extend([_traj(i) for i in range(4)])
+            batch = [_traj(i) for i in range(4)]
+            buf.extend(batch)
 
             result = coord.rollover()
             assert result.n_ingested == 4
             assert result.epoch == epoch0 + 4 == service.active_epoch()
             assert len(service.dataset) == len(base_dataset) + 4
             assert buf.n_pending == 0
-            # the published handle is attachable and epoch-tagged
-            assert result.handle is not None
-            assert result.handle.epoch == result.epoch
-            with attach(result.handle) as client:
-                assert len(client.dataset) == len(base_dataset) + 4
+            assert list(service.dataset) == [*base_dataset, *batch]
+            # the one publish path serves the new epoch on demand
+            handle = service.publish_store()
+            assert handle.epoch == result.epoch
+            with attach(handle) as client:
+                _check_roundtrip(client, service.dataset)
 
     def test_empty_buffer_rollover_is_none(self, base_dataset):
         with DatasetService(base_dataset) as service:
@@ -206,16 +210,13 @@ class TestRollover:
             fresh.close()
 
     def test_in_process_rollover_publishes_no_block(self, base_dataset):
-        from repro.store import live_blocks
-
         with DatasetService(base_dataset) as service:
             buf = IngestBuffer()
-            coord = RolloverCoordinator(service, buf, publish_store=False)
+            coord = RolloverCoordinator(service, buf)
             buf.append(_traj(0))
-            before = set(live_blocks())
-            result = coord.rollover()
-            assert result.handle is None
-            assert set(live_blocks()) == before
+            before = live_blocks()
+            coord.rollover()
+            assert live_blocks() == before
             assert len(service.dataset) == len(base_dataset) + 1
 
     def test_rollover_emits_swap_metrics(self, base_dataset):
@@ -223,7 +224,7 @@ class TestRollover:
         try:
             with DatasetService(base_dataset) as service:
                 buf = IngestBuffer()
-                coord = RolloverCoordinator(service, buf, publish_store=False)
+                coord = RolloverCoordinator(service, buf)
                 buf.append(_traj(0))
                 coord.rollover()
                 snap = obs.telemetry_snapshot()
@@ -288,7 +289,7 @@ class TestCrashSafety:
         the batch on the next rollover."""
         with DatasetService(base_dataset) as service:
             buf = IngestBuffer()
-            coord = RolloverCoordinator(service, buf, publish_store=False)
+            coord = RolloverCoordinator(service, buf)
             buf.extend([_traj(i) for i in range(2)])
 
             real_commit = buf.commit_through
@@ -314,76 +315,65 @@ class TestCrashSafety:
             # no duplicates: still exactly base + 2
             assert len(service.dataset) == len(base_dataset) + 2
 
-    def test_validation_failure_aborts_swap(self, base_dataset, monkeypatch):
-        from repro.store.arena import SharedArenaStore
-        from repro.store.shm import StoreAttachError
-
-        def bad_validate(self) -> None:
-            raise StoreAttachError("simulated corrupt stage")
-
-        monkeypatch.setattr(SharedArenaStore, "validate", bad_validate)
-        with DatasetService(base_dataset) as service:
-            buf = IngestBuffer()
-            coord = RolloverCoordinator(service, buf)
-            buf.append(_traj(0))
-            epoch0 = service.active_epoch()
-            with pytest.raises(StoreAttachError):
-                coord.rollover()
-            assert service.active_epoch() == epoch0
-            assert buf.n_pending == 1
-
 
 # Epoch lifecycle / pinning --------------------------------------------------
 
 class TestEpochLifecycle:
+    """One lifetime rule: a store published by ``publish_store()``
+    belongs to the snapshot that was active then, and is unlinked when
+    that snapshot retires — at the rollover when no session pins it,
+    otherwise at its last session's ``rebind()`` or ``close()``."""
+
     def test_old_store_survives_until_last_session_detaches(
         self, base_dataset, viewport
     ):
-        """keep_stores=1 forces the rollover to evict the old epoch's
-        store, but a pinned session defers the unlink until it closes."""
-        with DatasetService(base_dataset, keep_stores=1) as service:
+        with DatasetService(base_dataset) as service:
+            buf = IngestBuffer()
+            coord = RolloverCoordinator(service, buf)
+            h0 = service.publish_store()
+            first = service.session(viewport)
+            last = service.session(viewport)
+
+            buf.append(_traj(0))
+            coord.rollover()
+            # the pinned sessions still query fine over their epoch
+            assert len(first.run_query("red").traj_mask) == len(base_dataset)
+            attach(h0).close()
+            assert first.rebind() is True
+            attach(h0).close()  # one pin left: the block is still there
+            last.close()  # the last detach unlinks it
+            with pytest.raises(StaleHandleError):
+                attach(h0)
+            first.close()
+
+    def test_unpinned_old_store_is_unlinked_at_rollover(self, base_dataset):
+        with DatasetService(base_dataset) as service:
+            buf = IngestBuffer()
+            coord = RolloverCoordinator(service, buf)
+            h0 = service.publish_store()
+            buf.append(_traj(0))
+            coord.rollover()
+            with pytest.raises(StaleHandleError):
+                attach(h0)
+            assert service.stats()["stores"] == []
+
+    def test_pinned_old_store_is_unlinked_at_rebind(self, base_dataset, viewport):
+        with DatasetService(base_dataset) as service:
             buf = IngestBuffer()
             coord = RolloverCoordinator(service, buf)
             h0 = service.publish_store()
             pinned = service.session(viewport)
-            assert pinned.epoch == service.active_epoch()
-
             buf.append(_traj(0))
-            r1 = coord.rollover()
-            assert service.active_epoch() == r1.epoch
-            # old handle aged out of the registry
-            assert h0.uid not in [h.uid for h in service.stores()]
-            # the pinned session still queries fine over its epoch
-            assert len(pinned.run_query("red").traj_mask) == len(base_dataset)
+            coord.rollover()
+            attach(h0).close()
+            assert pinned.rebind() is True
+            with pytest.raises(StaleHandleError):
+                attach(h0)
             pinned.close()
-            gc.collect()
-        # conftest asserts the deferred block was finally unlinked
-
-    def test_evict_store_refuses_while_pinned(self, base_dataset, viewport):
-        """One pinning rule for every registered store: a session on an
-        epoch pins the store of that epoch, whether a rollover or
-        ``publish_store()`` published it."""
-
-        def by_rollover(service):
-            buf = IngestBuffer()
-            buf.append(_traj(0))
-            return RolloverCoordinator(service, buf).rollover().handle
-
-        for publish in (by_rollover, DatasetService.publish_store):
-            with DatasetService(base_dataset) as service:
-                handle = publish(service)
-                pinned = service.session(viewport)  # pins the store's epoch
-                assert service.evict_store(handle.uid) is False, publish
-                assert handle.uid in [h.uid for h in service.stores()]
-                attach(handle).close()  # still there
-                pinned.close()
-                gc.collect()
-                assert service.evict_store(handle.uid) is True
-                assert handle.uid not in [h.uid for h in service.stores()]
 
     def test_epoch_must_advance(self, base_dataset):
         with DatasetService(base_dataset) as service:
             with pytest.raises(ValueError, match="must exceed"):
                 service._swap_active(  # reprolint: disable=RL008
-                    service.dataset, service.engine, None
+                    service.dataset, service.engine
                 )

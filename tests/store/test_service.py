@@ -1,7 +1,8 @@
 """Tests for the multi-session service layer: N concurrent session
 views over one DatasetService must behave exactly like N independent
 single-user engines, while the process holds one copy of the packed
-arrays — plus the store registry's per-epoch publishing and eviction.
+arrays — plus per-epoch store publishing, and stores that live exactly
+as long as the epoch they were published from.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class TestSharedState:
         with pytest.raises(ValueError):
             DatasetService(TrajectoryDataset(name="empty"))
 
-    def test_keep_stores_validated(self, small_dataset):
-        with pytest.raises(ValueError):
-            DatasetService(small_dataset, keep_stores=0)
-
 
 class TestConcurrentSessions:
     def test_eight_threads_match_independent_engines(
@@ -134,7 +131,7 @@ class TestStoreRegistry:
             h1 = service.publish_store()
             h2 = service.publish_store()
             assert h1 == h2
-            assert service.stores() == (h1,)
+            assert service.stats()["stores"] == [h1.uid[:8]]
 
     def test_mutation_staleness_and_attach_after_mutation(self, mutable_dataset):
         with DatasetService(mutable_dataset) as service:
@@ -143,27 +140,11 @@ class TestStoreRegistry:
             fresh = service.publish_store()
             assert fresh.uid != old.uid
             assert fresh.epoch > old.epoch
-            # keep_stores=2 default: the old block still attaches (its
-            # header matches its own handle), serving the old epoch
+            # both stores belong to the one active snapshot: the old
+            # block still attaches (its header matches its own handle),
+            # serving the old epoch, until the snapshot retires
+            assert service.stats()["stores"] == [old.uid[:8], fresh.uid[:8]]
             attach(old).close()
-
-    def test_eviction_beyond_keep_stores(self, mutable_dataset):
-        with DatasetService(mutable_dataset, keep_stores=1) as service:
-            old = service.publish_store()
-            mutable_dataset.append(_extra_traj())
-            service.publish_store()  # evicts (unlinks) the old store
-            assert len(service.stores()) == 1
-            with pytest.raises(StaleHandleError):
-                attach(old)  # the block is gone, not just deregistered
-
-    def test_evict_store_explicit(self, small_dataset):
-        with DatasetService(small_dataset) as service:
-            handle = service.publish_store()
-            assert service.evict_store(handle.uid) is True
-            assert service.evict_store(handle.uid) is False
-            assert service.stores() == ()
-            with pytest.raises(StaleHandleError):
-                attach(handle)
 
     def test_close_unlinks_everything(self, small_dataset):
         service = DatasetService(small_dataset)
@@ -215,16 +196,17 @@ class TestCloseWithLiveSessions:
     def _by_rollover(service):
         buffer = IngestBuffer()
         buffer.append(_extra_traj())
-        return RolloverCoordinator(service, buffer).rollover().handle
+        RolloverCoordinator(service, buffer).rollover()
+        return service.publish_store()
 
     @classmethod
     def _pinned_session(cls, service, viewport, arena, publish=None):
-        """Publish a store (by default by rolling one trajectory in)
-        and open a brushed session on its epoch; return ``(session,
-        handle, ref_mask)``.
+        """Publish a store (by default of an epoch reached by rolling
+        one trajectory in) and open a brushed session on its epoch;
+        return ``(session, handle, ref_mask)``.
 
-        A store belongs to the snapshot of the epoch it was published
-        from, so a session pinning that epoch pins the block too.
+        A store belongs to the snapshot that was active when it was
+        published, so a session pinning that epoch pins the block too.
         """
         stroke, window = _session_ops(5, arena)
         handle = (publish or cls._by_rollover)(service)

@@ -133,7 +133,7 @@ def test_16_thread_mixed_load_conserves_counters(small_dataset):
     def ingester():
         try:
             buf = IngestBuffer()
-            coord = RolloverCoordinator(service, buf, publish_store=False)
+            coord = RolloverCoordinator(service, buf)
             barrier.wait()
             for r in range(N_ROLLOVERS):
                 buf.extend([_traj(r * 4 + k) for k in range(4)])
@@ -201,7 +201,7 @@ def test_stale_sessions_degrade_and_rebind_catches_up(small_dataset):
     service = DatasetService(small_dataset)
     session = service.session(paper_viewport(cyber_commons_wall()))
     buf = IngestBuffer()
-    coord = RolloverCoordinator(service, buf, publish_store=False)
+    coord = RolloverCoordinator(service, buf)
     buf.extend([_traj(900 + k) for k in range(3)])
     assert coord.rollover() is not None
 

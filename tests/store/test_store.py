@@ -143,11 +143,6 @@ def _check_zero_copy(client) -> None:
     assert not traj.positions.flags["OWNDATA"]
 
 
-def _check_store_token(client, token) -> None:
-    """The attached dataset carries the store's cache-key token."""
-    assert client.dataset.store_token == token
-
-
 def _check_query_over_attached(client, original, canvas, window) -> None:
     """An engine over the attached dataset builds its own pyramid and
     answers bit-identically to brute force over the original."""
@@ -206,13 +201,6 @@ class TestHandle:
             # the tentpole economics: O(handle) vs O(dataset) per worker
             assert handle.handle_bytes < 4096
             assert handle.payload_bytes > 100 * handle.handle_bytes
-
-    def test_store_token_tags_uid_and_epoch(self, small_dataset):
-        with SharedArenaStore.publish(small_dataset) as store:
-            token = store.handle.store_token
-            assert token == ("shm", store.uid, store.epoch)
-            with attach(store.handle) as client:
-                _check_store_token(client, token)
 
     def test_spec_lookup(self, small_dataset):
         with SharedArenaStore.publish(small_dataset) as store:

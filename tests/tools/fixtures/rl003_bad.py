@@ -10,9 +10,9 @@ class DatasetService:
     """Stand-in for the real service class (rule keys on the name)."""
 
     def __init__(self):
-        """Construction is exempt: the object is not yet shared."""
+        """Construction is exempt: the object is not yet shared, so
+        its registries are set up without the lock."""
         self._lock = threading.RLock()
-        self._stores = {}
         self._snapshots = {}
         self._n_sessions = 0
         self._active = None
@@ -25,7 +25,7 @@ class DatasetService:
         """Sleeps while holding the lock."""
         with self._lock:
             time.sleep(0.1)  # seeded: RL003 blocking call under lock
-            self._stores["x"] = 1
+            self._snapshots[0] = None
 
     def hot_publish(self, snapshot):
         """Publishes the active snapshot without serializing mutators."""
